@@ -8,7 +8,6 @@ output.  Each check returns a list of problems; an empty list is a pass.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import re
@@ -119,26 +118,36 @@ def prop72_delta_cap(p: float, r: float, t: float) -> float:
 
 # -- exact runs (lpgreedy RunReport objects) --
 
+# The condition audit's own tolerances (lpgreedy.diagnostics defaults).
+AUDIT_TOLS = {"greedy_selection": 1e-12, "error_reduction": 1e-6,
+              "biorthogonality": 1e-6, "monotone": 1e-6, "neg_line": 1e-9,
+              "bj": 1e-6}
+# From the first step whose projection the run reports as not converged on,
+# the projection stopped at its iteration cap and every later step builds on
+# that residual.  The worst seen there: a biorthogonality margin of -2.3e-6
+# and a residual 1.2e-8 relative above the lp optimum (CHANGES.md).  Those
+# steps are held to these looser limits, not skipped.
+CAPPED_MARGIN = -1e-5
+CAPPED_RELATIVE = 1e-6
+# Where the atoms already represent f a relative tolerance means nothing;
+# the residual itself must then be this small, times ||f|| (worst seen:
+# 4.6e-8 ||f||, after a capped projection).
+EXACT_RESIDUAL = 1e-6
+
 _UNCONVERGED = re.compile(r"projection not converged at m=(\d+)")
 
 
-def converged_prefix(report):
-    """The report cut before the first step whose projection the run itself
-    reports as not converged; every later step builds on that residual.
-
-    The checks see only this prefix.  Past such a step the projection has
-    stopped at its iteration cap, and whether the residual or the
-    biorthogonality audit then misses its tolerance depends on the inputs
-    (CHANGES.md); the non-converged projections are counted by the trace
-    (``solvers.chebyshev_project.unconverged``).
-    """
+def first_capped_step(report):
+    """The first m whose projection the run reports as not converged, or
+    None."""
     flagged = [int(m.group(1)) for w in report.warnings
                if (m := _UNCONVERGED.match(w))]
-    if not flagged:
-        return report
-    cut = copy.copy(report)
-    cut.records = report.records[:min(flagged) - 1]
-    return cut
+    return min(flagged) if flagged else None
+
+
+def _after_cap(report):
+    cap = first_capped_step(report)
+    return lambda m: cap is not None and m >= cap
 
 
 def check_termination(report) -> list:
@@ -169,33 +178,44 @@ def check_cor21(report, p: float, t: float) -> list:
     return check_bound(report, "cor21", cor21_bound(p, t, [r.m for r in report.records]))
 
 
-def check_audit(algorithm: str, verdict: str, margins: list) -> list:
-    """The condition audit passes and no error-reduction margin is negative."""
+def check_audit(report, audit, margins: list) -> list:
+    """The condition audit passes and no error-reduction margin is below
+    -1e-6; from the first capped projection on, every margin may dip to
+    CAPPED_MARGIN instead."""
+    capped = _after_cap(report)
+    if first_capped_step(report) is None and audit.verdict != "PASS":
+        return [f"{report.algorithm}: condition audit {audit.verdict}"]
+    series = [(c.name, AUDIT_TOLS[c.name], c.margins)
+              for c in audit.checks if c.applicable]
+    series.append(("error-reduction inequality", -MARGIN_FLOOR, margins or []))
     out = []
-    if verdict != "PASS":
-        out.append(f"{algorithm}: condition audit {verdict}")
-    if margins and min(margins) < MARGIN_FLOOR:
-        out.append(f"{algorithm}: error-reduction margin {min(margins):.3e}")
+    for name, tol, values in series:
+        for m, v in enumerate(values, start=1):
+            if v < (min(-tol, CAPPED_MARGIN) if capped(m) else -tol):
+                out.append(f"{report.algorithm}: {name} margin {v:.3e} at m={m}")
+                break
     return out
 
 
-def _exact_floor(p: float, f: np.ndarray) -> float:
-    """Reference residuals at or below this mean the atoms represent f.
-
-    Such steps are not compared: a relative tolerance means nothing against
-    a zero, and there the projection stops at its iteration cap, leaving
-    residuals up to ~5e-8 ||f|| that depend on the inputs (CHANGES.md).
-    """
-    return ZERO_RESIDUAL * max(1.0, lp_norm(p, f))
+def _residual_off(resid: float, ref: float, rel: float, f_norm: float,
+                  two_sided: bool = False) -> bool:
+    """True when a residual is off its reference: above it by more than
+    ``rel`` relative (or below it, if ``two_sided``), or, where the reference
+    is about 0, above EXACT_RESIDUAL ||f||."""
+    if ref <= ZERO_RESIDUAL * max(1.0, f_norm):
+        return resid > EXACT_RESIDUAL * f_norm
+    return resid > (1.0 + rel) * ref or (two_sided and resid < (1.0 - rel) * ref)
 
 
 def check_omp_trajectory(report, matrix: np.ndarray, f: np.ndarray) -> list:
     """At p = 2 the wcga residuals are the orthogonal-greedy ones, to 1e-8
-    relative."""
+    relative (CAPPED_RELATIVE after a capped projection)."""
     oracle = omp_residuals(matrix, f, len(report.records))
-    floor = _exact_floor(2.0, f)
+    capped = _after_cap(report)
+    f_norm = lp_norm(2.0, f)
     for rec, o in zip(report.records, oracle):
-        if o > floor and abs(rec.residual_norm - o) > 1e-8 * o:
+        rel = CAPPED_RELATIVE if capped(rec.m) else 1e-8
+        if _residual_off(rec.residual_norm, o, rel, f_norm, two_sided=True):
             return [f"wcga p=2: m={rec.m} residual {rec.residual_norm:.12e} "
                     f"!= least squares {o:.12e}"]
     return []
@@ -203,12 +223,15 @@ def check_omp_trajectory(report, matrix: np.ndarray, f: np.ndarray) -> list:
 
 def check_projection(report, p: float, matrix: np.ndarray, f: np.ndarray) -> list:
     """Each wcga residual is at most (1 + 1e-8) times an independent lp
-    projection onto the same signed atoms."""
+    projection onto the same signed atoms (1 + CAPPED_RELATIVE after a
+    capped projection)."""
     selected = [r.selected_index for r in report.records]
-    floor = _exact_floor(p, f)
+    capped = _after_cap(report)
+    f_norm = lp_norm(p, f)
     for k, rec in enumerate(report.records, start=1):
         ref = lp_projection_norm(p, f, signed_atoms(matrix, selected[:k]))
-        if ref > floor and rec.residual_norm > (1.0 + 1e-8) * ref:
+        rel = CAPPED_RELATIVE if capped(k) else 1e-8
+        if _residual_off(rec.residual_norm, ref, rel, f_norm):
             return [f"wcga p={p:g}: m={k} residual {rec.residual_norm:.12e} "
                     f"above the lp projection {ref:.12e}"]
     return []

@@ -1,16 +1,17 @@
 """lpgreedy benchmark: three closed-loop workloads, one call after another.
 
-    python3 bench/run.py --workload hull-grid --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload hull-grid --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout; the package is imported from ``src/``.
-One run repeats whole rounds of the same operations until the next round
-would end past ``--seconds``; set-ups are sampled before and during them.
-A round times each greedy run and each audit of its report, and checks
-every output (see ``checks.py``).  The last line of standard output is one JSON object with
-``correct``, ``attempted``, ``failed`` and ``metrics``: the end-to-end
-metrics with ``--trace 0``, the per-layer metrics of ``spans.py`` with
-``--trace 1``.  ``--workload all`` runs each workload in its own process,
-one after another, and prints a table.
+A run sets up SETUP_SAMPLES times in a row, then repeats whole rounds of
+the same operations until the next round would end past ``--seconds`` (at
+least one round).  A round times each greedy run and each audit of its
+report, wall and CPU time, and checks every output (see ``checks.py``).
+The last line of standard output is one JSON object with ``correct``,
+``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
+``--trace 0``, the per-layer metrics of ``spans.py`` with ``--trace 1``.
+``--workload all`` runs each workload in its own process, one after
+another, and prints a table.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE / "out"
 
-SETUP_EVERY_S = 2.0  # seconds between set-up samples; setup_s is their median
-AUDIT_REPS = 3   # audits of each report; audit_s sums the per-report medians
+SETUP_SAMPLES = 16  # set-ups in a row before the rounds; setup_s is their median
+AUDIT_REPS = 5   # audits of each report; audit_s sums the per-report medians
 P_GRID = (1.5, 2.0, 3.0, 4.0)
 EXACT_ALGOS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
 BOUND_IDS = ("cor21", "thm52", "cor52", "thm72", "cor72", "prop72", "thm91")
@@ -76,12 +77,13 @@ class Round:
 
     run_s: float = 0.0
     audit_s: float = 0.0
+    run_cpu_s: float = 0.0
+    audit_cpu_s: float = 0.0
     iter_ns: list = field(default_factory=list)
     iterations: int = 0
     attempted: int = 0
     failed: int = 0
     problems: list = field(default_factory=list)
-    between: object = None  # called after each timed operation
 
     def attempt(self, fn):
         """One operation; an exception counts it as failed."""
@@ -94,24 +96,27 @@ class Round:
             return None
 
     def timed(self, tracer, phase: str, fn):
-        """One timed operation under the tracer's root span for its phase."""
-        t0 = time.perf_counter()
+        """One timed operation under the tracer's root span for its phase:
+        its result, wall time and CPU time."""
+        c0, t0 = time.process_time(), time.perf_counter()
         with root(tracer, phase):
             out = self.attempt(fn)
-        dt = time.perf_counter() - t0
-        if self.between is not None:
-            self.between()
-        return out, dt
+        return out, time.perf_counter() - t0, time.process_time() - c0
+
+    def run(self, tracer, fn):
+        """One greedy run (or sweep), timed."""
+        out, dt, cpu = self.timed(tracer, "run", fn)
+        self.run_s += dt
+        self.run_cpu_s += cpu
+        return out
 
     def audited(self, tracer, fn) -> object:
         """Audit one report AUDIT_REPS times, right after the run that made
         it, so the audit samples are spread over the round like the runs."""
-        times = []
-        for _ in range(AUDIT_REPS):
-            out, dt = self.timed(tracer, "audit", fn)
-            times.append(dt)
-        self.audit_s += statistics.median(times)
-        return out
+        samples = [self.timed(tracer, "audit", fn) for _ in range(AUDIT_REPS)]
+        self.audit_s += statistics.median(s[1] for s in samples)
+        self.audit_cpu_s += statistics.median(s[2] for s in samples)
+        return samples[-1][0]
 
 
 @dataclass
@@ -127,8 +132,9 @@ class ExactWorkload:
     algos: tuple = ()
     rule: str = "exact_argmax"
     t: float = 1.0
+    n, size, k = 64, 256, 16  # dimension, dictionary size, target sparsity
     # Inputs per p in a round.  A run's cost depends on its inputs, so a
-    # round averages over several draws; see the subclasses.
+    # round averages over several draws.
     instances: int = 2
 
     def setup(self, lp, seed: int) -> list:
@@ -136,10 +142,11 @@ class ExactWorkload:
         seeds = iter(derived_seeds(seed, 2 * self.instances * len(P_GRID)))
         cases = []
         for p in P_GRID:
-            space = lp.lp_space(p, 64)
+            space = lp.lp_space(p, self.n)
             for _ in range(self.instances):
-                D = lp.build_dictionary(space, "random_gauss", 256, seed=next(seeds))
-                target = lp.make_target(D, lp.TargetSpec(mode="a1_sparse", k=16,
+                D = lp.build_dictionary(space, "random_gauss", self.size,
+                                        seed=next(seeds))
+                target = lp.make_target(D, lp.TargetSpec(mode="a1_sparse", k=self.k,
                                                          seed=next(seeds)))
                 cases.append(Case(p, D, target))
         return cases
@@ -148,29 +155,25 @@ class ExactWorkload:
         tau = lp.WeaknessSchedule(kind="constant", t0=self.t)
         for case in cases:
             for algo in self.algos:
-                rep, dt = rnd.timed(tracer, "run", lambda: lp.run_greedy(
+                rep = rnd.run(tracer, lambda: lp.run_greedy(
                     algo, case.target.f, case.D, tau, max_m=MAX_M,
                     rule=self.rule, target=case.target))
-                rnd.run_s += dt
                 if rep is None:
                     continue
                 rnd.iter_ns.extend(r.wall_ns for r in rep.records)
                 rnd.iterations += len(rep.records)
                 audit = rnd.audited(tracer, lambda: self.audit(lp, rep))
                 rnd.problems += checks.check_termination(rep)
-                trusted = checks.converged_prefix(rep)
-                if trusted is not rep and audit is not None:
-                    audit = self.audit(lp, trusted)  # untimed, for the checks
                 if audit is not None:
-                    rnd.problems += checks.check_audit(rep.algorithm, *audit)
-                rnd.problems += self.check(case, trusted)
+                    rnd.problems += checks.check_audit(rep, *audit)
+                rnd.problems += self.check(case, rep)
 
     @staticmethod
     def audit(lp, rep) -> tuple:
-        verdict = lp.audit_conditions(rep).verdict
+        conditions = lp.audit_conditions(rep)
         margins = lp.error_reduction_margins(rep)
         lp.verify_rates(rep, list(BOUND_IDS))
-        return verdict, margins
+        return conditions, margins
 
     def check(self, case, rep) -> list:
         raise NotImplementedError
@@ -178,10 +181,12 @@ class ExactWorkload:
 
 class HullGrid(ExactWorkload):
     algos = EXACT_ALGOS
-    # wcga with unit weakness either recovers the k = 16 target in ~16 steps
-    # or runs to the full span at m = 64 for ten times the cost, so this
-    # workload needs the most draws to be steady across seeds.
-    instances = 3
+    # wcga with unit weakness either recovers the k-sparse target in about k
+    # steps or runs to the full span for ten times the cost, in about half
+    # the draws.  At n = 64 one such run costs a third of a round's other
+    # 27 runs, so round time swings by a quarter with the draw; at n = 32 it
+    # costs a tenth, and a round fits in the run.
+    n, size, k = 32, 128, 8
 
     def check(self, case, rep) -> list:
         out = checks.check_cor52(rep, case.p)
@@ -209,10 +214,11 @@ class ApproxCli:
     an audit of every report it stored."""
 
     ps = (1.5, 3.0)
-    # target seeds per sweep: awcga either arrives in ~8 steps or runs to the
-    # full span, and awgafr's two-direction solve sometimes runs to its
-    # 60-round cap for a fourfold cost, so a round averages over many draws
-    instances = 4
+    # target seeds per sweep, drawn apart for each sweep: awcga either
+    # arrives in ~8 steps or runs to the full span, and awgafr's
+    # two-direction solve sometimes runs to its 60-round cap, so a round
+    # averages over many draws
+    instances = 3
     algos = ("awcga", "awgafr", "arwrga")
     schedules = (("pow", "err:delta=pow:0.1,1.1,eta=pow:0.1,1.1"),
                  ("auto", "err:delta=prop72auto,eta=prop72auto"))
@@ -221,18 +227,20 @@ class ApproxCli:
     out = OUT / f"approx-cli-{os.getpid()}"
 
     def setup(self, lp, seed: int):
-        """One dictionary and ``instances`` targets per p, built here as a
-        library user would; the CLI builds them again from the specs."""
-        seeds = iter(derived_seeds(seed, (1 + self.instances) * len(self.ps)))
+        """One dictionary per p and ``instances`` targets per sweep, built
+        here as a library user would; the CLI builds them again from the
+        specs."""
+        per_p = 1 + self.instances * len(self.schedules)
+        seeds = iter(derived_seeds(seed, per_p * len(self.ps)))
         sweeps = []
         for p in self.ps:
             dseed = next(seeds)
-            tseeds = [next(seeds) for _ in range(self.instances)]
             D = lp.build_dictionary(lp.lp_space(p, 32), "random_gauss", 128,
                                     seed=dseed)
-            for t in tseeds:
-                lp.make_target(D, lp.TargetSpec(mode="a1_sparse", k=8, seed=t))
             for sched, errors in self.schedules:
+                tseeds = [next(seeds) for _ in range(self.instances)]
+                for t in tseeds:
+                    lp.make_target(D, lp.TargetSpec(mode="a1_sparse", k=8, seed=t))
                 sweeps.append({
                     "sched": sched, "tseeds": tseeds,
                     "dir": self.out / f"p{p:g}-{sched}",
@@ -256,8 +264,7 @@ class ApproxCli:
 
     def sweep(self, lp, tracer, rnd: Round, sw: dict, out_dir: Path) -> None:
         args = sw["args"] + ["--out-dir", str(out_dir)]
-        code, dt = rnd.timed(tracer, "run", lambda: self.call(lp, args))
-        rnd.run_s += dt
+        code = rnd.run(tracer, lambda: self.call(lp, args))
         if code is not None:
             rnd.problems += checks.check_exit_code("sweep " + out_dir.name, code)
 
@@ -301,61 +308,38 @@ class ApproxCli:
 
 WORKLOADS = {"hull-grid": HullGrid, "weak-chebyshev": WeakChebyshev,
              "approx-cli": ApproxCli}
-# Layers every workload calls.  Only their self times are per-layer metrics:
-# a layer that a workload never calls reads 0 s on every run.  Every self
-# time, and every call count, goes to the trace's result file.
-SELF_TIMED = ("solvers.chebyshev_project", "solvers.min_along_ray",
-              "solvers.line_search", "solvers.dense_line_min",
-              "algorithms._er_reference", "dictionary.build_dictionary",
-              "dictionary.make_target", "diagnostics.audit_conditions",
-              "diagnostics.error_reduction_margins", "diagnostics.verify_rates")
 
 
 def root(tracer, name: str):
     return tracer.root(name) if tracer is not None else contextlib.nullcontext()
 
 
-class SetUps:
-    """Set-up samples: a fresh import of lpgreedy and every input of the
-    workload.  The first comes before the rounds and is the one they use;
-    the others follow the first operation that ends SETUP_EVERY_S after the
-    last sample.  Spread over the run, they meet the machine's slow and fast
-    spells as the rounds do, and their median is steadier than that of a
-    burst at the start."""
-
-    def __init__(self, wl, seed: int, tracer):
-        self.wl, self.seed, self.tracer = wl, seed, tracer
-        self.times = []
-        self.last = 0.0
-
-    def sample(self) -> tuple:
-        t0 = time.perf_counter()
-        with root(self.tracer, "setup"):
-            lp = import_lpgreedy()
-            if self.tracer is not None:
-                self.tracer.install()
-            inputs = self.wl.setup(lp, self.seed)
-        self.last = time.perf_counter()
-        self.times.append(self.last - t0)
-        return lp, inputs
-
-    def due(self) -> None:
-        if time.perf_counter() - self.last >= SETUP_EVERY_S:
-            self.sample()
+def set_up(wl, seed: int, tracer) -> tuple:
+    """A fresh import of lpgreedy and every input of the workload: the
+    package, the inputs and the wall time it took."""
+    t0 = time.perf_counter()
+    with root(tracer, "setup"):
+        lp = import_lpgreedy()
+        if tracer is not None:
+            tracer.install()
+        inputs = wl.setup(lp, seed)
+    return lp, inputs, time.perf_counter() - t0
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple:
     wl = WORKLOADS[name]()
     tracer = spans.Tracer() if trace else None
-    setups = SetUps(wl, seed, tracer)
-    lp, inputs = setups.sample()
+    setup_times = []
+    for _ in range(SETUP_SAMPLES):  # the rounds use the last set-up
+        lp, inputs, dt = set_up(wl, seed, tracer)
+        setup_times.append(dt)
 
     rounds = []
     start = time.perf_counter()
     try:
         while True:
             r0 = time.perf_counter()
-            rnd = Round(between=setups.due)
+            rnd = Round()
             wl.round(lp, inputs, tracer, rnd)
             rounds.append(rnd)
             if tracer is not None:
@@ -373,11 +357,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple:
         print(f"CHECK FAILED: {p}", file=sys.stderr)
     run_s = statistics.median(r.run_s for r in rounds)
     if trace:
-        per = {"setup": len(setups.times), "run": len(rounds),
+        per = {"setup": SETUP_SAMPLES, "run": len(rounds),
                "audit": len(rounds) * AUDIT_REPS}
         figures = tracer.per_layer(per)
-        metrics = {k: {"value": v, "unit": _unit(k)} for k, v in figures.items()
-                   if not k.endswith(".self_s") or k[:-7] in SELF_TIMED}
+        metrics = {k: {"value": v, "unit": _unit(k)} for k, v in figures.items()}
         detail = {"layers": figures, "traced_run_s": run_s,
                   "traced_audit_s": statistics.median(r.audit_s for r in rounds),
                   "accounting": tracer.accounting(per)}
@@ -386,7 +369,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple:
             "run_s": {"value": run_s, "unit": "s"},
             "audit_s": {"value": statistics.median(r.audit_s for r in rounds),
                         "unit": "s"},
-            "setup_s": {"value": statistics.median(setups.times), "unit": "s"},
+            "setup_s": {"value": statistics.median(setup_times), "unit": "s"},
             "peak_rss_mb": {"value": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0, "unit": "MB"},
         }
@@ -401,8 +384,12 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple:
               "metrics": metrics}
     record = dict(result, workload=name, seed=seed, seconds=seconds,
                   trace=int(trace), rounds=len(rounds),
-                  round_run_s=[r.run_s for r in rounds], setup_runs_s=setups.times,
-                  **detail)
+                  round_run_s=[r.run_s for r in rounds],
+                  round_audit_s=[r.audit_s for r in rounds],
+                  # CPU time of the same operations, beside their wall time
+                  round_run_cpu_s=[r.run_cpu_s for r in rounds],
+                  round_audit_cpu_s=[r.audit_cpu_s for r in rounds],
+                  setup_runs_s=setup_times, **detail)
     (OUT / "results").mkdir(parents=True, exist_ok=True)
     kind = "trace" if trace else "run"
     (OUT / "results" / f"{name}-seed{seed}-{kind}.json").write_text(
@@ -448,7 +435,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=list(WORKLOADS) + ["all"])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if args.seed < 0:

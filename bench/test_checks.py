@@ -69,24 +69,63 @@ def test_rate_bounds(bound):
 
 def test_audit_and_error_reduction():
     rep, _, _ = _exact("rwrga", 3.0)
-    assert checks.check_audit("rwrga", audit_conditions(rep).verdict,
-                              error_reduction_margins(rep)) == []
+    margins = error_reduction_margins(rep)
+    assert checks.check_audit(rep, audit_conditions(rep), margins) == []
     bad = _raised(rep, 5)
     assert audit_conditions(bad).verdict == "FAIL"
-    assert checks.check_audit("rwrga", "FAIL", [])
+    assert checks.check_audit(bad, audit_conditions(bad), margins)
     bad = copy.deepcopy(rep)  # residual just above the inequality's right side
-    bad.records[4].residual_norm += error_reduction_margins(rep)[4] + 1e-5
-    assert checks.check_audit("rwrga", "PASS", error_reduction_margins(bad))
+    bad.records[4].residual_norm += margins[4] + 1e-5
+    assert checks.check_audit(rep, audit_conditions(rep),
+                              error_reduction_margins(bad))
 
 
-def test_converged_prefix():
+def _flagged(rep, m):
+    """A copy of the report whose projection is reported capped at step m."""
+    out = copy.deepcopy(rep)
+    out.warnings = [f"projection not converged at m={m + 2}",
+                    f"projection not converged at m={m}"]
+    return out
+
+
+def test_first_capped_step():
     rep, _, _ = _exact("rwrga", 3.0)
-    assert checks.converged_prefix(rep) is rep
-    flagged = copy.deepcopy(rep)
-    flagged.warnings = ["projection not converged at m=4",
-                        "projection not converged at m=6"]
-    assert [r.m for r in checks.converged_prefix(flagged).records] == [1, 2, 3]
-    assert len(flagged.records) == len(rep.records)
+    assert checks.first_capped_step(rep) is None
+    assert checks.first_capped_step(_flagged(rep, 4)) == 4
+
+
+def test_capped_steps_are_still_checked():
+    """A capped projection loosens the limits from its step on; a residual
+    raised by 1% three steps later is still rejected."""
+    rep, D, target = _exact("wcga", 3.0, t=0.5, rule="threshold_first")
+    flagged = _flagged(rep, 2)
+    args = (3.0, D.matrix, target.f.coords)
+    assert checks.check_projection(flagged, *args) == []
+    assert checks.check_projection(_raised(flagged, 5), *args)
+    margins = error_reduction_margins(rep)
+    for report, defect, rejected in ((rep, 2e-6, True), (flagged, 2e-6, False),
+                                     (flagged, 1e-4, True)):
+        bad = copy.deepcopy(report)  # biorthogonality margin -defect at m=5
+        bad.records[4].bo_abs = bad.records[4].eps_m + defect
+        assert bool(checks.check_audit(bad, audit_conditions(bad), margins)) \
+            == rejected
+    bad = copy.deepcopy(flagged)
+    bad.records[4].residual_norm += margins[4] + 1e-4
+    assert checks.check_audit(flagged, audit_conditions(flagged),
+                              error_reduction_margins(bad))
+    rep, D, target = _exact("wcga", 2.0)
+    assert checks.check_omp_trajectory(_raised(_flagged(rep, 2), 5), D.matrix,
+                                       target.f.coords)
+
+
+def test_represented_target_is_checked():
+    """Where the atoms represent f, the residual itself must be about 0."""
+    rep, D, target = _exact("wcga", 2.0)
+    exact = copy.deepcopy(rep)
+    exact.records[-1].residual_norm = 1e-9
+    assert checks.check_omp_trajectory(exact, D.matrix, target.f.coords) == []
+    exact.records[-1].residual_norm = 1e-3 * checks.lp_norm(2.0, target.f.coords)
+    assert checks.check_omp_trajectory(exact, D.matrix, target.f.coords)
 
 
 def test_least_squares_trajectory():
