@@ -96,6 +96,8 @@ def audit_conditions(report: RunReport,
     """Per-iteration verification of the defining greedy-step properties."""
     if any(r.m != i + 1 for i, r in enumerate(report.records)):
         raise ValueError("incomplete report: records must be contiguous from m=1")
+    if report.algorithm not in APPLICABLE_CHECKS:
+        raise ValueError(f"unknown algorithm {report.algorithm!r}")
     tol_gs, tol_er, tol_bo = tol_set
     applicable = APPLICABLE_CHECKS[report.algorithm]
     recs = report.records

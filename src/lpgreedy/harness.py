@@ -95,13 +95,16 @@ def parse_target_spec(spec: str) -> TargetSpec:
     mode = body[0]
     kv = _kv(body[1:])
     seed = int(kv.get("seed", 0))
-    if mode == "a1":
-        return TargetSpec(mode="a1_sparse", k=int(kv["k"]), seed=seed)
-    if mode == "a1dense":
-        return TargetSpec(mode="a1_dense", seed=seed)
-    if mode == "noisy":
-        return TargetSpec(mode="general_plus_noise", k=int(kv["k"]),
-                          eps=float(kv["eps"]), seed=seed)
+    try:
+        if mode == "a1":
+            return TargetSpec(mode="a1_sparse", k=int(kv["k"]), seed=seed)
+        if mode == "a1dense":
+            return TargetSpec(mode="a1_dense", seed=seed)
+        if mode == "noisy":
+            return TargetSpec(mode="general_plus_noise", k=int(kv["k"]),
+                              eps=float(kv["eps"]), seed=seed)
+    except KeyError as e:
+        raise ValueError(f"target spec {spec!r} missing field {e}") from e
     raise ValueError(f"unknown target mode {mode!r}")
 
 
@@ -145,8 +148,11 @@ def parse_errors(spec: str) -> ErrorSchedule:
         eps_values = tuple(float(v) for v in eps[5:].split(","))
     else:
         raise ValueError(f"unknown eps mode {eps!r}")
-    return ErrorSchedule(delta=_parse_sequence(kv["delta"]),
-                         eta=_parse_sequence(kv["eta"]),
+    try:
+        delta, eta = kv["delta"], kv["eta"]
+    except KeyError as e:
+        raise ValueError(f"error spec {spec!r} missing field {e}") from e
+    return ErrorSchedule(delta=_parse_sequence(delta), eta=_parse_sequence(eta),
                          eps_mode=eps_mode, eps_values=eps_values,
                          seed=int(kv.get("seed", 0)))
 

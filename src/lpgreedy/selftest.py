@@ -161,7 +161,9 @@ def run_all(fast: bool = False) -> list:
     basis = [Dn.elements[i] for i in (0, 3, 7, 9, 15)]
     proj = chebyshev_project(spn, f, basis)
     A = np.array([b.coords for b in basis]).T
-    coef, *_ = np.linalg.lstsq(A, f.coords, rcond=None)
+    # solved as the normal equations, not by least squares: the projection
+    # starts from np.linalg.lstsq, so that route would check nothing at p = 2
+    coef = np.linalg.solve(A.T @ A, A.T @ f.coords)
     r_ref = float(np.linalg.norm(f.coords - A @ coef))
     r_got = pnorm(2.0, proj.residual.coords)
     checks.append(_check("projection vs normal equations",

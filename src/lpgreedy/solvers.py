@@ -3,9 +3,10 @@
 All objectives here are convex restrictions of lp norms, so derivative-free
 golden-section search on a bracketed interval is robust (norm objectives can
 be non-smooth exactly at a zero residual).  The Chebyshev projection is the
-one genuinely multi-dimensional solve; it uses conjugate first-order descent
-driven by the norming-functional gradient, and its stopping rule is the
-biorthogonality of the residual against every selected atom.
+one genuinely multi-dimensional solve; it takes Newton directions from
+reweighted least squares, steps along each by the exact ray minimiser, and
+its stopping rule is the biorthogonality of the residual against every
+selected atom.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from .space import Element, LpSpace, functional_coords, pnorm
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_CAP = 1e12
+# Floor on the relative residual size |r_i| / max|r| in the projection's
+# weights |r|^(p-2) for p < 2, where a zero residual coordinate would give an
+# infinite weight.  At the optimum one coordinate can sit near 1e-9 max|r|
+# (p = 1.5), so a floor of 1e-8 distorts the direction enough to stall the
+# descent; floors of 1e-10 and below converge.
+_WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -249,69 +256,44 @@ def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
                       cfg: SolverConfig = DEFAULT_SOLVER) -> ProjectionResult:
     """Best approximation of f from span(basis) in the lp norm.
 
-    Conjugate first-order descent: the gradient of ||f - sum lam_k phi_k||
-    in lam_k is -F_residual(phi_k), so the stopping rule max_k |F_r(phi_k)|
-    <= grad_tol is precisely residual-approximant biorthogonality.  A zero
-    residual (exact representation) stops immediately, since the norm is not
-    differentiable there.
+    Newton descent on sum |r_i|^p from the least-squares coefficients (the
+    answer at p = 2).  Each direction is the reweighted least-squares fit of
+    the residual with weights |r|^(p-2), which is the Newton direction up to
+    scale, and the step along it is the exact ray minimiser.  The gradient
+    of ||f - sum lam_k phi_k|| in lam_k is -F_residual(phi_k), so the
+    stopping rule max_k |F_r(phi_k)| <= grad_tol is precisely
+    residual-approximant biorthogonality.  A zero residual (exact
+    representation) stops immediately, since the norm is not differentiable
+    there.
     """
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
     p = space.p
     Phi = np.array([b.coords for b in basis]).T  # (n, m)
-    m = Phi.shape[1]
-    lam = np.zeros(m)
-    r = f.coords.copy()
-    if p != 2.0 and m >= 2:
-        # start from the least-squares coefficients: a feasible point close
-        # to the lp optimum that keeps the descent well-conditioned when the
-        # basis approaches completeness.  p = 2 starts from zero so the
-        # normal-equations cross-check stays an independent route.
-        lam_ls, *_ = np.linalg.lstsq(Phi, f.coords, rcond=None)
-        r_ls = f.coords - Phi @ lam_ls
-        if pnorm(p, r_ls) < pnorm(p, r):
-            lam, r = lam_ls, r_ls
+    lam, *_ = np.linalg.lstsq(Phi, f.coords, rcond=None)
+    r = f.coords - Phi @ lam
     converged = False
-    g_prev = None
-    d = None
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         rn = pnorm(p, r)
         if rn <= 1e-12:
             converged = True
             break
-        g = -(functional_coords(p, r, rn) @ Phi)
+        g = functional_coords(p, r, rn) @ Phi
         if float(np.max(np.abs(g))) <= cfg.grad_tol:
             converged = True
             break
-        if g_prev is None or (iters - 1) % (m + 1) == 0:
-            d = -g
-        else:
-            beta = max(0.0, float(np.dot(g, g - g_prev) / np.dot(g_prev, g_prev)))
-            d = -g + beta * d
-            if np.dot(g, d) >= 0.0:  # not a descent direction; restart
-                d = -g
-        g_prev = g
+        a = np.abs(r) / float(np.max(np.abs(r)))
+        if p < 2.0:
+            a = np.maximum(a, _WEIGHT_FLOOR)
+        sw = a ** ((p - 2.0) / 2.0)
+        d, *_ = np.linalg.lstsq(sw[:, None] * Phi, sw * r, rcond=None)
         v = Phi @ d
         alpha = min_along_ray(p, r, v)
         if alpha == 0.0:
-            converged = float(np.max(np.abs(g))) <= cfg.grad_tol
             break
         lam = lam + alpha * d
-        r = r - alpha * v
-        if p != 2.0 and iters % 8 == 0:
-            # monotone-safeguarded reweighted least-squares candidate; the
-            # Newton-like step cuts through the slow tail of conjugate
-            # descent for p < 2, and is only taken when it helps
-            w = (np.abs(r) + 1e-14) ** ((p - 2.0) / 2.0)
-            lam_c, *_ = np.linalg.lstsq(w[:, None] * Phi, w * f.coords,
-                                        rcond=None)
-            r_c = f.coords - Phi @ lam_c
-            if pnorm(p, r_c) < pnorm(p, r):
-                lam, r = lam_c, r_c
-                g_prev = None
-        if iters % 64 == 0:
-            r = f.coords - Phi @ lam  # periodic exact refresh against drift
+        r = f.coords - Phi @ lam
     G = Element(coords=f.coords - r, space=space)
     return ProjectionResult(coeffs=lam, approximant=G,
                             residual=Element(coords=r, space=space),

@@ -149,6 +149,32 @@ class TestCli:
         rc = main(["audit", "/nonexistent/report.json"])
         assert rc == 2
 
+    def test_run_target_missing_field_is_usage_error(self, tmp_path, capsys):
+        args = list(RUN_ARGS)
+        args[args.index("a1,k=3,seed=3")] = "a1,seed=3"
+        rc = main(args + ["--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "missing field 'k'" in capsys.readouterr().err
+
+    def test_run_errors_missing_field_is_usage_error(self, tmp_path, capsys):
+        rc = main(["run", "--algo", "awcga", "--space", "lp:p=2,n=8",
+                   "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=3", "--errors", "err:eta=const:0",
+                   "--iters", "3", "--out", str(tmp_path / "a.csv")])
+        assert rc == 2
+        assert "missing field 'delta'" in capsys.readouterr().err
+
+    def test_audit_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        main(RUN_ARGS + ["--out", str(out)])
+        blob = json.loads(out.with_suffix(".json").read_text())
+        blob["algorithm"] = "zzz"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        rc = main(["audit", str(bad)])
+        assert rc == 2
+        assert "unknown algorithm 'zzz'" in capsys.readouterr().err
+
     def test_awbga_run_via_cli(self, tmp_path):
         out = tmp_path / "a.csv"
         rc = main(["run", "--algo", "arwrga", "--space", "lp:p=2,n=8",

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lpgreedy import (Element, SolverConfig, bracket_minimum,
-                      chebyshev_project, line_search, lp_space, minimize_2d,
-                      norming_functional)
+from lpgreedy import (Element, SolverConfig, TargetSpec, WeaknessSchedule,
+                      bracket_minimum, build_dictionary, chebyshev_project,
+                      line_search, lp_space, make_target, minimize_2d,
+                      norming_functional, run_greedy)
 from lpgreedy.solvers import dense_line_min, min_along_ray
 from lpgreedy.space import pnorm
 
@@ -232,6 +233,42 @@ class TestChebyshevProject:
         res = chebyshev_project(s, f, basis)
         ref = float(np.linalg.norm(f.coords - np.dot(f.coords, v) * v))
         assert pnorm(2.0, res.residual.coords) == pytest.approx(ref, abs=1e-9)
+
+    @staticmethod
+    def _random_problem(p, n, m, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, m))
+        f = rng.standard_normal(n)
+        s = lp_space(p, n)
+        basis = [Element(coords=A[:, j], space=s) for j in range(m)]
+        return s, A, Element(coords=f, space=s), basis
+
+    def test_hilbert_full_span_reaches_zero_residual(self):
+        s, _, f, basis = self._random_problem(2.0, 64, 64, 0)
+        res = chebyshev_project(s, f, basis)
+        assert res.converged
+        assert pnorm(2.0, res.residual.coords) <= 1e-12 * np.linalg.norm(f.coords)
+
+    @pytest.mark.parametrize("p,n,m,seed", [(4.0, 64, 63, 1), (32.0, 32, 28, 0)])
+    def test_nearly_full_span_converges_quickly(self, p, n, m, seed):
+        s, A, f, basis = self._random_problem(p, n, m, seed)
+        cfg = SolverConfig()
+        res = chebyshev_project(s, f, basis, cfg)
+        assert res.converged
+        assert res.iterations <= 50
+        F = norming_functional(s, res.residual)
+        assert float(np.max(np.abs(F.coords @ A))) <= cfg.grad_tol
+
+    def test_wcga_run_below_two_never_caps(self):
+        # at p = 1.5 some optimal residuals of this run have a coordinate
+        # near 1e-9 max|r|; a weight floor of 1e-8 caps the m=51 projection
+        s = lp_space(1.5, 64)
+        D = build_dictionary(s, "random_gauss", 256, seed=890651)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=16, seed=887791))
+        rep = run_greedy("wcga", t.f, D, WeaknessSchedule(t0=0.5), max_m=51,
+                         rule="threshold_first", target=t)
+        assert len(rep.records) == 51
+        assert not any("not converged" in w for w in rep.warnings)
 
 
 class TestDenseLineMin:
