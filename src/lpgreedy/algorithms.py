@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .dictionary import Dictionary, Target, greedy_select
-from .solvers import (DEFAULT_SOLVER, SolverConfig, bracket_minimum,
-                      chebyshev_project, dense_line_min, line_search,
-                      min_along_ray, minimize_2d)
+from .solvers import (_TINY, DEFAULT_SOLVER, SolverConfig, chebyshev_project,
+                      dense_line_min, min_along_ray)
 from .space import (DualFunctional, Element, LpSpace, dict_dual_norm,
                     functional_coords, pnorm, pnorm_rows)
 from .tolerances import DEFAULT_TOLS
@@ -200,73 +199,82 @@ def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
                   r_prev: float) -> tuple:
     """Best (signed atom, lam) minimizing ||f_prev - lam g|| over the scan.
 
-    A vectorized golden-section pass over all atoms at once (the minimizer
-    magnitude never exceeds 2 ||f_prev|| for unit atoms), then an exact
-    refinement along the winning atom.
+    The safeguarded Newton iteration of ``min_along_ray``, run on all atoms
+    at once over [-2 r, 2 r] with r = ||f_prev|| (the minimizer magnitude
+    never exceeds 2 r for unit atoms).  An atom is frozen once its step or
+    its bracket is below 1e-10 r; without the freeze, bisection would move
+    converged atoms away from their root.  The smallest value picks the
+    atom, and an exact ray solve refines its step.
     """
+    p = space.p
     M = D.matrix
     N = M.shape[0]
-    a = np.full(N, -2.0 * r_prev)
-    b = np.full(N, 2.0 * r_prev)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(48):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = pnorm_rows(space.p, f_prev[None, :] - c[:, None] * M)
-        fd = pnorm_rows(space.p, f_prev[None, :] - d[:, None] * M)
-        take_left = fc < fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-    mid = 0.5 * (a + b)
-    vals = pnorm_rows(space.p, f_prev[None, :] - mid[:, None] * M)
+    x = np.zeros(N)
+    lo = np.full(N, -2.0 * r_prev)
+    hi = np.full(N, 2.0 * r_prev)
+    last = hi - lo
+    tol = 1e-10 * r_prev
+    active = np.arange(N)
+    for _ in range(60):
+        Ma, xa = M[active], x[active]
+        R = f_prev[None, :] - xa[:, None] * Ma
+        W = np.abs(R)
+        if p < 2.0:
+            np.maximum(W, _TINY, out=W)
+        W **= p - 2.0
+        psi = -np.einsum("ij,ij->i", R * W, Ma)
+        dpsi = (p - 1.0) * np.einsum("ij,ij->i", W, Ma * Ma)
+        neg = psi < 0.0
+        la = np.where(neg, xa, lo[active])
+        ha = np.where(neg, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton_step = psi / dpsi
+        xn = xa - newton_step
+        step = np.abs(newton_step)
+        newton = (la <= xn) & (xn <= ha) & (step <= 0.5 * last[active])
+        step = np.where(newton, step, 0.5 * (ha - la))
+        x[active] = np.where(newton, xn, 0.5 * (la + ha))
+        lo[active], hi[active], last[active] = la, ha, step
+        active = active[(step > tol) & (ha - la > tol)]
+        if active.size == 0:
+            break
+    vals = pnorm_rows(p, f_prev[None, :] - x[:, None] * M)
     i = int(np.argmin(vals))
-    lam = min_along_ray(space.p, f_prev, M[i])
+    lam = min_along_ray(p, f_prev, M[i])
     sidx = (i + 1) if lam >= 0 else -(i + 1)
     return sidx, abs(lam)
 
 
-def _rescale(space: LpSpace, f: np.ndarray, v: np.ndarray,
-             cfg: SolverConfig) -> tuple:
-    """min over mu in R of ||f - mu v||: bracketed golden section around the
-    identity, polished to derivative precision along the ray.
-
-    The polish matters: the golden-section argument error alone leaves a
-    residual-approximant pairing that blows up as the residual shrinks.
+def _rescale(space: LpSpace, f: np.ndarray, v: np.ndarray) -> tuple:
+    """min over mu in R of ||f - mu v|| by the exact ray minimiser, whose
+    derivative-precision stationary point keeps the residual-approximant
+    pairing at machine precision as the residual shrinks.  The identity
+    rescale is always admissible and wins if the solve lands above it.
     Returns (mu, mu * v, value)."""
-    if pnorm(space.p, v) <= 1e-15:
-        return 1.0, v * 0.0, pnorm(space.p, f)
-
-    def obj(mu: float) -> float:
-        return pnorm(space.p, f - mu * v)
-
-    blo, bhi = bracket_minimum(obj, 1.0, cfg, two_sided=True)
-    mu, val = line_search(obj, blo, bhi, cfg)
-    mu_ray = min_along_ray(space.p, f, v)
-    v_ray = obj(mu_ray)
-    if v_ray <= val * (1.0 + 1e-12):  # prefer the stationary point on ties
-        mu, val = mu_ray, v_ray
-    if obj(1.0) < val * (1.0 - 1e-12):  # identity rescale is always admissible
-        mu, val = 1.0, obj(1.0)
+    p = space.p
+    if pnorm(p, v) <= 1e-15:
+        return 1.0, v * 0.0, pnorm(p, f)
+    mu = min_along_ray(p, f, v)
+    val = pnorm(p, f - mu * v)
+    val_id = pnorm(p, f - v)
+    if val_id < val * (1.0 - 1e-12):
+        mu, val = 1.0, val_id
     return mu, mu * v, val
 
 
 def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
-                   phi: np.ndarray, cfg: SolverConfig) -> tuple:
+                   phi: np.ndarray) -> tuple:
     """min over (w in R, lam >= 0) of ||f - ((1-w) G_prev + lam phi)||.
 
-    Coordinate descent by bracket + golden section, then alternating exact
-    ray solves until the residual pairs with both directions at machine
+    From the previous approximant (w, lam) = (0, 0), alternating exact ray
+    solves along G_prev and phi, each followed by one along their net
+    displacement, until the residual pairs with both directions at machine
     precision (the pairing with the final approximant is what the
     biorthogonality audit measures).  Returns (w, lam, value).
     """
     p = space.p
-
-    def obj(w: float, lam: float) -> float:
-        return pnorm(p, f - ((1.0 - w) * G_prev + lam * phi))
-
-    (w, lam), _ = minimize_2d(obj, cfg)
-    a, b = 1.0 - w, lam
-    r = f - a * G_prev - b * phi
+    a, b = 1.0, 0.0
+    r = f - G_prev
     for _ in range(60):
         a0, b0 = a, b
         da = min_along_ray(p, r, G_prev)
@@ -315,7 +323,7 @@ def step_wgafr(state: GreedyState, D: Dictionary, sidx: int,
                cfg: SolverConfig) -> dict:
     """Joint search over the relaxation weight and the new coefficient."""
     phi = D.atom(sidx)
-    w, lam, _ = _two_dir_solve(state.space, state.f, state.G_m, phi, cfg)
+    w, lam, _ = _two_dir_solve(state.space, state.f, state.G_m, phi)
     state.G_m = (1.0 - w) * state.G_m + lam * phi
     state.f_m = state.f - state.G_m
     return {"lam": lam, "omega": w}
@@ -325,15 +333,9 @@ def step_rwrga(state: GreedyState, D: Dictionary, sidx: int,
                cfg: SolverConfig) -> dict:
     """Line search along the atom, then rescale the whole approximant."""
     phi = D.atom(sidx)
-    f, p = state.f, state.space.p
-    f_prev = state.f_m
-
-    def obj(lam: float) -> float:
-        return pnorm(p, f_prev - lam * phi)
-
-    blo, bhi = bracket_minimum(obj, 0.0, cfg)
-    lam, _ = line_search(obj, blo, bhi, cfg)
-    mu, G, _ = _rescale(state.space, f, state.G_m + lam * phi, cfg)
+    f = state.f
+    lam = min_along_ray(state.space.p, state.f_m, phi, nonneg=True)
+    mu, G, _ = _rescale(state.space, f, state.G_m + lam * phi)
     state.G_m = G
     state.f_m = f - G
     return {"lam": lam, "mu": mu}
@@ -343,7 +345,7 @@ def step_rrxga(state: GreedyState, D: Dictionary, sidx: int, lam: float,
                cfg: SolverConfig) -> dict:
     """Rescale step for the scan-selected atom (selection happens upstream)."""
     phi = D.atom(sidx)
-    mu, G, _ = _rescale(state.space, state.f, state.G_m + lam * phi, cfg)
+    mu, G, _ = _rescale(state.space, state.f, state.G_m + lam * phi)
     state.G_m = G
     state.f_m = state.f - G
     return {"lam": lam, "mu": mu}
@@ -357,18 +359,14 @@ def step_variant(state: GreedyState, D: Dictionary, sidx: int, variant: str,
     f_prev, G_prev = state.f_m, state.G_m
 
     if variant == "wrga":
-        def obj(lam: float) -> float:
-            return pnorm(p, f - ((1.0 - lam) * G_prev + lam * phi))
-        lam, _ = line_search(obj, 0.0, 1.0, cfg)
+        # f - ((1-lam) G_prev + lam phi) = f_prev - lam (phi - G_prev)
+        lam = min(1.0, min_along_ray(p, f_prev, phi - G_prev, nonneg=True))
         state.G_m = (1.0 - lam) * G_prev + lam * phi
         state.f_m = f - state.G_m
         return {"lam": lam}
 
     if variant == "wdga":
-        def obj(lam: float) -> float:
-            return pnorm(p, f_prev - lam * phi)
-        blo, bhi = bracket_minimum(obj, 0.0, cfg)
-        lam, _ = line_search(obj, blo, bhi, cfg)
+        lam = min_along_ray(p, f_prev, phi, nonneg=True)
         state.G_m = G_prev + lam * phi
         state.f_m = f - state.G_m
         return {"lam": lam}
@@ -378,7 +376,7 @@ def step_variant(state: GreedyState, D: Dictionary, sidx: int, variant: str,
         r_prev = pnorm(p, f_prev)
         mag = (abs(gs_value) / (2.0 * space.gamma * space.q)) ** (1.0 / (space.q - 1.0))
         lam = float(np.sign(gs_value)) * r_prev * mag if gs_value != 0.0 else 0.0
-        mu, G, _ = _rescale(space, f, G_prev + lam * phi, cfg)
+        mu, G, _ = _rescale(space, f, G_prev + lam * phi)
         state.G_m = G
         state.f_m = f - G
         return {"lam": lam, "mu": mu}

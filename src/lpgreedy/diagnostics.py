@@ -3,8 +3,9 @@
 Three layers: the per-iteration condition audit (selection threshold, error
 reduction against the independently measured single-atom reference, and
 residual-approximant biorthogonality, with the orthogonality grid checks),
-the per-iteration error-reduction inequality with its numerically evaluated
-right-hand side, and the closed-form rate bounds with their exact constants.
+the per-iteration error-reduction inequality with its right-hand side
+minimized in closed form, and the closed-form rate bounds with their exact
+constants.
 
 Bound ids accepted by ``rate_bound``: cor21, thm52, cor52, thm72, cor72,
 prop72, thm91.  All bound evaluations use the proven power-type modulus
@@ -20,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import RunReport
-from .solvers import DEFAULT_SOLVER, SolverConfig, line_search
 
 BOUND_IDS = ("cor21", "thm52", "cor52", "thm72", "cor72", "prop72", "thm91")
 
@@ -143,28 +143,22 @@ def audit_conditions(report: RunReport,
 
 
 def _reduction_rhs_factor(q: float, gamma: float, coef_a: float, c0: float,
-                          r_prev: float, cfg: SolverConfig) -> float:
-    """Numerically evaluate inf over lam >= 0 of
-    1 + c0 - coef_a * lam + 2 gamma (lam / r_prev)^q on a grid plus golden
-    refinement.  The grid upper end provably covers the minimizer."""
+                          r_prev: float) -> float:
+    """inf over lam >= 0 of 1 + c0 - coef_a * lam + 2 gamma (lam / r_prev)^q.
+
+    The objective is convex in lam; for coef_a > 0 its stationary point
+    lam* = (coef_a r_prev^q / (2 gamma q))^(1/(q-1)) satisfies
+    2 gamma (lam*/r_prev)^q = coef_a lam* / q, so the infimum is
+    1 + c0 - coef_a lam* (1 - 1/q).  The grid-and-golden evaluation it
+    replaced is kept as an oracle in ``selftest``."""
     if coef_a <= 0.0:
         return 1.0 + c0
     lam_star = (coef_a * r_prev ** q / (2.0 * gamma * q)) ** (1.0 / (q - 1.0))
-    hi = max(2.0 * r_prev, 2.0 * lam_star)
-    lams = np.linspace(0.0, hi, 512)
-    vals = 1.0 + c0 - coef_a * lams + 2.0 * gamma * (lams / r_prev) ** q
-    i = int(np.argmin(vals))
-    a = lams[max(0, i - 1)]
-    b = lams[min(len(lams) - 1, i + 1)]
-    _, v = line_search(
-        lambda t: 1.0 + c0 - coef_a * t + 2.0 * gamma * (t / r_prev) ** q,
-        a, b, cfg)
-    return min(v, float(vals[i]))
+    return 1.0 + c0 - coef_a * lam_star * (1.0 - 1.0 / q)
 
 
 def error_reduction_margins(report: RunReport, a_eps: float = None,
-                            eps: float = None,
-                            cfg: SolverConfig = DEFAULT_SOLVER) -> list:
+                            eps: float = None) -> list:
     """Per-iteration slack of the error-reduction inequality.
 
     Returns [rhs_m - ||f_m||] for every m; nonnegative margins (up to the
@@ -202,7 +196,7 @@ def error_reduction_margins(report: RunReport, a_eps: float = None,
             coef_a = (r.t_m / a_eps) * (1.0 - eps / prev_r)
             c0 = 0.0
             scale = 1.0
-        factor = _reduction_rhs_factor(q, gamma, coef_a, c0, prev_r, cfg)
+        factor = _reduction_rhs_factor(q, gamma, coef_a, c0, prev_r)
         rhs = prev_r * scale * factor
         margins.append(rhs - r.residual_norm)
         prev_r = r.residual_norm

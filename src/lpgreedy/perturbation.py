@@ -20,8 +20,8 @@ from .algorithms import (IterationRecord, RunReport, WeaknessSchedule,
                          _er_reference, _rescale, _target_meta,
                          _two_dir_solve, bo_noise_floor)
 from .dictionary import Dictionary, Target, greedy_select
-from .solvers import (DEFAULT_SOLVER, SolverConfig, bracket_minimum,
-                      chebyshev_project, line_search)
+from .solvers import (DEFAULT_SOLVER, SolverConfig, chebyshev_project,
+                      min_along_ray)
 from .space import (DualFunctional, Element, LpSpace, dual_norm,
                     functional_coords, norm, pnorm)
 from .tolerances import DEFAULT_TOLS
@@ -329,7 +329,7 @@ def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                 return pnorm(p, f_arr - ((1.0 - x[0]) * G_prev + x[1] * phi))
 
             def exact2() -> tuple:
-                w, lam, v = _two_dir_solve(space, f_arr, G_prev, phi, cfg)
+                w, lam, v = _two_dir_solve(space, f_arr, G_prev, phi)
                 return np.array([w, lam]), v
 
             x, _ = relaxed_minimize(
@@ -345,8 +345,8 @@ def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                 return pnorm(p, f_prev - lam * phi)
 
             def exact_lam() -> tuple:
-                blo, bhi = bracket_minimum(obj_lam, 0.0, cfg)
-                return line_search(obj_lam, blo, bhi, cfg)
+                lam_ = min_along_ray(p, f_prev, phi, nonneg=True)
+                return lam_, obj_lam(lam_)
 
             lam, _ = relaxed_minimize(obj_lam, eta_m / 3.0, exact_lam,
                                       seed=seed0 + 7919 * m + 1,
@@ -357,7 +357,7 @@ def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                 return pnorm(p, f_arr - mu * v)
 
             def exact_mu() -> tuple:
-                mu_, _, val_ = _rescale(space, f_arr, v, cfg)
+                mu_, _, val_ = _rescale(space, f_arr, v)
                 return mu_, val_
 
             mu, _ = relaxed_minimize(obj_mu, eta_m / 3.0, exact_mu,

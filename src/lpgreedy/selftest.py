@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import WeaknessSchedule, run_greedy
-from .diagnostics import BoundSpec, rate_bound
+from .diagnostics import BoundSpec, _reduction_rhs_factor, rate_bound
 from .dictionary import TargetSpec, build_dictionary, greedy_select, make_target
 from .perturbation import (derived_eps_bound, perturbed_functional,
                            relaxed_minimize)
@@ -60,6 +60,22 @@ def matching_pursuit_residuals(f: np.ndarray, m_max: int) -> list:
         r[i] = 0.0
         out.append(float(np.linalg.norm(r)))
     return out
+
+
+def numeric_reduction_factor(q: float, gamma: float, coef_a: float, c0: float,
+                             r_prev: float) -> float:
+    """inf over lam >= 0 of 1 + c0 - coef_a lam + 2 gamma (lam / r_prev)^q by
+    a 512-point grid and golden-section refinement around its best point."""
+    def obj(t):
+        return 1.0 + c0 - coef_a * t + 2.0 * gamma * (t / r_prev) ** q
+
+    lam_star = (coef_a * r_prev ** q / (2.0 * gamma * q)) ** (1.0 / (q - 1.0))
+    lams = np.linspace(0.0, max(2.0 * r_prev, 2.0 * lam_star), 512)
+    vals = obj(lams)
+    i = int(np.argmin(vals))
+    _, v = line_search(obj, lams[max(0, i - 1)],
+                       lams[min(len(lams) - 1, i + 1)])
+    return min(v, float(vals[i]))
 
 
 def run_all(fast: bool = False) -> list:
@@ -271,5 +287,20 @@ def run_all(fast: bool = False) -> list:
         _, v = relaxed_minimize(obj, eta, lambda: (c.copy(), obj(c)), seed=i)
         ok = ok and (1.0 <= v <= (1.0 + eta) * 1.0 + 1e-12)
     checks.append(_check("relaxed minimization stays inside its budget", ok))
+
+    # --- error-reduction factor: closed form vs grid + golden section ---
+    # an evaluated objective can undercut the exact infimum by its rounding,
+    # so "closed form <= numeric" allows a few ulps of the O(1) values
+    worst, below = 0.0, True
+    for _ in range(50 if fast else 200):
+        spr = lp_space(float(rng.uniform(1.1, 6.0)), 4)
+        a, c0 = rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.2)
+        r = 10.0 ** rng.uniform(-3.0, 0.0)
+        got = _reduction_rhs_factor(spr.q, spr.gamma, a, c0, r)
+        num = numeric_reduction_factor(spr.q, spr.gamma, a, c0, r)
+        below = below and got <= num + 1e-15
+        worst = max(worst, abs(got - num) / abs(num))
+    checks.append(_check("error-reduction factor vs numeric minimization",
+                         below and worst < 1e-9, f"worst rel diff {worst:.2e}"))
 
     return checks

@@ -1,16 +1,22 @@
-"""Scalar and small-dimensional convex minimization used by every greedy step.
+"""Convex minimization along rays and over spans, used by every greedy step.
 
-All objectives here are convex restrictions of lp norms, so derivative-free
-golden-section search on a bracketed interval is robust (norm objectives can
-be non-smooth exactly at a zero residual).  The Chebyshev projection is the
-one genuinely multi-dimensional solve; it takes Newton directions from
-reweighted least squares, steps along each by the exact ray minimiser, and
-its stopping rule is the biorthogonality of the residual against every
-selected atom.
+Every greedy step objective is an lp norm along a ray, a -> ||r - a v||,
+and ``min_along_ray`` solves it exactly: safeguarded Newton on the sign of
+its derivative, certified by the width of a bracket.  The Chebyshev
+projection is the one genuinely multi-dimensional solve; it takes Newton
+directions from reweighted least squares, steps along each by the exact ray
+minimiser, and its stopping rule is the biorthogonality of the residual
+against every selected atom.
+
+Derivative-free golden section (``line_search``, ``bracket_minimum``,
+``minimize_2d``) serves no step.  It is kept as the independent route that
+shares no code with the ray minimiser: ``dense_line_min`` for the measured
+error-reduction reference, and the oracle checks of ``selftest``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,11 +32,17 @@ _BRACKET_CAP = 1e12
 # (p = 1.5), so a floor of 1e-8 distorts the direction enough to stall the
 # descent; floors of 1e-10 and below converge.
 _WEIGHT_FLOOR = 1e-14
+# Floor on |r| in the ray solve's |r|^(p-2), p < 2: keeps the power finite
+# at a zero coordinate, where sign(r) |r|^(p-1) vanishes anyway.
+_TINY = 1e-300
+# Cap on the Newton and bisection steps of one ray solve.  Bisection alone
+# narrows a doubling bracket to the 1e-15 relative tolerance in about 50-60.
+_RAY_ITERS = 100
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-8         # argument tolerance for scalar searches
+    tol: float = 1e-8         # argument tolerance of the golden-section searches
     grad_tol: float = 1e-10   # stopping gradient size for the projection
     max_iters: int = 500
     bracket_growth: float = 2.0
@@ -190,11 +202,19 @@ def dense_line_min(objective_vec: Callable[[np.ndarray], np.ndarray],
 
 def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
                   nonneg: bool = False) -> float:
-    """argmin over a of ||r0 - a v||_p via safeguarded root finding.
+    """argmin over a of ||r0 - a v||_p (over a >= 0 with ``nonneg``).
 
-    The derivative sign of the convex map a -> ||r0 - a v|| equals the sign
-    of psi(a) = -sum sign(r) |r|^(p-1) v, which is nondecreasing; p = 2 has
-    the closed form (r0 . v)/(v . v).
+    The derivative sign of the convex map a -> ||r0 - a v|| is the sign of
+    psi(a) = -sum sign(r) |r|^(p-1) v with r = r0 - a v, which increases
+    with psi'(a) = (p-1) sum |r|^(p-2) v^2; p = 2 has the closed form
+    (r0 . v)/(v . v).  A sign change of psi is bracketed by doubling and
+    closed by safeguarded Newton: a Newton point outside the bracket, or one
+    that does not halve the previous step, is replaced by the bisection
+    point.  Only the bracket width certifies convergence.  For p < 2, psi'
+    blows up where a residual coordinate crosses zero, so a tiny Newton step
+    says nothing about the distance to the root; such a step is pushed out
+    to half the tolerance so that the far side gets evaluated, and a push
+    that fails to cross the root is followed by a bisection.
     """
     vv = float(np.dot(v, v))
     if vv == 0.0:
@@ -202,53 +222,78 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     if p == 2.0:
         a = float(np.dot(r0, v)) / vv
         return max(0.0, a) if nonneg else a
-
-    def psi(a: float) -> float:
-        r = r0 - a * v
-        return -float(np.dot(np.sign(r) * np.abs(r) ** (p - 1.0), v))
-
     scale = pnorm(p, r0) / pnorm(p, v)
     if scale == 0.0:
         return 0.0
-    if nonneg and psi(0.0) >= 0.0:
+    v2 = v * v
+    pm1 = p - 1.0
+
+    def psi(a: float) -> tuple:
+        """(psi(a), psi'(a)), sharing one power of |r|."""
+        r = r0 - a * v
+        w = np.abs(r)
+        if p < 2.0:  # |r|^(p-2) is infinite at r = 0
+            np.maximum(w, _TINY, out=w)
+        w **= p - 2.0
+        return -float(np.dot(r * w, v)), pm1 * float(np.dot(w, v2))
+
+    f0, d0 = psi(0.0)
+    if nonneg and f0 >= 0.0:
         return 0.0
 
     # bracket a sign change of psi
-    if psi(0.0) < 0.0:
-        lo, flo = 0.0, psi(0.0)
+    if f0 < 0.0:
+        lo, flo, dlo = 0.0, f0, d0
         hi = scale
-        fhi = psi(hi)
+        fhi, dhi = psi(hi)
         while fhi < 0.0:
-            lo, flo = hi, fhi
+            lo, flo, dlo = hi, fhi, dhi
             hi *= 2.0
-            fhi = psi(hi)
+            fhi, dhi = psi(hi)
             if hi > 1e9 * max(scale, 1.0):
                 return hi
     else:
-        hi, fhi = 0.0, psi(0.0)
+        hi, fhi, dhi = 0.0, f0, d0
         lo = -scale
-        flo = psi(lo)
+        flo, dlo = psi(lo)
         while flo > 0.0:
-            hi, fhi = lo, flo
+            hi, fhi, dhi = lo, flo, dlo
             lo *= 2.0
-            flo = psi(lo)
+            flo, dlo = psi(lo)
             if -lo > 1e9 * max(scale, 1.0):
                 return lo
 
-    # bisection with a secant proposal when it stays inside the bracket
-    for _ in range(80):
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+    # safeguarded Newton from the end nearer the root in psi
+    x, fx, dx = (lo, flo, dlo) if -flo < fhi else (hi, fhi, dhi)
+    last = hi - lo
+    bisect = False
+    for _ in range(_RAY_ITERS):
+        tol = 1e-15 * max(1.0, abs(lo), abs(hi))
+        if hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        if flo < 0.0 < fhi and fhi != flo:
-            sec = lo - flo * (hi - lo) / (fhi - flo)
-            if lo + 0.1 * (hi - lo) < sec < hi - 0.1 * (hi - lo):
-                mid = sec
-        fm = psi(mid)
-        if fm < 0.0:
-            lo, flo = mid, fm
+        newton = not bisect and dx > 0.0
+        pushed = False
+        if newton:
+            step = fx / dx
+            pushed = abs(step) < 0.5 * tol
+            if pushed:
+                step = math.copysign(0.5 * tol, step)
+            xn = x - step
+            newton = lo < xn < hi and abs(step) <= 0.5 * last
+        if not newton:
+            xn = 0.5 * (lo + hi)
+            step = 0.5 * (hi - lo)
+            pushed = False
+        last = abs(step)
+        fn, dn = psi(xn)
+        if fn == 0.0:
+            return xn
+        bisect = pushed and (fn < 0.0) == (fx < 0.0)
+        if fn < 0.0:
+            lo = xn
         else:
-            hi, fhi = mid, fm
+            hi = xn
+        x, fx, dx = xn, fn, dn
     return 0.5 * (lo + hi)
 
 

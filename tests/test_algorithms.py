@@ -5,7 +5,9 @@ import pytest
 
 from lpgreedy import (Element, RunReport, TargetSpec, WeaknessSchedule,
                       build_dictionary, lp_space, make_target, run_greedy)
+from lpgreedy.algorithms import _xgreedy_scan
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
+from lpgreedy.solvers import min_along_ray
 from lpgreedy.space import pnorm
 
 T1 = WeaknessSchedule()  # constant t = 1
@@ -190,6 +192,22 @@ class TestStepProperties:
             rep_d = run_greedy("wdga", f, D, T1, max_m=1)
             assert (rep_x.records[0].residual_norm
                     <= rep_d.records[0].residual_norm + 1e-9)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
+    def test_norm_scan_matches_exhaustive_ray_solves(self, p):
+        # the vectorised Newton scan picks the atom whose exact ray minimum
+        # is smallest, and returns that atom's exact step
+        s = lp_space(p, 32)
+        D = build_dictionary(s, "random_gauss", 128, seed=5)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            f = rng.standard_normal(32)
+            lams = [min_along_ray(p, f, g) for g in D.matrix]
+            vals = [pnorm(p, f - lam * g) for lam, g in zip(lams, D.matrix)]
+            i = int(np.argmin(vals))
+            sidx, lam = _xgreedy_scan(s, f, D, pnorm(p, f))
+            assert abs(sidx) == i + 1
+            assert np.sign(sidx) * lam == lams[i]
 
     def test_wrga_convex_clamp(self):
         # a target far outside the hull forces the convex weight to its cap

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lpgreedy import (Element, SolverConfig, TargetSpec, WeaknessSchedule,
-                      bracket_minimum, build_dictionary, chebyshev_project,
-                      line_search, lp_space, make_target, minimize_2d,
-                      norming_functional, run_greedy)
+                      audit_conditions, bracket_minimum, build_dictionary,
+                      chebyshev_project, line_search, lp_space, make_target,
+                      minimize_2d, norming_functional, run_greedy)
 from lpgreedy.solvers import dense_line_min, min_along_ray
 from lpgreedy.space import pnorm
 
@@ -169,6 +169,56 @@ class TestMinAlongRay:
         r = np.array([1.0, 0.0])
         v = np.array([-1.0, 0.0])
         assert min_along_ray(2.0, r, v, nonneg=True) == 0.0
+
+    @staticmethod
+    def _bisection_reference(p, r0, v):
+        """Root of psi by plain bisection down to adjacent floats."""
+        def psi(a):
+            r = r0 - a * v
+            return -float(np.dot(np.sign(r) * np.abs(r) ** (p - 1.0), v))
+
+        lo, hi = -1.0, 1.0
+        while psi(lo) > 0.0:
+            lo *= 2.0
+        while psi(hi) < 0.0:
+            hi *= 2.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            if psi(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+
+    @pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 1.5, 3.0, 4.0, 8.0, 32.0])
+    def test_matches_bisection_reference(self, p):
+        # two draws in three put 5 residual coordinates through zero at one
+        # point: at the bracket end a = 0, or at a random a near the optimum
+        # (for p near 1 the optimum sits close to such a crossing).  There
+        # psi' blows up, and stopping on a tiny Newton step returns a point
+        # up to 0.6 away from the minimizer.
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            v = rng.standard_normal(16)
+            r0 = rng.standard_normal(16)
+            if trial % 3:
+                c = 0.0 if trial % 3 == 1 else rng.uniform(-2.0, 2.0)
+                idx = rng.choice(16, 5, replace=False)
+                r0[idx] = c * v[idx]
+            a = min_along_ray(p, r0, v)
+            ref = self._bisection_reference(p, r0, v)
+            assert abs(a - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_gg_run_below_two_passes_audit(self):
+        # the rescale solves of this run pass near zero residual coordinates
+        s = lp_space(1.5, 32)
+        D = build_dictionary(s, "random_gauss", 128, seed=31)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=32))
+        rep = run_greedy("gg", t.f, D, WeaknessSchedule(), max_m=100, target=t)
+        audit = audit_conditions(rep)
+        assert audit.passed
+        assert audit.check("biorthogonality").worst_margin >= -1e-12
 
 
 class TestChebyshevProject:
