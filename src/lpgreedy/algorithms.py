@@ -30,8 +30,10 @@ from .tolerances import DEFAULT_TOLS
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
 
-_BJ_GRID = (-1.0, -0.5, 0.1, 0.5, 1.0)
-_NEG_GRID = (-2.0, -1.0, -0.5, -0.1, -0.01)
+_BJ_GRID = np.array([-1.0, -0.5, 0.1, 0.5, 1.0])
+_NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
+# Rounds of the two-direction alternation before it gives up on the pairing
+_TWO_DIR_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,17 @@ class RunReport:
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
+        """Parse a report; ``ValueError`` names what a malformed one lacks."""
         d = json.loads(text)
-        records = [IterationRecord(**r) for r in d.pop("records")]
-        return RunReport(records=records, **d)
+        if not isinstance(d, dict):
+            raise ValueError(f"report must be a JSON object, not {type(d).__name__}")
+        if not isinstance(d.get("records"), list):
+            raise ValueError("report has no 'records' list")
+        try:
+            records = [IterationRecord(**r) for r in d.pop("records")]
+            return RunReport(records=records, **d)
+        except TypeError as e:
+            raise ValueError(f"malformed report: {e}") from e
 
 
 def _functional(space: LpSpace, arr: np.ndarray, arr_norm: float) -> DualFunctional:
@@ -180,18 +190,20 @@ def _measured_bo(space: LpSpace, f_m: np.ndarray, r_new: float,
 
 def _er_reference(space: LpSpace, f_prev: np.ndarray, phi: np.ndarray,
                   r_prev: float, cfg: SolverConfig) -> float:
-    """Independently measured inf over lam >= 0 of ||f_prev - lam phi||."""
+    """Independently measured inf over lam >= 0 of ||f_prev - lam phi||,
+    by the nested grid scans of ``dense_line_min`` (no ray solve)."""
     def vec(ls: np.ndarray) -> np.ndarray:
         return pnorm_rows(space.p, f_prev[None, :] - ls[:, None] * phi[None, :])
-    return dense_line_min(vec, 0.0, 2.0 * r_prev, 512, cfg)[1]
+    return dense_line_min(vec, 0.0, 2.0 * r_prev, cfg=cfg)[1]
 
 
 def _grid_margins(space: LpSpace, f_prev: np.ndarray, r_prev: float,
                   phi: np.ndarray, f_new: np.ndarray, r_new: float,
                   G_new: np.ndarray) -> tuple:
     """(bj_margin, neg_line_margin) over the fixed lambda grids."""
-    neg = min(pnorm(space.p, f_prev - lam * phi) for lam in _NEG_GRID) - r_prev
-    bj = min(pnorm(space.p, f_new - lam * G_new) for lam in _BJ_GRID) - r_new
+    p = space.p
+    neg = float(np.min(pnorm_rows(p, f_prev - _NEG_GRID[:, None] * phi))) - r_prev
+    bj = float(np.min(pnorm_rows(p, f_new - _BJ_GRID[:, None] * G_new))) - r_new
     return bj, neg
 
 
@@ -262,40 +274,52 @@ def _rescale(space: LpSpace, f: np.ndarray, v: np.ndarray) -> tuple:
     return mu, mu * v, val
 
 
+def _two_dir_round(p: float, G_prev: np.ndarray, phi: np.ndarray, a: float,
+                   b: float, r: np.ndarray) -> tuple:
+    """One round of ``_two_dir_solve`` from the state (a, b, r), r being the
+    residual of a G_prev + b phi: exact ray solves along G_prev and along
+    phi (keeping b >= 0), then one along their net displacement, which
+    breaks the slow zigzag of pure coordinate alternation.  Returns the new
+    (a, b, r)."""
+    a0, b0 = a, b
+    da = min_along_ray(p, r, G_prev)
+    a += da
+    r = r - da * G_prev
+    db = max(min_along_ray(p, r, phi), -b)  # keep lam >= 0
+    b += db
+    r = r - db * phi
+    ja, jb = a - a0, b - b0
+    u = ja * G_prev + jb * phi
+    if float(np.dot(u, u)) > 0.0:
+        t = min_along_ray(p, r, u)
+        if jb > 0.0:
+            t = max(t, -b / jb)
+        elif jb < 0.0:
+            t = min(t, -b / jb)
+        a += t * ja
+        b += t * jb
+        r = r - t * u
+    return a, b, r
+
+
 def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
                    phi: np.ndarray) -> tuple:
     """min over (w in R, lam >= 0) of ||f - ((1-w) G_prev + lam phi)||.
 
-    From the previous approximant (w, lam) = (0, 0), alternating exact ray
-    solves along G_prev and phi, each followed by one along their net
-    displacement, until the residual pairs with both directions at machine
-    precision (the pairing with the final approximant is what the
-    biorthogonality audit measures).  Returns (w, lam, value).
+    From the previous approximant (w, lam) = (0, 0), rounds of
+    ``_two_dir_round`` until the residual pairs with both directions at
+    machine precision (the pairing with the final approximant is what the
+    biorthogonality audit measures).  Where the pairing target is out of
+    reach, the rounds can settle into a cycle of states that repeat bit for
+    bit (mostly two alternating ones); the loop then stops and returns the
+    state the last round would have ended in.  Returns (w, lam, value).
     """
     p = space.p
-    a, b = 1.0, 0.0
-    r = f - G_prev
-    for _ in range(60):
-        a0, b0 = a, b
-        da = min_along_ray(p, r, G_prev)
-        a += da
-        r = r - da * G_prev
-        db = max(min_along_ray(p, r, phi), -b)  # keep lam >= 0
-        b += db
-        r = r - db * phi
-        # joint-direction solve along the net displacement breaks the slow
-        # zigzag of pure coordinate alternation
-        ja, jb = a - a0, b - b0
-        u = ja * G_prev + jb * phi
-        if float(np.dot(u, u)) > 0.0:
-            t = min_along_ray(p, r, u)
-            if jb > 0.0:
-                t = max(t, -b / jb)
-            elif jb < 0.0:
-                t = min(t, -b / jb)
-            a += t * ja
-            b += t * jb
-            r = r - t * u
+    a, b, r = 1.0, 0.0, f - G_prev
+    seen: dict = {}   # state after each round, bit for bit -> round index
+    states = []
+    for it in range(_TWO_DIR_ROUNDS):
+        a, b, r = _two_dir_round(p, G_prev, phi, a, b, r)
         rn = pnorm(p, r)
         if rn <= 1e-13:
             break
@@ -303,6 +327,13 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
         pairing = abs(a * float(np.dot(Fc, G_prev))) + abs(b * float(np.dot(Fc, phi)))
         if pairing <= 1e-10:
             break
+        # a round is a function of (a, b, r) alone, so once a state repeats
+        # the rounds cycle through the same states up to the last round
+        first = seen.setdefault((r.tobytes(), a.hex(), b.hex()), it)
+        if first != it:
+            a, b, r = states[first + (_TWO_DIR_ROUNDS - 1 - first) % (it - first)]
+            break
+        states.append((a, b, r))
     return 1.0 - a, b, pnorm(p, r)
 
 

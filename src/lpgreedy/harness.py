@@ -197,6 +197,8 @@ class ExperimentConfig:
             parse_errors(self.errors)
         if self.rule not in ("exact_argmax", "threshold_first"):
             raise ValueError(f"unknown selection rule {self.rule!r}")
+        if self.max_m < 1:
+            raise ValueError(f"max_m (--iters) must be at least 1, got {self.max_m}")
 
 
 def execute(config: ExperimentConfig) -> RunReport:

@@ -8,10 +8,15 @@ directions from reweighted least squares, steps along each by the exact ray
 minimiser, and its stopping rule is the biorthogonality of the residual
 against every selected atom.
 
+The measured error-reduction reference takes an independent route that
+shares no code with the ray minimiser: ``dense_line_min`` scans a grid of
+the interval, keeps the bracket around the best point, and scans that
+again, each pass one vectorised evaluation of the objective, until the
+bracket is within the argument tolerance ``SolverConfig.tol``.
+
 Derivative-free golden section (``line_search``, ``bracket_minimum``,
-``minimize_2d``) serves no step.  It is kept as the independent route that
-shares no code with the ray minimiser: ``dense_line_min`` for the measured
-error-reduction reference, and the oracle checks of ``selftest``.
+``minimize_2d``) serves no step and no measurement.  It is kept for the
+oracle checks of ``selftest``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ _RAY_ITERS = 100
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-8         # argument tolerance of the golden-section searches
+    tol: float = 1e-8         # argument tolerance of dense_line_min's nested grids
+                              # and of the golden-section searches
     grad_tol: float = 1e-10   # stopping gradient size for the projection
     max_iters: int = 500
     bracket_growth: float = 2.0
@@ -181,23 +187,35 @@ def minimize_2d(objective: Callable[[float, float], float],
 
 
 def dense_line_min(objective_vec: Callable[[np.ndarray], np.ndarray],
-                   lo: float, hi: float, n_grid: int = 512,
+                   lo: float, hi: float, n_grid: int = 33,
                    cfg: SolverConfig = DEFAULT_SOLVER) -> tuple:
-    """Grid scan + golden refinement; the independent line-search oracle.
+    """Nested grid scans; the independent line-search oracle.
 
-    ``objective_vec`` must accept an array of arguments and return the array
-    of values.  Used for the independently-measured error-reduction
-    reference and for bound checks.
+    Scans ``n_grid`` evenly spaced points of [lo, hi], keeps the bracket
+    [x_(i-1), x_(i+1)] around the best one (which holds the minimiser of a
+    convex objective) and scans it again, until the bracket is within
+    ``cfg.tol * max(1, hi - lo)``.  Returns the best point ever evaluated
+    and its value.  ``objective_vec`` must accept an array of arguments and
+    return the array of values; it is only ever called on whole grids.
+    Used for the independently measured error-reduction reference.
     """
-    xs = np.linspace(lo, hi, n_grid)
-    vs = objective_vec(xs)
-    i = int(np.argmin(vs))
-    a = xs[max(0, i - 1)]
-    b = xs[min(n_grid - 1, i + 1)]
-    x, v = line_search(lambda t: float(objective_vec(np.array([t]))[0]), a, b, cfg)
-    if vs[i] < v:
-        return float(xs[i]), float(vs[i])
-    return x, v
+    if lo > hi:
+        raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+    tol = cfg.tol * max(1.0, hi - lo)
+    a, b = lo, hi
+    best_x, best_v = lo, np.inf
+    while True:
+        xs = np.linspace(a, b, n_grid)
+        vs = objective_vec(xs)
+        i = int(np.argmin(vs))
+        if vs[i] < best_v:
+            best_x, best_v = float(xs[i]), float(vs[i])
+        na, nb = xs[max(0, i - 1)], xs[min(n_grid - 1, i + 1)]
+        # a bracket that stops narrowing has hit the float spacing (or a
+        # grid of three points or fewer)
+        if nb - na <= tol or nb - na >= b - a:
+            return best_x, best_v
+        a, b = na, nb
 
 
 def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,

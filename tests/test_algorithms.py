@@ -1,11 +1,15 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from lpgreedy import (Element, RunReport, TargetSpec, WeaknessSchedule,
-                      build_dictionary, lp_space, make_target, run_greedy)
-from lpgreedy.algorithms import _xgreedy_scan
+from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Element,
+                      ErrorSchedule, RunReport, SequenceSpec, TargetSpec,
+                      WeaknessSchedule, audit_conditions, build_dictionary,
+                      error_reduction_margins, lp_space, make_target,
+                      run_awbga, run_greedy, verify_rates)
+from lpgreedy.algorithms import _grid_margins, _xgreedy_scan
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
 from lpgreedy.solvers import min_along_ray
 from lpgreedy.space import pnorm
@@ -257,3 +261,50 @@ class TestWeakSelection:
         rep = run_greedy("rwrga", t.f, D, tau, max_m=4, target=t)
         assert np.allclose(rep.t_values(),
                            [1.0, 2 ** -0.5, 3 ** -0.5, 0.5][:len(rep.records)])
+
+
+class TestMeasurePhase:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_grid_margins_match_scalar_loop(self, p):
+        neg_grid = (-2.0, -1.0, -0.5, -0.1, -0.01)
+        bj_grid = (-1.0, -0.5, 0.1, 0.5, 1.0)
+        rng = np.random.default_rng(5)
+        s = lp_space(p, 16)
+        for trial in range(15):
+            f_prev, phi, f_new, G = rng.standard_normal((4, 16))
+            if trial < 5:  # put each grid point in turn near the minimiser
+                phi = f_prev / neg_grid[trial] + 0.01 * phi
+                G = f_new / bj_grid[trial] + 0.01 * G
+            r_prev, r_new = pnorm(p, f_prev), pnorm(p, f_new)
+            bj, neg = _grid_margins(s, f_prev, r_prev, phi, f_new, r_new, G)
+            neg_ref = min(pnorm(p, f_prev - lam * phi) for lam in neg_grid) - r_prev
+            bj_ref = min(pnorm(p, f_new - lam * G) for lam in bj_grid) - r_new
+            assert abs(neg - neg_ref) <= 1e-15 * r_prev
+            assert abs(bj - bj_ref) <= 1e-15 * r_new
+
+    def test_no_golden_section_on_any_path(self, monkeypatch):
+        # the golden-section helpers are oracles only: no step, measure or
+        # audit path may call them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("golden-section helper called")
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] != "lpgreedy":
+                continue
+            for name in ("line_search", "bracket_minimum", "minimize_2d"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, forbidden)
+        s = lp_space(3.0, 16)
+        D = build_dictionary(s, "random_gauss", 32, seed=1)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=2))
+        errs = ErrorSchedule(delta=SequenceSpec(kind="pow", c=0.1, a=1.1),
+                             eta=SequenceSpec(kind="pow", c=0.1, a=1.1))
+        reports = [run_greedy(a, t.f, D, T1, max_m=5, target=t)
+                   for a in ALGORITHM_IDS]
+        reports += [run_awbga(a, t.f, D, T1, errs, max_m=5, target=t)
+                    for a in AWBGA_IDS]
+        for rep in reports:
+            assert rep.records
+            audit_conditions(rep)
+            error_reduction_margins(rep)
+            verify_rates(rep, list(BOUND_IDS))

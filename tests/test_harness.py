@@ -73,6 +73,8 @@ class TestSpecParsing:
                          ).validate()
         with pytest.raises(ValueError, match="rule"):
             small_config(rule="random").validate()
+        with pytest.raises(ValueError, match="at least 1"):
+            small_config(max_m=0).validate()
 
 
 class TestEmitCsv:
@@ -174,6 +176,35 @@ class TestCli:
         rc = main(["audit", str(bad)])
         assert rc == 2
         assert "unknown algorithm 'zzz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob,problem", [
+        ([{"records": []}], "JSON object, not list"),
+        ({"algorithm": "wcga"}, "no 'records' list"),
+    ])
+    def test_audit_malformed_report_is_usage_error(self, tmp_path, capsys,
+                                                   blob, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=problem):
+            RunReport.from_json(bad.read_text())
+        rc = main(["audit", str(bad)])
+        assert rc == 2
+        assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_nonpositive_iters_is_usage_error(self, tmp_path, capsys, iters):
+        args = list(RUN_ARGS)
+        args[args.index("--iters") + 1] = iters
+        out = tmp_path / "r.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        rc = main(["sweep", "--algos", "wcga", "--seeds", "1",
+                   "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=0", "--iters", iters,
+                   "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 2
+        assert not list((tmp_path / "sweep").glob("*.json"))
 
     def test_awbga_run_via_cli(self, tmp_path):
         out = tmp_path / "a.csv"

@@ -6,8 +6,9 @@ from lpgreedy import (Element, ErrorSchedule, SequenceSpec, TargetSpec,
                       derived_eps_bound, lp_space, make_target, norm,
                       perturbed_functional, relaxed_minimize, run_awbga,
                       run_greedy)
+from lpgreedy import algorithms, perturbation
 from lpgreedy.perturbation import ZERO_ERRORS
-from lpgreedy.space import dual_norm
+from lpgreedy.space import dual_norm, functional_coords, pnorm
 
 T1 = WeaknessSchedule()
 
@@ -197,3 +198,40 @@ class TestRunAwbga:
     def test_schedule_round_trip(self):
         errs = power_schedule(seed=21)
         assert ErrorSchedule.from_dict(errs.as_dict()) == errs
+
+
+class TestTwoDirectionCycle:
+    def test_cycle_stop_matches_all_rounds_bit_for_bit(self, monkeypatch):
+        # on this input the alternation of awgafr's steps from m = 55 on
+        # misses the 1e-10 pairing target and cycles through repeating
+        # states; stopping at the repeat must not change any result
+        def all_rounds(p, f, G, phi):
+            a, b, r = 1.0, 0.0, f - G
+            for n_rounds in range(1, algorithms._TWO_DIR_ROUNDS + 1):
+                a, b, r = algorithms._two_dir_round(p, G, phi, a, b, r)
+                rn = pnorm(p, r)
+                if rn <= 1e-13:
+                    break
+                Fc = functional_coords(p, r, rn)
+                if abs(a * float(Fc @ G)) + abs(b * float(Fc @ phi)) <= 1e-10:
+                    break
+            return (1.0 - a, b, pnorm(p, r)), n_rounds
+
+        capped = []
+        solve = perturbation._two_dir_solve
+
+        def checked(space, f, G, phi):
+            out = solve(space, f, G, phi)
+            ref, n_rounds = all_rounds(space.p, f, G, phi)
+            assert np.array(out).tobytes() == np.array(ref).tobytes()
+            capped.append(n_rounds == algorithms._TWO_DIR_ROUNDS)
+            return out
+
+        monkeypatch.setattr(perturbation, "_two_dir_solve", checked)
+        s = lp_space(1.5, 32)
+        D = build_dictionary(s, "random_gauss", 128, seed=890651)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=385081))
+        errs = ErrorSchedule(delta=SequenceSpec(kind="prop72auto"),
+                             eta=SequenceSpec(kind="prop72auto"))
+        run_awbga("awgafr", t.f, D, T1, errs, max_m=58, target=t)
+        assert sum(capped) >= 2

@@ -335,3 +335,69 @@ class TestDenseLineMin:
         lo, hi = bracket_minimum(lambda t: float(np.linalg.norm(f - t * g)), 0.0)
         _, v2 = line_search(lambda t: float(np.linalg.norm(f - t * g)), lo, hi)
         assert v1 == pytest.approx(v2, abs=1e-9)
+
+    @staticmethod
+    def _ray(p, f, phi):
+        def vec(ls):
+            assert ls.shape == (33,)  # whole grids only, never a scalar
+            return np.sum(np.abs(f[None, :] - ls[:, None] * phi[None, :]) ** p,
+                          axis=1) ** (1.0 / p)
+        return vec
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 32.0])
+    def test_interior_minimiser_matches_ray_solve(self, p):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            f = rng.standard_normal(16)
+            phi = rng.standard_normal(16)
+            phi /= pnorm(p, phi)
+            lam_ref = min_along_ray(p, f, phi, nonneg=True)
+            if lam_ref == 0.0:
+                phi = -phi
+                lam_ref = min_along_ray(p, f, phi, nonneg=True)
+            r = pnorm(p, f)
+            assert 0.0 < lam_ref < 2.0 * r
+            v_ref = pnorm(p, f - lam_ref * phi)
+            lam, v = dense_line_min(self._ray(p, f, phi), 0.0, 2.0 * r)
+            assert abs(lam - lam_ref) <= 1e-6 * max(1.0, lam_ref)
+            # the best point lies within the argument tolerance of the
+            # minimiser, and the objective is 1-Lipschitz for a unit atom
+            assert v_ref * (1.0 - 1e-14) <= v <= v_ref + 1e-8 * max(1.0, 2.0 * r)
+            if p >= 1.5:  # smooth near the minimiser: the error is quadratic
+                assert v <= v_ref * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 32.0])
+    def test_ascent_atom_minimiser_at_zero(self, p):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            f = rng.standard_normal(16)
+            phi = rng.standard_normal(16)
+            phi /= pnorm(p, phi)
+            if min_along_ray(p, f, phi, nonneg=True) > 0.0:
+                phi = -phi
+            assert min_along_ray(p, f, phi, nonneg=True) == 0.0
+            r = pnorm(p, f)
+            lam, v = dense_line_min(self._ray(p, f, phi), 0.0, 2.0 * r)
+            assert lam == 0.0
+            assert v == pytest.approx(r, rel=1e-15)
+
+    def test_constant_objective_returns_left_end(self):
+        calls = []
+
+        def flat(ls):
+            calls.append(ls.size)
+            return np.full(ls.size, 3.0)
+
+        assert dense_line_min(flat, 1.0, 5.0) == (1.0, 3.0)
+        assert len(calls) <= 10
+
+    def test_stops_at_float_spacing(self):
+        # near 1e10 adjacent floats are 2e-6 apart, wider than the 1e-8
+        # tolerance, so the bracket stops narrowing before it gets there
+        lam, v = dense_line_min(lambda ls: (ls - 1e10 - 0.3) ** 2,
+                                1e10, 1e10 + 1.0)
+        assert abs(lam - 1e10 - 0.3) <= 1e-5
+
+    def test_rejects_reversed_interval(self):
+        with pytest.raises(ValueError):
+            dense_line_min(lambda ls: ls, 1.0, 0.0)
