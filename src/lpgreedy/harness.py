@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -199,6 +200,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown selection rule {self.rule!r}")
         if self.max_m < 1:
             raise ValueError(f"max_m (--iters) must be at least 1, got {self.max_m}")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
+            raise ValueError(f"stop_tol (--stop-tol) must be finite and "
+                             f"nonnegative, got {self.stop_tol}")
 
 
 def execute(config: ExperimentConfig) -> RunReport:

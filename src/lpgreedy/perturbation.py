@@ -6,10 +6,23 @@ induce.  Functionals are perturbed adversarially, by convex mixing with a
 random dual vector pushed as far as the delta budget allows, so the theory
 gets exercised near its stated boundary instead of with benign rounding
 noise.
+
+Both perturbations end at a level crossing: the largest admissible mixing
+weight for delta, and the farthest admissible step from the argmin for eta.
+Each is found by Illinois regula falsi on a bracket whose left end is
+admissible (``_level_crossing``), which returns the last admissible point it
+saw.  It stops at the first of two tests: the bracket has narrowed to the
+width a fixed bisection would end at (2^-60 of [0, 1] for delta, 2^-50 of
+the doubling bracket for eta), or an admissible point lies within 4e-16
+relative of the level (4e-16 ||f_m|| for delta, 4e-16 times the budget for
+eta).  The second test matters where the level sits inside the rounding
+band of ||.||, as under small online thresholds: there secant steps stall
+and the width test alone would spend its whole count.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -28,6 +41,48 @@ from .tolerances import DEFAULT_TOLS
 
 AWBGA_IDS = ("awcga", "awgafr", "arwrga")
 
+# Stop tests of the level crossings: the bracket is as narrow as a 60-step
+# (delta) or 50-step (eta) bisection would leave it, or a feasible point is
+# within a few ulps of the level, where the rounding of ||.|| hides the rest
+_DELTA_REL = 2.0 ** -60
+_ETA_REL = 2.0 ** -50
+_ULP_REL = 4e-16
+
+
+def _level_crossing(g: Callable, lo: float, hi: float, g_lo: float,
+                    g_hi: float, rel: float, g_tol: float) -> float:
+    """Last point seen with g <= 0, on a bracket with g(lo) <= 0 < g(hi).
+
+    Illinois regula falsi: each step takes the secant point of the bracket
+    and keeps the side it lands on; when the same end is kept twice running,
+    the other end's g is halved so that a one-sided secant cannot stall.
+    Stops once the bracket is ``rel`` times its first width, once a point
+    with -g_tol <= g <= 0 has been seen, or once no float lies between the
+    ends (far from 0, floats are coarser than 2^-60).
+    """
+    width = rel * (hi - lo)
+    kept = 0  # +1: lo moved last, -1: hi moved last
+    while hi - lo > width:
+        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # the ends are adjacent floats
+                break
+        gx = g(x)
+        if gx <= 0.0:
+            lo, g_lo = x, gx
+            if gx >= -g_tol:
+                break
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, g_hi = x, gx
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+    return lo
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -44,18 +99,27 @@ class SequenceSpec:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "list" and not self.values:
             raise ValueError("list sequence needs values")
+        nums = (self.c, self.a) + tuple(self.values or ())
+        if not all(math.isfinite(v) for v in nums):
+            raise ValueError(f"{self.kind} sequence values must be finite")
+        if self.kind == "const" and not 0.0 <= self.c <= 1.0:
+            raise ValueError(f"const sequence value {self.c} must lie in [0, 1]")
+        if self.kind == "pow" and (self.c < 0.0 or self.a < 0.0):
+            raise ValueError("pow sequence needs c >= 0 and a >= 0")
+        if self.kind == "list" and not all(0.0 <= v <= 1.0 for v in self.values):
+            raise ValueError("list sequence values must lie in [0, 1]")
 
     def value(self, m: int, pos: int = None) -> float:
         """Scheduled value at subscript m; ``pos`` is the 0-based position
         used by list sequences (delta runs from subscript 0, eta from 1).
-        Power decay is evaluated at max(m, 1)."""
+        Power decay is evaluated at max(m, 1) and capped at 1."""
         if self.kind == "const":
-            return min(1.0, max(0.0, self.c))
+            return float(self.c)
         if self.kind == "pow":
-            return min(1.0, max(0.0, self.c * float(max(m, 1)) ** (-self.a)))
+            return min(1.0, self.c * float(max(m, 1)) ** (-self.a))
         if self.kind == "list":
             i = m if pos is None else pos
-            return min(1.0, max(0.0, self.values[min(max(i, 0), len(self.values) - 1)]))
+            return float(self.values[min(max(i, 0), len(self.values) - 1)])
         raise ValueError("prop72auto sequences are resolved online by the driver")
 
     def as_dict(self) -> dict:
@@ -113,8 +177,12 @@ def perturbed_functional(space: LpSpace, f_m: Element, delta: float,
     """Adversarial admissible functional: ||F|| <= 1, F(f_m) >= (1-delta)||f_m||.
 
     Mixes the exact peak functional with a random unit dual vector and
-    bisects the mixing weight up to the largest value that keeps the defining
-    inequality; delta = 0 returns the exact functional.
+    takes the largest mixing weight s in [0, 1] that keeps the defining
+    inequality.  value(s) = F_s(f_m) has a numerator linear in s over a
+    convex dual norm, so {value >= target} is an interval starting at 0, and
+    its right end is found by regula falsi on target - value(s) (see the
+    module docstring for the stop tests).  delta = 0 returns the exact
+    functional.
     """
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
@@ -143,17 +211,12 @@ def perturbed_functional(space: LpSpace, f_m: Element, delta: float,
     def value(s: float) -> float:
         return float(np.dot(mixed(s), f_m.coords))
 
-    if value(1.0) >= target:
+    g1 = target - value(1.0)
+    if g1 <= 0.0:
         s_feasible = 1.0
-    else:
-        lo, hi = 0.0, 1.0  # value(lo) >= target holds throughout
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if value(mid) >= target:
-                lo = mid
-            else:
-                hi = mid
-        s_feasible = lo
+    else:  # value(0) = ||f_m||, so g(0) = -delta ||f_m||
+        s_feasible = _level_crossing(lambda s: target - value(s), 0.0, 1.0,
+                                     -delta * fn, g1, _DELTA_REL, _ULP_REL * fn)
     coords = mixed(s_feasible)
     achieved = max(0.0, 1.0 - float(np.dot(coords, f_m.coords)) / fn)
     return PerturbedFunctional(
@@ -167,6 +230,12 @@ def relaxed_minimize(objective: Callable, eta: float, exact: Callable,
     """Solve exactly, then walk away from the argmin until half the relative
     value budget (1 + eta) is consumed.  eta = 0 degenerates to the exact
     solver; an exact minimum of 0 leaves no budget and is returned as-is.
+
+    The step along a random direction doubles from 1e-6 until the objective
+    exceeds the budget v* (1 + eta/2); the crossing inside that last
+    doubling is found by regula falsi on objective - budget (see the module
+    docstring for the stop tests), so the returned value is within the
+    budget and, up to rounding, uses all of it.
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
@@ -193,25 +262,21 @@ def relaxed_minimize(objective: Callable, eta: float, exact: Callable,
     budget = v_star * (1.0 + 0.5 * eta)
     scale = max(1.0, float(np.max(np.abs(np.atleast_1d(np.asarray(x_star, float))))))
     beta_ok, beta = 0.0, 1e-6 * scale
-    exceeded = False
+    v_ok = v_star
     for _ in range(200):
-        if objective(candidate(beta)) > budget:
-            exceeded = True
+        v = objective(candidate(beta))
+        if v > budget:
+            beta_ok = _level_crossing(
+                lambda b: objective(candidate(b)) - budget, beta_ok, beta,
+                v_ok - budget, v - budget, _ETA_REL, _ULP_REL * budget)
             break
-        beta_ok = beta
+        beta_ok, v_ok = beta, v
         beta *= 2.0
-    if exceeded:
-        lo, hi = beta_ok, beta
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if objective(candidate(mid)) > budget:
-                hi = mid
-            else:
-                lo = mid
-        beta_ok = lo
     x = candidate(beta_ok)
     v = objective(x)
-    if v < v_star:  # numerical guard: never report below the exact minimum
+    # numerical guard: never report below the exact minimum, nor above the
+    # budget when the slack is so small that even the start point exceeds it
+    if not v_star <= v <= budget:
         return x_star, v_star
     return x, v
 

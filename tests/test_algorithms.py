@@ -308,3 +308,17 @@ class TestMeasurePhase:
             audit_conditions(rep)
             error_reduction_margins(rep)
             verify_rates(rep, list(BOUND_IDS))
+
+
+class TestLargeP:
+    # the power sum of a residual underflows once max|r| drops below about
+    # 1e-10 at p = 32; the norm must then be formed from r / max|r|
+    @pytest.mark.parametrize("p", [32.0, 64.0])
+    @pytest.mark.parametrize("algo", ["wcga", "wgafr"])
+    def test_runs_and_passes_audit(self, algo, p):
+        s = lp_space(p, 16)
+        D = build_dictionary(s, "random_gauss", 64, seed=1)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=2))
+        rep = run_greedy(algo, t.f, D, T1, max_m=60, target=t)
+        assert audit_conditions(rep).passed
+        assert min(error_reduction_margins(rep)) >= -1e-6

@@ -206,6 +206,33 @@ class TestCli:
         assert rc == 2
         assert not list((tmp_path / "sweep").glob("*.json"))
 
+    @pytest.mark.parametrize("errors", [
+        "err:delta=const:2,eta=const:0", "err:delta=const:0,eta=const:-0.5",
+        "err:delta=const:nan,eta=const:0", "err:delta=pow:-0.1,1.1,eta=const:0",
+        "err:delta=pow:0.1,-1,eta=const:0", "err:delta=const:0,eta=list:0.1,2",
+        "err:delta=pow:inf,1,eta=const:0"])
+    def test_out_of_range_errors_is_usage_error(self, tmp_path, capsys, errors):
+        out = tmp_path / "a.csv"
+        rc = main(["run", "--algo", "awcga", "--space", "lp:p=2,n=8",
+                   "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=3", "--errors", errors,
+                   "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        assert "sequence" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_stop_tol_is_usage_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "r.csv"
+        assert main(RUN_ARGS + ["--stop-tol", tol, "--out", str(out)]) == 2
+        assert "stop_tol" in capsys.readouterr().err
+        assert not out.exists()
+        rc = main(["sweep", "--algos", "wcga", "--seeds", "1",
+                   "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=0", "--stop-tol", tol,
+                   "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 2
+
     def test_awbga_run_via_cli(self, tmp_path):
         out = tmp_path / "a.csv"
         rc = main(["run", "--algo", "arwrga", "--space", "lp:p=2,n=8",

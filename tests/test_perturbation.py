@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from lpgreedy import (Element, ErrorSchedule, SequenceSpec, TargetSpec,
-                      WeaknessSchedule, apply_functional, build_dictionary,
-                      derived_eps_bound, lp_space, make_target, norm,
-                      perturbed_functional, relaxed_minimize, run_awbga,
-                      run_greedy)
+from lpgreedy import (AWBGA_IDS, Element, ErrorSchedule, SequenceSpec,
+                      TargetSpec, WeaknessSchedule, apply_functional,
+                      build_dictionary, chebyshev_project, derived_eps_bound,
+                      lp_space, make_target, norm, perturbed_functional,
+                      relaxed_minimize, run_awbga, run_greedy)
 from lpgreedy import algorithms, perturbation
 from lpgreedy.perturbation import ZERO_ERRORS
+from lpgreedy.solvers import min_along_ray
 from lpgreedy.space import dual_norm, functional_coords, pnorm
 
 T1 = WeaknessSchedule()
@@ -63,6 +64,26 @@ class TestPerturbedFunctional:
         with pytest.raises(ValueError, match="zero"):
             perturbed_functional(s, Element(coords=np.zeros(3), space=s), 0.1)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_whole_budget_is_used(self, p):
+        # unless the random dual vector alone is admissible (mixing weight
+        # 1), the largest admissible weight leaves F(f) on the level
+        # (1 - delta)||f||: the achieved delta is the requested one
+        s = lp_space(p, 32)
+        rng = np.random.default_rng(7)
+        interior = 0
+        for i in range(100):
+            f = Element(coords=rng.standard_normal(32), space=s)
+            delta = float(rng.uniform(1e-6, 0.9))
+            R = np.random.default_rng(i).standard_normal(32)
+            value_at_one = abs(float(R @ f.coords)) / dual_norm(p, R)
+            pf = perturbed_functional(s, f, delta, seed=i)
+            if value_at_one < (1.0 - delta) * norm(s, f):
+                interior += 1
+                assert pf.achieved_delta >= delta - 1e-12
+            assert pf.achieved_delta <= delta + 1e-12
+        assert interior >= 50
+
 
 class TestRelaxedMinimize:
     def test_zero_eta_exact(self):
@@ -85,6 +106,48 @@ class TestRelaxedMinimize:
     def test_zero_minimum_collapses_budget(self):
         x, v = relaxed_minimize(lambda t: abs(t), 0.5, lambda: (0.0, 0.0), seed=2)
         assert x == 0.0 and v == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_whole_budget_is_used_on_ray_objectives(self, p):
+        # the walk-away point sits on the level v* (1 + eta/2), not merely
+        # below it: returning the argmin itself would fail here
+        rng = np.random.default_rng(8)
+        for i in range(40):
+            r, u = rng.standard_normal(24), rng.standard_normal(24)
+            eta = float(10.0 ** rng.uniform(-8, 0))
+
+            def obj(b, r=r, u=u):
+                return pnorm(p, r - b * u)
+
+            def exact(r=r, u=u, obj=obj):
+                b = min_along_ray(p, r, u)
+                return b, obj(b)
+
+            _, v_star = exact()
+            _, v = relaxed_minimize(obj, eta, exact, seed=i)
+            budget = v_star * (1.0 + 0.5 * eta)
+            assert budget * (1.0 - 1e-12) <= v <= budget
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_whole_budget_is_used_on_vector_objectives(self, p):
+        s = lp_space(p, 24)
+        rng = np.random.default_rng(9)
+        for i in range(20):
+            basis = [Element(coords=rng.standard_normal(24), space=s)
+                     for _ in range(4)]
+            Phi = np.array([b.coords for b in basis]).T
+            f = Element(coords=rng.standard_normal(24), space=s)
+            proj = chebyshev_project(s, f, basis)
+            eta = float(10.0 ** rng.uniform(-8, 0))
+
+            def obj(c, f=f, Phi=Phi):
+                return pnorm(p, f.coords - Phi @ c)
+
+            v_star = pnorm(p, proj.residual.coords)
+            _, v = relaxed_minimize(obj, eta, lambda: (proj.coeffs, v_star),
+                                    seed=i)
+            budget = v_star * (1.0 + 0.5 * eta)
+            assert budget * (1.0 - 1e-12) <= v <= budget
 
     def test_projection_respected(self):
         def obj(t):
@@ -235,3 +298,77 @@ class TestTwoDirectionCycle:
                              eta=SequenceSpec(kind="prop72auto"))
         run_awbga("awgafr", t.f, D, T1, errs, max_m=58, target=t)
         assert sum(capped) >= 2
+
+
+class TestLevelCrossing:
+    def test_lands_on_the_level_from_below(self):
+        # g(x) = x^3 + x - 1: one crossing near 0.6823
+        def g(x):
+            return x ** 3 + x - 1.0
+
+        x = perturbation._level_crossing(g, 0.0, 1.0, -1.0, 1.0, 2.0 ** -60,
+                                         4e-16)
+        assert -4e-16 <= g(x) <= 0.0
+
+    @pytest.mark.parametrize("step", [0.3, 1e-5])
+    def test_width_and_adjacent_float_stops(self, step):
+        # a step function has no point near the level, so only the width
+        # test (crossing at 1e-5) or the adjacent-float test (at 0.3, where
+        # floats are farther apart than 2^-60) can end the search
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return -1.0 if x <= step else 1.0
+
+        x = perturbation._level_crossing(g, 0.0, 1.0, -1.0, 1.0, 2.0 ** -60,
+                                         0.0)
+        assert step - 2.0 ** -60 <= x <= step
+        assert len(calls) < 200
+
+    def test_start_returned_when_nothing_admissible_seen(self):
+        x = perturbation._level_crossing(lambda x: 1.0, 0.0, 1.0, -1.0, 1.0,
+                                         2.0 ** -50, 0.0)
+        assert x == 0.0
+
+
+class TestSequenceSpecValidation:
+    @pytest.mark.parametrize("kw", [
+        dict(kind="const", c=2.0), dict(kind="const", c=-0.5),
+        dict(kind="const", c=float("nan")), dict(kind="pow", c=-0.1, a=1.0),
+        dict(kind="pow", c=0.1, a=-1.0), dict(kind="pow", c=float("inf"), a=1.0),
+        dict(kind="list", values=(0.1, 1.5)),
+        dict(kind="list", values=(0.1, float("nan")))])
+    def test_out_of_range_rejected(self, kw):
+        with pytest.raises(ValueError):
+            SequenceSpec(**kw)
+
+    def test_in_range_accepted(self):
+        assert SequenceSpec(kind="const", c=1.0).value(3) == 1.0
+        assert SequenceSpec(kind="pow", c=5.0, a=1.0).value(2) == 1.0
+        assert SequenceSpec(kind="list", values=(0.0, 0.5)).value(1, pos=1) == 0.5
+
+
+# Selected indices of one pow-schedule run per approximate algorithm, as the
+# fixed-count bisections chose them: a faster level crossing must not change
+# which atoms the approximate runs pick.
+PINNED_SELECTIONS = {
+    "awcga": [-45, 94, -82, 34, 119, 25, -12, -84],
+    "awgafr": [-45, 94, 34, -82, 119, 25, -12, -84, 6, 99, 65, -16, -38,
+               -119, -77, 44, 25, -29, 10, 96, 108, 81, -69, -53, -103, 87,
+               -71, 76, -120, 27, 9, 50, 28, 86, -107, -59, -71, 72, 75, -60],
+    "arwrga": [-45, 94, 119, 34, 25, -82, -12, -84, 28, 19, 116, -96, -38,
+               -62, -51, -59, -22, 30, 21, 127, 17, 105, -78, -66, 39, 57,
+               -13, -73, -56, 16, -68, -20, 21, 76, -60, 33, 93, -46, 21,
+               -65],
+}
+
+
+@pytest.mark.parametrize("algo", AWBGA_IDS)
+def test_pinned_selections(algo):
+    s = lp_space(1.5, 32)
+    D = build_dictionary(s, "random_gauss", 128, seed=21)
+    t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=22))
+    errs = power_schedule(c=0.1, a=1.1, seed=5)
+    rep = run_awbga(algo, t.f, D, T1, errs, max_m=40, target=t)
+    assert [r.selected_index for r in rep.records] == PINNED_SELECTIONS[algo]

@@ -8,7 +8,7 @@ from lpgreedy import (Element, apply_functional, dict_dual_norm,
                       empirical_modulus, lp_space, norm, norming_functional,
                       smoothness_bound, xi_root)
 from lpgreedy.dictionary import Dictionary, build_dictionary
-from lpgreedy.space import dual_norm
+from lpgreedy.space import dual_norm, pnorm
 
 
 def elem(space, *coords):
@@ -47,6 +47,25 @@ class TestNorm:
     def test_p4_formula(self):
         s = lp_space(4.0, 2)
         assert norm(s, elem(s, 1.0, 1.0)) == pytest.approx(2 ** 0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 32.0, 64.0, 800.0])
+    @pytest.mark.parametrize("size", [1e-200, 1e-12, 1e150])
+    def test_no_underflow_or_overflow(self, p, size):
+        # the power sum under- or overflows here; the norm must not
+        a = size * np.array([3.0, -4.0, 0.5])
+        ref = 4.0 * size * float(np.sum(np.abs(a / (4.0 * size)) ** p)
+                                 ** (1.0 / p))
+        with np.errstate(over="ignore"):
+            assert pnorm(p, a) == pytest.approx(ref, rel=1e-14)
+
+    def test_ordinary_inputs_take_the_plain_sum(self):
+        rng = np.random.default_rng(0)
+        for p in (1.5, 2.0, 3.0, 4.0, 7.3):
+            for _ in range(200):
+                a = rng.standard_normal(16) * 10.0 ** rng.uniform(-5, 5)
+                plain = (np.sqrt(np.dot(a, a)) if p == 2.0
+                         else np.sum(np.abs(a) ** p) ** (1.0 / p))
+                assert pnorm(p, a) == float(plain)
 
     def test_dimension_mismatch(self):
         s = lp_space(2.0, 2)
