@@ -178,7 +178,8 @@ def run_all(fast: bool = False) -> list:
     proj = chebyshev_project(spn, f, basis)
     A = np.array([b.coords for b in basis]).T
     # solved as the normal equations, not by least squares: the projection
-    # starts from np.linalg.lstsq, so that route would check nothing at p = 2
+    # starts from a least-squares solve (Householder QR), so at p = 2 a
+    # least-squares reference would share its route
     coef = np.linalg.solve(A.T @ A, A.T @ f.coords)
     r_ref = float(np.linalg.norm(f.coords - A @ coef))
     r_got = pnorm(2.0, proj.residual.coords)

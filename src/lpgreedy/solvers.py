@@ -6,7 +6,10 @@ its derivative, certified by the width of a bracket.  The Chebyshev
 projection is the one genuinely multi-dimensional solve; it takes Newton
 directions from reweighted least squares, steps along each by the exact ray
 minimiser, and its stopping rule is the biorthogonality of the residual
-against every selected atom.
+against every selected atom.  Its least-squares start and directions are
+solved by Householder QR; a basis wider than the space, or one whose R
+factor has a tiny diagonal (a repeated atom), falls back to SVD-based
+``np.linalg.lstsq``.
 
 The measured error-reduction reference takes an independent route that
 shares no code with the ray minimiser: ``dense_line_min`` scans a grid of
@@ -43,6 +46,10 @@ _TINY = 1e-300
 # Cap on the Newton and bisection steps of one ray solve.  Bisection alone
 # narrows a doubling bracket to the 1e-15 relative tolerance in about 50-60.
 _RAY_ITERS = 100
+# Smallest |diag R| / max |diag R| at which the projection's least-squares
+# solves use the QR factor.  Below it the basis is numerically rank
+# deficient (a repeated atom), and lstsq's minimum-norm answer is kept.
+_QR_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -315,6 +322,23 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin_x ||A x - b||_2 by Householder QR: R x = Q^T b.
+
+    One factorisation of [A | b] gives R and, in its last column, Q^T b, so
+    Q is never formed.  A basis wider than the space, or an R with a tiny
+    diagonal, goes to the SVD-based np.linalg.lstsq and its minimum-norm
+    answer.
+    """
+    m = A.shape[1]
+    if m <= A.shape[0]:
+        Rb = np.linalg.qr(np.column_stack((A, b)), mode="r")
+        d = np.abs(np.diagonal(Rb)[:m])
+        if d.min() > _QR_RCOND * d.max():
+            return np.linalg.solve(Rb[:m, :m], Rb[:m, m])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
                       cfg: SolverConfig = DEFAULT_SOLVER) -> ProjectionResult:
     """Best approximation of f from span(basis) in the lp norm.
@@ -322,7 +346,10 @@ def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
     Newton descent on sum |r_i|^p from the least-squares coefficients (the
     answer at p = 2).  Each direction is the reweighted least-squares fit of
     the residual with weights |r|^(p-2), which is the Newton direction up to
-    scale, and the step along it is the exact ray minimiser.  The gradient
+    scale, and the step along it is the exact ray minimiser.  Both kinds of
+    least-squares problem are solved by Householder QR (``_lstsq``), or by
+    np.linalg.lstsq's minimum-norm answer when the basis has more atoms
+    than coordinates or is numerically rank deficient.  The gradient
     of ||f - sum lam_k phi_k|| in lam_k is -F_residual(phi_k), so the
     stopping rule max_k |F_r(phi_k)| <= grad_tol is precisely
     residual-approximant biorthogonality.  A zero residual (exact
@@ -333,7 +360,7 @@ def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
         raise ValueError("basis must be nonempty")
     p = space.p
     Phi = np.array([b.coords for b in basis]).T  # (n, m)
-    lam, *_ = np.linalg.lstsq(Phi, f.coords, rcond=None)
+    lam = _lstsq(Phi, f.coords)
     r = f.coords - Phi @ lam
     converged = False
     iters = 0
@@ -350,7 +377,7 @@ def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
         if p < 2.0:
             a = np.maximum(a, _WEIGHT_FLOOR)
         sw = a ** ((p - 2.0) / 2.0)
-        d, *_ = np.linalg.lstsq(sw[:, None] * Phi, sw * r, rcond=None)
+        d = _lstsq(sw[:, None] * Phi, sw * r)
         v = Phi @ d
         alpha = min_along_ray(p, r, v)
         if alpha == 0.0:

@@ -104,6 +104,8 @@ class DualFunctional:
 # -- raw-array helpers (hot paths work on ndarrays, wrappers on Elements) --
 
 _NORMAL_MIN = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 
 def pnorm(p: float, a: np.ndarray) -> float:
@@ -120,9 +122,36 @@ def pnorm(p: float, a: np.ndarray) -> float:
 
 
 def pnorm_rows(p: float, a: np.ndarray) -> np.ndarray:
+    """||a_i||_p of every row a_i, scale-safe as ``pnorm``: the plain power
+    sums are kept when all of them are normal and finite (ordinary inputs
+    keep their exact results); otherwise the affected rows alone are formed
+    from a_i / max|a_i|."""
+    # the ufunc reductions are called directly: their numpy wrappers cost
+    # more than the reductions on these small arrays
     if p == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", a, a))
-    return np.sum(np.abs(a) ** p, axis=1) ** (1.0 / p)
+        s = np.einsum("ij,ij->i", a, a)
+        finite = _max(s, initial=0.0) < math.inf
+    else:
+        b = np.abs(a)
+        # no power sum can overflow below this max; only above it are the
+        # overflow warnings switched off, which costs as much as this test
+        finite = (_max(b, axis=None, initial=0.0)
+                  < (_MAX / a.shape[1]) ** (1.0 / p))
+        if finite:
+            s = _sum(b ** p, 1)
+        else:
+            with np.errstate(over="ignore"):
+                s = _sum(b ** p, 1)
+    out = np.sqrt(s) if p == 2.0 else s ** (1.0 / p)
+    if finite and _min(s, initial=math.inf) >= _NORMAL_MIN:
+        return out
+    bad = np.flatnonzero(~((s >= _NORMAL_MIN) & (s < math.inf)))
+    scale = np.max(np.abs(a[bad]), axis=1, initial=0.0)
+    out[bad] = scale  # a zero or non-finite row, as in pnorm
+    ok = (scale > 0.0) & (scale < math.inf)
+    unit = np.abs(a[bad[ok]]) / scale[ok, None]
+    out[bad[ok]] = scale[ok] * np.sum(unit ** p, axis=1) ** (1.0 / p)
+    return out
 
 
 def functional_coords(p: float, f: np.ndarray, f_norm: float) -> np.ndarray:

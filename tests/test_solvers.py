@@ -5,7 +5,9 @@ from lpgreedy import (Element, SolverConfig, TargetSpec, WeaknessSchedule,
                       audit_conditions, bracket_minimum, build_dictionary,
                       chebyshev_project, line_search, lp_space, make_target,
                       minimize_2d, norming_functional, run_greedy)
-from lpgreedy.solvers import dense_line_min, min_along_ray
+from lpgreedy import solvers
+from lpgreedy.solvers import (_WEIGHT_FLOOR, _lstsq, dense_line_min,
+                              min_along_ray)
 from lpgreedy.space import pnorm
 
 
@@ -319,6 +321,97 @@ class TestChebyshevProject:
                          rule="threshold_first", target=t)
         assert len(rep.records) == 51
         assert not any("not converged" in w for w in rep.warnings)
+
+
+class TestProjectionLstsq:
+    """The projection's QR least-squares helper and its lstsq fallback."""
+
+    @staticmethod
+    def _count_lstsq(monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(A, b, rcond=None):
+            calls.append(A.shape)
+            return lstsq(A, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        return calls
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_repeated_atom_falls_back_to_lstsq(self, p, monkeypatch):
+        rng = np.random.default_rng(5)
+        s = lp_space(p, 12)
+        A = rng.standard_normal((12, 4))
+        basis = [Element(coords=A[:, j], space=s) for j in (0, 1, 2, 1, 3)]
+        f = Element(coords=rng.standard_normal(12), space=s)
+        calls = self._count_lstsq(monkeypatch)
+        res = chebyshev_project(s, f, basis)
+        assert calls  # the duplicated column leaves R with a tiny diagonal
+        monkeypatch.setattr(solvers, "_lstsq",
+                            lambda A, b: np.linalg.lstsq(A, b, rcond=None)[0])
+        ref = chebyshev_project(s, f, basis)
+        assert res.converged and ref.converged
+        assert pnorm(p, res.residual.coords) == pytest.approx(
+            pnorm(p, ref.residual.coords), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_wide_basis(self, p, monkeypatch):
+        rng = np.random.default_rng(6)
+        s = lp_space(p, 5)
+        basis = [Element(coords=rng.standard_normal(5), space=s)
+                 for _ in range(8)]
+        f = Element(coords=rng.standard_normal(5), space=s)
+        calls = self._count_lstsq(monkeypatch)
+        res = chebyshev_project(s, f, basis)
+        assert calls == [(5, 8)]
+        assert res.converged
+        assert pnorm(p, res.residual.coords) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("m", [1, 8, 32, 64])
+    def test_matches_lstsq_on_weighted_systems(self, p, m):
+        rng = np.random.default_rng(int(10 * p) + m)
+        for _ in range(10):
+            Phi = rng.standard_normal((64, m))
+            r = rng.standard_normal(64)
+            a = np.abs(r) / np.max(np.abs(r))
+            if p < 2.0:
+                a = np.maximum(a, _WEIGHT_FLOOR)
+            sw = a ** ((p - 2.0) / 2.0)
+            A, b = sw[:, None] * Phi, sw * r
+            x = _lstsq(A, b)
+            ref = np.linalg.lstsq(A, b, rcond=None)[0]
+            # the coefficients are fixed only to about cond(A) * eps, which
+            # exceeds 1e-12 on some square systems (m = 64)
+            tol = max(1e-12, 1e-13 * np.linalg.cond(A))
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+    # selected indices of wcga, t = 0.5, threshold_first, on lp^64,
+    # random_gauss N=256 seed 61, a1 k=16 seed 62, up to the full span;
+    # captured from the all-lstsq projection
+    PINNED = {
+        1.5: [-1, -42, -11, 33, -20, 45, -56, -57, -87, 25, 48, -28, 7, -14,
+              21, -41, 59, -17, 34, 30, 49, -2, -81, 3, -53, 54, 13, -32, 65,
+              -67, -6, 31, 66, 38, 4, -10, -5, -9, 23, 61, 64, -8, 39, -60,
+              40, 24, -36, -35, -15, -69, -55, 74, 37, 29, 79, 27, 16, 75,
+              -22, -19, 26, -46, -43, 78],
+        3.0: [-43, -42, 44, 33, -1, 34, 9, -20, -57, 74, -10, 59, -56, -17,
+              -67, -98, -72, -88, 55, 31, -89, 75, -62, 7, 25, 48, -2, 64,
+              -18, 65, 99, -32, -69, -50, 54, 73, -35, 38, 26, 21, 29, -39,
+              -41, -15, 36, 5, 40, -8, 3, 13, -27, 58, 53, -79, -61, 81, 6,
+              4, 19, 63, -23, -11, -12, 16],
+    }
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_wcga_selections_pinned(self, p):
+        s = lp_space(p, 64)
+        D = build_dictionary(s, "random_gauss", 256, seed=61)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=16, seed=62))
+        rep = run_greedy("wcga", t.f, D, WeaknessSchedule(t0=0.5), max_m=64,
+                         rule="threshold_first", target=t)
+        assert [r.selected_index for r in rep.records] == self.PINNED[p]
+        assert not rep.warnings
 
 
 class TestDenseLineMin:

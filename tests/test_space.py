@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from lpgreedy import (Element, apply_functional, dict_dual_norm,
                       empirical_modulus, lp_space, norm, norming_functional,
                       smoothness_bound, xi_root)
 from lpgreedy.dictionary import Dictionary, build_dictionary
-from lpgreedy.space import dual_norm, pnorm
+from lpgreedy.space import dual_norm, pnorm, pnorm_rows
 
 
 def elem(space, *coords):
@@ -76,6 +78,49 @@ class TestNorm:
         s = lp_space(2.0, 2)
         with pytest.raises(ValueError, match="finite"):
             Element(coords=np.array([1.0, np.nan]), space=s)
+
+
+class TestPnormRows:
+    @pytest.mark.parametrize("p", [1.5, 3.0, 200.0, 800.0])
+    @pytest.mark.parametrize("size", [1e-300, 1e-200, 1e-12, 1e-5, 1.0,
+                                      1e150, 1e300])
+    def test_matches_pnorm_row_by_row(self, p, size):
+        rng = np.random.default_rng(int(p) + 7)
+        a = size * rng.standard_normal((6, 16))
+        a[1] = 0.0
+        a[2, :2] = size * np.array([1e-5, 2e-5])
+        a[2, 2:] = 0.0
+        a[3] *= 1e-3  # one row smaller than the others
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pnorm_rows(p, a)
+        with np.errstate(over="ignore"):
+            ref = np.array([pnorm(p, row) for row in a])
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_tiny_row_at_large_p(self):
+        # the plain power sum of this row underflows to 0
+        got = pnorm_rows(200.0, np.array([[1e-5, 2e-5], [1.0, 0.5]]))
+        assert got[0] == pytest.approx(2e-5, rel=1e-14)
+        assert got[1] == pytest.approx(1.0, rel=1e-14)
+
+    def test_ordinary_inputs_take_the_plain_sums(self):
+        rng = np.random.default_rng(0)
+        for p in (1.5, 2.0, 3.0, 4.0, 7.3):
+            for _ in range(100):
+                a = (rng.standard_normal((33, 16))
+                     * 10.0 ** rng.uniform(-5, 5))
+                plain = (np.sqrt(np.einsum("ij,ij->i", a, a)) if p == 2.0
+                         else np.sum(np.abs(a) ** p, axis=1) ** (1.0 / p))
+                assert np.array_equal(pnorm_rows(p, a), plain)
+
+    def test_dictionary_at_p_800_builds_without_warnings(self):
+        s = lp_space(800.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = build_dictionary(s, "random_gauss", 64, seed=1)
+        assert np.allclose([pnorm(800.0, g.coords) for g in D.elements], 1.0,
+                           rtol=1e-14)
 
 
 class TestNormingFunctional:
