@@ -1,10 +1,11 @@
 """Greedy iteration engine: one-step transitions and the run driver.
 
-Algorithm ids: wcga (full projection onto all selected atoms), wgafr (joint
-2-D relaxation), rwrga (decoupled line search + rescale), rrxga (norm-scan
-selection + rescale, no weakness parameter), wrga (convex relaxation), wdga
-(plain one-dimensional update), gg (explicit step size from the space's
-smoothness constants, then rescale).
+Algorithm ids: wcga (full projection onto all selected atoms), wgafr (free
+relaxation: the same projection onto the previous approximant and the new
+atom, with a nonnegative atom coefficient), rwrga (decoupled line search +
+rescale), rrxga (norm-scan selection + rescale, no weakness parameter),
+wrga (convex relaxation), wdga (plain one-dimensional update), gg
+(explicit step size from the space's smoothness constants, then rescale).
 
 Every iteration records the measured quantities the diagnostics layer
 audits: selection threshold values, an independently measured single-atom
@@ -32,8 +33,11 @@ ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
 
 _BJ_GRID = np.array([-1.0, -0.5, 0.1, 0.5, 1.0])
 _NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
-# Rounds of the two-direction alternation before it gives up on the pairing
-_TWO_DIR_ROUNDS = 60
+# Iteration cap of the two-atom projection in ``_two_dir_solve``.  Solves
+# that converge take at most about a dozen iterations; where the stationarity
+# test is out of floating-point reach (near-optimal at p = 1.5 under
+# prop72auto) the default cap of 500 would be spent in full.
+_TWO_DIR_SOLVER = SolverConfig(max_iters=20)
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,9 @@ class RunReport:
         return np.cumsum(self.t_values() ** p_conj)
 
     def to_json(self) -> str:
-        d = asdict(self)
+        # a shallow dict: json.dumps walks the nested dicts and lists
+        # itself, so asdict's deep copy of them is not needed
+        d = dict(vars(self), records=[vars(r) for r in self.records])
         return json.dumps(d, indent=1, sort_keys=True)
 
     @staticmethod
@@ -274,67 +280,36 @@ def _rescale(space: LpSpace, f: np.ndarray, v: np.ndarray) -> tuple:
     return mu, mu * v, val
 
 
-def _two_dir_round(p: float, G_prev: np.ndarray, phi: np.ndarray, a: float,
-                   b: float, r: np.ndarray) -> tuple:
-    """One round of ``_two_dir_solve`` from the state (a, b, r), r being the
-    residual of a G_prev + b phi: exact ray solves along G_prev and along
-    phi (keeping b >= 0), then one along their net displacement, which
-    breaks the slow zigzag of pure coordinate alternation.  Returns the new
-    (a, b, r)."""
-    a0, b0 = a, b
-    da = min_along_ray(p, r, G_prev)
-    a += da
-    r = r - da * G_prev
-    db = max(min_along_ray(p, r, phi), -b)  # keep lam >= 0
-    b += db
-    r = r - db * phi
-    ja, jb = a - a0, b - b0
-    u = ja * G_prev + jb * phi
-    if float(np.dot(u, u)) > 0.0:
-        t = min_along_ray(p, r, u)
-        if jb > 0.0:
-            t = max(t, -b / jb)
-        elif jb < 0.0:
-            t = min(t, -b / jb)
-        a += t * ja
-        b += t * jb
-        r = r - t * u
-    return a, b, r
-
-
 def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
                    phi: np.ndarray) -> tuple:
     """min over (w in R, lam >= 0) of ||f - ((1-w) G_prev + lam phi)||.
 
-    From the previous approximant (w, lam) = (0, 0), rounds of
-    ``_two_dir_round`` until the residual pairs with both directions at
-    machine precision (the pairing with the final approximant is what the
-    biorthogonality audit measures).  Where the pairing target is out of
-    reach, the rounds can settle into a cycle of states that repeat bit for
-    bit (mostly two alternating ones); the loop then stops and returns the
-    state the last round would have ended in.  Returns (w, lam, value).
+    The Chebyshev projection of f onto span{G_prev, phi}, whose
+    coefficients (a, b) give w = 1 - a and lam = b.  With G_prev = 0 (the
+    first step) it is the ray solve along phi with lam >= 0.  If the
+    unconstrained optimum has b < 0, the constrained one lies on lam = 0 by
+    convexity, and the ray solve along G_prev finds it.  The previous
+    approximant, (w, lam) = (0, 0), is always admissible and is kept when
+    the solve lands above it.  Returns (w, lam, value).
     """
     p = space.p
-    a, b, r = 1.0, 0.0, f - G_prev
-    seen: dict = {}   # state after each round, bit for bit -> round index
-    states = []
-    for it in range(_TWO_DIR_ROUNDS):
-        a, b, r = _two_dir_round(p, G_prev, phi, a, b, r)
-        rn = pnorm(p, r)
-        if rn <= 1e-13:
-            break
-        Fc = functional_coords(p, r, rn)
-        pairing = abs(a * float(np.dot(Fc, G_prev))) + abs(b * float(np.dot(Fc, phi)))
-        if pairing <= 1e-10:
-            break
-        # a round is a function of (a, b, r) alone, so once a state repeats
-        # the rounds cycle through the same states up to the last round
-        first = seen.setdefault((r.tobytes(), a.hex(), b.hex()), it)
-        if first != it:
-            a, b, r = states[first + (_TWO_DIR_ROUNDS - 1 - first) % (it - first)]
-            break
-        states.append((a, b, r))
-    return 1.0 - a, b, pnorm(p, r)
+    if not G_prev.any():
+        lam = min_along_ray(p, f, phi, nonneg=True)
+        return 0.0, lam, pnorm(p, f - lam * phi)
+    proj = chebyshev_project(space, Element(coords=f, space=space),
+                             [Element(coords=G_prev, space=space),
+                              Element(coords=phi, space=space)],
+                             _TWO_DIR_SOLVER)
+    a, b = (float(c) for c in proj.coeffs)
+    r = proj.residual.coords
+    if b < 0.0:
+        a, b = min_along_ray(p, f, G_prev), 0.0
+        r = f - a * G_prev
+    value = pnorm(p, r)
+    keep = pnorm(p, f - G_prev)
+    if keep < value:
+        return 0.0, 0.0, keep
+    return 1.0 - a, b, value
 
 
 def step_wcga(state: GreedyState, D: Dictionary, sidx: int,
@@ -352,7 +327,8 @@ def step_wcga(state: GreedyState, D: Dictionary, sidx: int,
 
 def step_wgafr(state: GreedyState, D: Dictionary, sidx: int,
                cfg: SolverConfig) -> dict:
-    """Joint search over the relaxation weight and the new coefficient."""
+    """Best approximation from span{G_prev, phi} with lam >= 0: the
+    two-atom Chebyshev projection of ``_two_dir_solve``."""
     phi = D.atom(sidx)
     w, lam, _ = _two_dir_solve(state.space, state.f, state.G_m, phi)
     state.G_m = (1.0 - w) * state.G_m + lam * phi

@@ -1,12 +1,14 @@
 """Convex minimization along rays and over spans, used by every greedy step.
 
-Every greedy step objective is an lp norm along a ray, a -> ||r - a v||,
-and ``min_along_ray`` solves it exactly: safeguarded Newton on the sign of
-its derivative, certified by the width of a bracket.  The Chebyshev
-projection is the one genuinely multi-dimensional solve; it takes Newton
-directions from reweighted least squares, steps along each by the exact ray
-minimiser, and its stopping rule is the biorthogonality of the residual
-against every selected atom.  Its least-squares start and directions are
+A one-dimensional greedy step minimises an lp norm along a ray,
+a -> ||r - a v||, and ``min_along_ray`` solves it exactly: safeguarded
+Newton on the sign of its derivative, certified by the width of a bracket.
+The Chebyshev projection is the one multi-dimensional solve.  It serves the
+WCGA over all selected atoms and the free-relaxation step over two atoms,
+the previous approximant and the new one.  It takes Newton directions from
+reweighted least squares, steps along each by the exact ray minimiser, and
+its stopping rule is the biorthogonality of the residual against every
+atom of the basis.  Its least-squares start and directions are
 solved by Householder QR; a basis wider than the space, or one whose R
 factor has a tiny diagonal (a repeated atom), falls back to SVD-based
 ``np.linalg.lstsq``.

@@ -112,13 +112,15 @@ def pnorm(p: float, a: np.ndarray) -> float:
     """||a||_p.  When the plain power sum is subnormal, zero or infinite (at
     large p or tiny |a|), it is formed from a / max|a| instead; otherwise
     the plain sum is used, so ordinary inputs keep their exact results."""
-    s = float(np.dot(a, a)) if p == 2.0 else float(np.sum(np.abs(a) ** p))
+    # the ufunc reduction is called directly: it is what np.sum calls, and
+    # the wrapper costs more than the sum on these small arrays
+    s = float(np.dot(a, a)) if p == 2.0 else float(_sum(np.abs(a) ** p))
     if _NORMAL_MIN <= s < math.inf:
         return math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
     scale = float(np.max(np.abs(a), initial=0.0))
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * float(np.sum((np.abs(a) / scale) ** p)) ** (1.0 / p)
+    return scale * float(_sum((np.abs(a) / scale) ** p)) ** (1.0 / p)
 
 
 def pnorm_rows(p: float, a: np.ndarray) -> np.ndarray:

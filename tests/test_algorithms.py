@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ class TestRunDriver:
         assert np.allclose(back.residual_norms(), rep.residual_norms())
         assert back.target_meta == rep.target_meta
         assert json.loads(rep.to_json())["schema"] == 1
+
+    def test_report_json_is_the_dataclass_dump(self):
+        s, D, t = hilbert_setup(n=8, N=24, k=3)
+        exact = run_greedy("rwrga", t.f, D, T1, max_m=10, target=t)
+        errs = ErrorSchedule(delta=SequenceSpec(kind="pow", c=0.1, a=1.1),
+                             eta=SequenceSpec(kind="pow", c=0.1, a=1.1))
+        approx = run_awbga("awgafr", t.f, D, T1, errs, max_m=10, target=t)
+        assert exact.errors is None and exact.records[0].omega is None
+        assert isinstance(approx.errors, dict) and approx.records[0].mu is None
+        for rep in (exact, approx):
+            assert rep.to_json() == json.dumps(asdict(rep), indent=1,
+                                               sort_keys=True)
 
     @pytest.mark.parametrize("algo", ["wcga", "wgafr", "rwrga", "rrxga",
                                       "wrga", "wdga", "gg"])
@@ -322,3 +335,14 @@ class TestLargeP:
         rep = run_greedy(algo, t.f, D, T1, max_m=60, target=t)
         assert audit_conditions(rep).passed
         assert min(error_reduction_margins(rep)) >= -1e-6
+
+    @pytest.mark.parametrize("p", [64.0, 200.0])
+    def test_wgafr_pairing_at_large_p(self, p):
+        # a step that stops short of the two-atom optimum leaves the
+        # residual paired with the approximant by up to 2.5e-3 here
+        s = lp_space(p, 16)
+        D = build_dictionary(s, "random_gauss", 64, seed=3)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=4))
+        with np.errstate(over="ignore"):
+            rep = run_greedy("wgafr", t.f, D, T1, max_m=60, target=t)
+        assert audit_conditions(rep).passed

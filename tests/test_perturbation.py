@@ -4,12 +4,13 @@ import pytest
 from lpgreedy import (AWBGA_IDS, Element, ErrorSchedule, SequenceSpec,
                       TargetSpec, WeaknessSchedule, apply_functional,
                       build_dictionary, chebyshev_project, derived_eps_bound,
-                      lp_space, make_target, norm, perturbed_functional,
-                      relaxed_minimize, run_awbga, run_greedy)
+                      audit_conditions, lp_space, make_target, norm,
+                      perturbed_functional, relaxed_minimize, run_awbga,
+                      run_greedy)
 from lpgreedy import algorithms, perturbation
 from lpgreedy.perturbation import ZERO_ERRORS
-from lpgreedy.solvers import min_along_ray
-from lpgreedy.space import dual_norm, functional_coords, pnorm
+from lpgreedy.solvers import dense_line_min, min_along_ray
+from lpgreedy.space import dual_norm, pnorm, pnorm_rows
 
 T1 = WeaknessSchedule()
 
@@ -263,41 +264,102 @@ class TestRunAwbga:
         assert ErrorSchedule.from_dict(errs.as_dict()) == errs
 
 
-class TestTwoDirectionCycle:
-    def test_cycle_stop_matches_all_rounds_bit_for_bit(self, monkeypatch):
-        # on this input the alternation of awgafr's steps from m = 55 on
-        # misses the 1e-10 pairing target and cycles through repeating
-        # states; stopping at the repeat must not change any result
-        def all_rounds(p, f, G, phi):
-            a, b, r = 1.0, 0.0, f - G
-            for n_rounds in range(1, algorithms._TWO_DIR_ROUNDS + 1):
-                a, b, r = algorithms._two_dir_round(p, G, phi, a, b, r)
-                rn = pnorm(p, r)
-                if rn <= 1e-13:
-                    break
-                Fc = functional_coords(p, r, rn)
-                if abs(a * float(Fc @ G)) + abs(b * float(Fc @ phi)) <= 1e-10:
-                    break
-            return (1.0 - a, b, pnorm(p, r)), n_rounds
+def grid_two_dir_min(p, f, G, phi):
+    """min over (a in [-3, 5], lam in [0, 4]) of ||f - a G - lam phi|| by
+    nested grid scans: ``dense_line_min`` over lam, each value itself a
+    ``dense_line_min`` over a on ``pnorm_rows`` (no ray solve)."""
+    def inner(lam):
+        base = f - lam * phi
+        return dense_line_min(lambda a: pnorm_rows(
+            p, base[None, :] - a[:, None] * G[None, :]), -3.0, 5.0)[1]
 
-        capped = []
-        solve = perturbation._two_dir_solve
+    return dense_line_min(lambda ls: np.array([inner(x) for x in ls]),
+                          0.0, 4.0)[1]
 
-        def checked(space, f, G, phi):
-            out = solve(space, f, G, phi)
-            ref, n_rounds = all_rounds(space.p, f, G, phi)
-            assert np.array(out).tobytes() == np.array(ref).tobytes()
-            capped.append(n_rounds == algorithms._TWO_DIR_ROUNDS)
-            return out
 
-        monkeypatch.setattr(perturbation, "_two_dir_solve", checked)
+class TestTwoAtomProjection:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0, 8.0])
+    def test_matches_nested_grid_minimum(self, p):
+        s = lp_space(p, 16)
+        rng = np.random.default_rng(int(10 * p))
+        for k in range(4):
+            G = rng.standard_normal(16)
+            phi = rng.standard_normal(16)
+            phi /= pnorm(p, phi)
+            # odd draws put the unconstrained optimum at lam < 0
+            c = -1.0 if k % 2 else 1.0
+            f = 0.9 * G + c * phi + 0.2 * rng.standard_normal(16)
+            free = chebyshev_project(s, Element(f, s),
+                                     [Element(G, s), Element(phi, s)])
+            assert (free.coeffs[1] < 0.0) == (k % 2 == 1)
+            w, lam, v = algorithms._two_dir_solve(s, f, G, phi)
+            assert lam >= 0.0
+            assert v == pytest.approx(grid_two_dir_min(p, f, G, phi),
+                                      rel=1e-9)
+            assert v == pytest.approx(pnorm(p, f - (1.0 - w) * G - lam * phi),
+                                      rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_zero_previous_approximant_is_a_ray_solve(self, p):
+        s = lp_space(p, 16)
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal(16)
+        for f in (rng.standard_normal(16), -phi + 0.1 * rng.standard_normal(16)):
+            w, lam, v = algorithms._two_dir_solve(s, f, np.zeros(16), phi)
+            ref = min_along_ray(p, f, phi, nonneg=True)
+            assert (w, lam) == (0.0, ref)
+            assert v == pnorm(p, f - ref * phi)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("c", [2.0, -0.5])
+    def test_parallel_directions(self, p, c):
+        # G_prev = c phi: the admissible set is the whole line through phi
+        s = lp_space(p, 16)
+        rng = np.random.default_rng(4)
+        phi = rng.standard_normal(16)
+        f = rng.standard_normal(16)
+        w, lam, v = algorithms._two_dir_solve(s, f, c * phi, phi)
+        t = min_along_ray(p, f, phi)
+        assert lam >= 0.0
+        assert v == pytest.approx(pnorm(p, f - t * phi), rel=1e-12)
+        assert v == pytest.approx(pnorm(p, f - ((1.0 - w) * c + lam) * phi),
+                                  rel=1e-12)
+
+    def test_never_above_the_previous_approximant_at_p_200(self):
+        p = 200.0
+        s = lp_space(p, 16)
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            G = rng.standard_normal(16)
+            phi = rng.standard_normal(16)
+            f = G + 10.0 ** rng.uniform(-8, 0) * rng.standard_normal(16)
+            with np.errstate(over="ignore"):
+                w, lam, v = algorithms._two_dir_solve(s, f, G, phi)
+                assert lam >= 0.0
+                assert v <= pnorm(p, f - G)
+
+    def test_capped_solves_pass_the_audit(self, monkeypatch):
+        # on this input about half of awgafr's two-atom projections cannot
+        # meet the stationarity test; each must stop at the cap of 20
+        # iterations (the default cap of 500 makes the run ten times slower)
+        iters = []
+        project = algorithms.chebyshev_project
+
+        def counted(*args):
+            res = project(*args)
+            iters.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(algorithms, "chebyshev_project", counted)
         s = lp_space(1.5, 32)
         D = build_dictionary(s, "random_gauss", 128, seed=890651)
         t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=385081))
         errs = ErrorSchedule(delta=SequenceSpec(kind="prop72auto"),
                              eta=SequenceSpec(kind="prop72auto"))
-        run_awbga("awgafr", t.f, D, T1, errs, max_m=58, target=t)
-        assert sum(capped) >= 2
+        rep = run_awbga("awgafr", t.f, D, T1, errs, max_m=100, target=t)
+        assert audit_conditions(rep).passed
+        assert len(iters) == len(rep.records) - 1
+        assert max(iters) <= 20
 
 
 class TestLevelCrossing:

@@ -61,13 +61,26 @@ class TestNorm:
             assert pnorm(p, a) == pytest.approx(ref, rel=1e-14)
 
     def test_ordinary_inputs_take_the_plain_sum(self):
+        # bitwise np.sum's result, at lengths on both sides of its pairwise
+        # summation blocks
         rng = np.random.default_rng(0)
         for p in (1.5, 2.0, 3.0, 4.0, 7.3):
-            for _ in range(200):
-                a = rng.standard_normal(16) * 10.0 ** rng.uniform(-5, 5)
-                plain = (np.sqrt(np.dot(a, a)) if p == 2.0
-                         else np.sum(np.abs(a) ** p) ** (1.0 / p))
-                assert pnorm(p, a) == float(plain)
+            for n in (1, 7, 16, 32, 129, 300):
+                for _ in range(40):
+                    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+                    plain = (np.sqrt(np.dot(a, a)) if p == 2.0
+                             else np.sum(np.abs(a) ** p) ** (1.0 / p))
+                    assert pnorm(p, a) == float(plain)
+
+    @pytest.mark.parametrize("p", [64.0, 200.0])
+    def test_scaled_route_sums_like_np_sum(self, p):
+        rng = np.random.default_rng(int(p))
+        for n in (1, 16, 129):
+            for _ in range(40):
+                a = rng.standard_normal(n) * 1e-6
+                scale = float(np.max(np.abs(a)))
+                ref = scale * float(np.sum((np.abs(a) / scale) ** p)) ** (1.0 / p)
+                assert pnorm(p, a) == ref
 
     def test_dimension_mismatch(self):
         s = lp_space(2.0, 2)
