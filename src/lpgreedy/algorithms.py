@@ -1,16 +1,28 @@
-"""Greedy iteration engine: one-step transitions and the run driver.
+"""The greedy loop of the WBGA class and the update rules of its members.
 
-Algorithm ids: wcga (full projection onto all selected atoms), wgafr (free
-relaxation: the same projection onto the previous approximant and the new
-atom, with a nonnegative atom coefficient), rwrga (decoupled line search +
-rescale), rrxga (norm-scan selection + rescale, no weakness parameter),
-wrga (convex relaxation), wdga (plain one-dimensional update), gg
-(explicit step size from the space's smoothness constants, then rescale).
+One private loop, ``_run``, drives every algorithm id.  Each iteration
+takes the norming functional of the residual f_{m-1} (perturbed by delta
+for the approximate ids), selects an atom by the weak greedy rule (or by
+the norm scan, for rrxga), applies the id's update rule from ``_RULES``,
+and measures the result.  A rule wraps its exact solve in
+``relaxed_minimize``, which with eta = 0 returns that solve unchanged, so
+the exact ids are the zero-error case of the approximate ones.  The
+functional of the new residual is computed once per step: it measures the
+residual-approximant pairing and then drives the next selection.
+
+Update rules: wcga/awcga (projection onto all selected atoms), wgafr/awgafr
+(free relaxation: the same projection onto the previous approximant and the
+new atom, with a nonnegative atom coefficient), rwrga/arwrga (line search
+along the atom, then rescale), rrxga (norm-scan selection, then rescale; no
+weakness parameter), wrga (convex relaxation), wdga (plain one-dimensional
+update), gg (explicit step size from the space's smoothness constants, then
+rescale).
 
 Every iteration records the measured quantities the diagnostics layer
 audits: selection threshold values, an independently measured single-atom
-error-reduction reference, the residual-approximant pairing, and grid
-margins for the orthogonality-style inequalities.
+error-reduction reference, the residual-approximant pairing, the error
+budgets, and (exact ids) grid margins for the orthogonality-style
+inequalities.
 """
 
 from __future__ import annotations
@@ -23,10 +35,12 @@ from typing import Optional
 import numpy as np
 
 from .dictionary import Dictionary, Target, greedy_select
+from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
+                           relaxed_minimize)
 from .solvers import (_TINY, DEFAULT_SOLVER, SolverConfig, chebyshev_project,
                       dense_line_min, min_along_ray)
-from .space import (DualFunctional, Element, LpSpace, dict_dual_norm,
-                    functional_coords, pnorm, pnorm_rows)
+from .space import (DualFunctional, Element, LpSpace, dict_dual_norm, pnorm,
+                    pnorm_rows)
 from .tolerances import DEFAULT_TOLS
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
@@ -88,10 +102,12 @@ class GreedyState:
     f: np.ndarray
     f_m: np.ndarray
     G_m: np.ndarray
-    m: int = 0
-    selected: list = field(default_factory=list)
+    cfg: SolverConfig
     basis: list = field(default_factory=list)   # Elements, wcga only
-    coeffs: Optional[np.ndarray] = None
+
+    def update(self, G: np.ndarray) -> None:
+        self.G_m = G
+        self.f_m = self.f - G
 
 
 @dataclass
@@ -174,24 +190,25 @@ class RunReport:
             raise ValueError(f"malformed report: {e}") from e
 
 
-def _functional(space: LpSpace, arr: np.ndarray, arr_norm: float) -> DualFunctional:
-    coords = functional_coords(space.p, arr, arr_norm)
-    return DualFunctional(coords=coords, space=space, norm_bound=1.0)
+def _functional(space: LpSpace, errs: ErrorSchedule, k: int, f_k: np.ndarray,
+                r_k: float, t_next: float) -> tuple:
+    """(F, delta_k, achieved delta) for the residual f_k of norm r_k: its
+    norming functional, perturbed by the schedule's delta_k (exact at 0)."""
+    delta = errs.delta_at(space, k, r_k, t_next)
+    pf = perturbed_functional(space, Element(coords=f_k, space=space), delta,
+                              seed=errs.seed + 7919 * k)
+    return pf.functional, delta, pf.achieved_delta
 
 
-def bo_noise_floor(g_norm: float) -> float:
-    """Below this residual norm the residual direction is float cancellation
-    noise and the residual-approximant pairing cannot be measured; such
-    remainders count as numerically exact and their defect is recorded as 0."""
-    return max(DEFAULT_TOLS.zero_residual, 1e-8 * max(1.0, g_norm))
-
-
-def _measured_bo(space: LpSpace, f_m: np.ndarray, r_new: float,
-                 G: np.ndarray) -> float:
-    if r_new <= bo_noise_floor(pnorm(space.p, G)):
+def _measured_bo(F: DualFunctional, r_new: float, G: np.ndarray,
+                 g_norm: float) -> float:
+    """|F(G)| for the functional F of the residual, whose norm is r_new; 0
+    below the noise floor max(zero_residual, 1e-8 max(1, ||G||)), where the
+    residual direction is float cancellation noise and the pairing cannot be
+    measured (such remainders count as numerically exact)."""
+    if r_new <= max(DEFAULT_TOLS.zero_residual, 1e-8 * max(1.0, g_norm)):
         return 0.0
-    F = functional_coords(space.p, f_m, r_new)
-    return abs(float(np.dot(F, G)))
+    return abs(float(np.dot(F.coords, G)))
 
 
 def _er_reference(space: LpSpace, f_prev: np.ndarray, phi: np.ndarray,
@@ -267,17 +284,17 @@ def _rescale(space: LpSpace, f: np.ndarray, v: np.ndarray) -> tuple:
     """min over mu in R of ||f - mu v|| by the exact ray minimiser, whose
     derivative-precision stationary point keeps the residual-approximant
     pairing at machine precision as the residual shrinks.  The identity
-    rescale is always admissible and wins if the solve lands above it.
-    Returns (mu, mu * v, value)."""
+    rescale is always admissible and wins if the solve lands above it.  A
+    numerically zero v is dropped (mu = 0).  Returns (mu, value)."""
     p = space.p
     if pnorm(p, v) <= 1e-15:
-        return 1.0, v * 0.0, pnorm(p, f)
+        return 0.0, pnorm(p, f)
     mu = min_along_ray(p, f, v)
     val = pnorm(p, f - mu * v)
     val_id = pnorm(p, f - v)
     if val_id < val * (1.0 - 1e-12):
         mu, val = 1.0, val_id
-    return mu, mu * v, val
+    return mu, val
 
 
 def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
@@ -290,12 +307,12 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     unconstrained optimum has b < 0, the constrained one lies on lam = 0 by
     convexity, and the ray solve along G_prev finds it.  The previous
     approximant, (w, lam) = (0, 0), is always admissible and is kept when
-    the solve lands above it.  Returns (w, lam, value).
+    the solve lands above it.  Returns (array [w, lam], value).
     """
     p = space.p
     if not G_prev.any():
         lam = min_along_ray(p, f, phi, nonneg=True)
-        return 0.0, lam, pnorm(p, f - lam * phi)
+        return np.array([0.0, lam]), pnorm(p, f - lam * phi)
     proj = chebyshev_project(space, Element(coords=f, space=space),
                              [Element(coords=G_prev, space=space),
                               Element(coords=phi, space=space)],
@@ -308,94 +325,110 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     value = pnorm(p, r)
     keep = pnorm(p, f - G_prev)
     if keep < value:
-        return 0.0, 0.0, keep
-    return 1.0 - a, b, value
+        return np.array([0.0, 0.0]), keep
+    return np.array([1.0 - a, b]), value
 
 
-def step_wcga(state: GreedyState, D: Dictionary, sidx: int,
-              cfg: SolverConfig) -> dict:
+def _wcga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+          seed: int) -> dict:
     """Append the atom and project f onto the span of all selected atoms."""
-    phi = D.atom(sidx)
-    state.basis.append(Element(coords=phi, space=state.space))
-    proj = chebyshev_project(state.space, Element(coords=state.f, space=state.space),
-                             state.basis, cfg)
-    state.G_m = proj.approximant.coords
-    state.f_m = proj.residual.coords
-    state.coeffs = proj.coeffs
-    return {"lam": float(proj.coeffs[-1]), "converged": proj.converged}
+    space, f = st.space, st.f
+    st.basis.append(Element(coords=phi, space=space))
+    Phi = np.array([b.coords for b in st.basis]).T
+    proj = chebyshev_project(space, Element(coords=f, space=space), st.basis,
+                             st.cfg)
+    c, _ = relaxed_minimize(
+        lambda c: pnorm(space.p, f - Phi @ c), eta,
+        lambda: (proj.coeffs, pnorm(space.p, proj.residual.coords)),
+        seed=seed + 1)
+    # f_m = f - Phi c is bitwise the projection's residual when c is exact
+    st.f_m = f - Phi @ c
+    st.G_m = f - st.f_m
+    return {"lam": float(c[-1]), "converged": proj.converged}
 
 
-def step_wgafr(state: GreedyState, D: Dictionary, sidx: int,
-               cfg: SolverConfig) -> dict:
+def _wgafr(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+           seed: int) -> dict:
     """Best approximation from span{G_prev, phi} with lam >= 0: the
     two-atom Chebyshev projection of ``_two_dir_solve``."""
-    phi = D.atom(sidx)
-    w, lam, _ = _two_dir_solve(state.space, state.f, state.G_m, phi)
-    state.G_m = (1.0 - w) * state.G_m + lam * phi
-    state.f_m = state.f - state.G_m
-    return {"lam": lam, "omega": w}
+    p, f, G_prev = st.space.p, st.f, st.G_m
+    x, _ = relaxed_minimize(
+        lambda x: pnorm(p, f - ((1.0 - x[0]) * G_prev + x[1] * phi)), eta,
+        lambda: _two_dir_solve(st.space, f, G_prev, phi), seed=seed + 1,
+        project=lambda x: np.array([x[0], max(0.0, x[1])]))
+    st.update((1.0 - x[0]) * G_prev + x[1] * phi)
+    return {"lam": float(x[1]), "omega": float(x[0])}
 
 
-def step_rwrga(state: GreedyState, D: Dictionary, sidx: int,
-               cfg: SolverConfig) -> dict:
-    """Line search along the atom, then rescale the whole approximant."""
-    phi = D.atom(sidx)
-    f = state.f
-    lam = min_along_ray(state.space.p, state.f_m, phi, nonneg=True)
-    mu, G, _ = _rescale(state.space, f, state.G_m + lam * phi)
-    state.G_m = G
-    state.f_m = f - G
-    return {"lam": lam, "mu": mu}
+def _rescaled(st: GreedyState, v: np.ndarray, eta: float, seed: int) -> float:
+    """Set the approximant to mu v, mu from ``_rescale``; returns mu."""
+    mu, _ = relaxed_minimize(lambda mu: pnorm(st.space.p, st.f - mu * v), eta,
+                             lambda: _rescale(st.space, st.f, v), seed=seed)
+    st.update(mu * v)
+    return float(mu)
 
 
-def step_rrxga(state: GreedyState, D: Dictionary, sidx: int, lam: float,
-               cfg: SolverConfig) -> dict:
-    """Rescale step for the scan-selected atom (selection happens upstream)."""
-    phi = D.atom(sidx)
-    mu, G, _ = _rescale(state.space, state.f, state.G_m + lam * phi)
-    state.G_m = G
-    state.f_m = state.f - G
-    return {"lam": lam, "mu": mu}
+def _wdga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+          seed: int) -> dict:
+    """Line search along the atom: G_prev + lam phi with lam >= 0."""
+    p, f_prev = st.space.p, st.f_m
+
+    def along(lam: float) -> float:
+        return pnorm(p, f_prev - lam * phi)
+
+    lam0 = min_along_ray(p, f_prev, phi, nonneg=True)
+    lam, _ = relaxed_minimize(along, eta, lambda: (lam0, along(lam0)),
+                              seed=seed + 1, project=lambda x: max(0.0, x))
+    st.update(st.G_m + lam * phi)
+    return {"lam": float(lam)}
 
 
-def step_variant(state: GreedyState, D: Dictionary, sidx: int, variant: str,
-                 cfg: SolverConfig, gs_value: float = 0.0) -> dict:
-    """wrga / wdga / gg one-step updates."""
-    phi = D.atom(sidx)
-    f, p = state.f, state.space.p
-    f_prev, G_prev = state.f_m, state.G_m
+def _rwrga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+           seed: int) -> dict:
+    """The wdga line search, then rescale the whole approximant; each of
+    the two solves gets a third of the eta budget."""
+    info = _wdga(st, phi, hint, eta / 3.0, seed)
+    return dict(info, mu=_rescaled(st, st.G_m, eta / 3.0, seed + 2))
 
-    if variant == "wrga":
-        # f - ((1-lam) G_prev + lam phi) = f_prev - lam (phi - G_prev)
-        lam = min(1.0, min_along_ray(p, f_prev, phi - G_prev, nonneg=True))
-        state.G_m = (1.0 - lam) * G_prev + lam * phi
-        state.f_m = f - state.G_m
-        return {"lam": lam}
 
-    if variant == "wdga":
-        lam = min_along_ray(p, f_prev, phi, nonneg=True)
-        state.G_m = G_prev + lam * phi
-        state.f_m = f - state.G_m
-        return {"lam": lam}
+def _rrxga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+           seed: int) -> dict:
+    """Rescale step for the scan-selected atom; ``hint`` is the scan's step."""
+    return {"lam": hint, "mu": _rescaled(st, st.G_m + hint * phi, eta, seed + 1)}
 
-    if variant == "gg":
-        space = state.space
-        r_prev = pnorm(p, f_prev)
-        mag = (abs(gs_value) / (2.0 * space.gamma * space.q)) ** (1.0 / (space.q - 1.0))
-        lam = float(np.sign(gs_value)) * r_prev * mag if gs_value != 0.0 else 0.0
-        mu, G, _ = _rescale(space, f, G_prev + lam * phi)
-        state.G_m = G
-        state.f_m = f - G
-        return {"lam": lam, "mu": mu}
 
-    raise ValueError(f"unknown variant {variant!r}")
+def _wrga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+          seed: int) -> dict:
+    """Convex relaxation (1 - lam) G_prev + lam phi with lam in [0, 1]."""
+    # f - ((1-lam) G_prev + lam phi) = f_prev - lam (phi - G_prev)
+    lam = min(1.0, min_along_ray(st.space.p, st.f_m, phi - st.G_m, nonneg=True))
+    st.update((1.0 - lam) * st.G_m + lam * phi)
+    return {"lam": lam}
+
+
+def _gg(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
+        seed: int) -> dict:
+    """Step from the smoothness constants, then rescale; ``hint`` is F(phi)."""
+    space = st.space
+    r_prev = pnorm(space.p, st.f_m)
+    mag = (abs(hint) / (2.0 * space.gamma * space.q)) ** (1.0 / (space.q - 1.0))
+    lam = float(np.sign(hint)) * r_prev * mag if hint != 0.0 else 0.0
+    return {"lam": lam, "mu": _rescaled(st, st.G_m + lam * phi, eta, seed + 1)}
+
+
+# id -> update rule(state, phi, hint, eta, seed) -> record fields.  The
+# rule replaces f_m and G_m; hint is F(phi) for a weak selection and the
+# scan's step for rrxga; seed derives the random directions of the eta walk.
+_RULES = {"wcga": _wcga, "wgafr": _wgafr, "rwrga": _rwrga, "rrxga": _rrxga,
+          "wrga": _wrga, "wdga": _wdga, "gg": _gg,
+          "awcga": _wcga, "awgafr": _wgafr, "arwrga": _rwrga}
 
 
 def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                cfg: SolverConfig = None, max_m: int = 100,
                stop_tol: float = 1e-12, rule: str = "exact_argmax",
                target: Optional[Target] = None) -> RunReport:
-    """Iterate one algorithm until max_m, exact arrival, or a stall.
+    """Iterate one exact algorithm until max_m, exact arrival, or a stall.
 
     Deterministic given the dictionary/target seeds; every record is fully
     populated with the measured per-iteration quantities.
@@ -403,37 +436,50 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _run(algorithm, f, D, tau, None, cfg, max_m, stop_tol, rule, target)
+
+
+def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
+         errs: Optional[ErrorSchedule], cfg: Optional[SolverConfig],
+         max_m: int, stop_tol: float, rule: str,
+         target: Optional[Target]) -> RunReport:
+    """The WBGA loop for every id; ``errs`` is None for the exact ids, which
+    run with zero errors and also record the grid margins."""
     space = f.space
     if D.space != space:
         raise ValueError("target and dictionary live in different spaces")
     cfg = cfg or DEFAULT_SOLVER
+    exact = errs is None
+    errs = errs or ZERO_ERRORS
+    p = space.p
+    update = _RULES[algorithm]
 
     warnings: list = []
     if algorithm == "wrga" and (target is None or not target.in_hull):
         warnings.append("wrga target lacks a hull certificate; "
                         "convergence is only guaranteed on the hull")
 
-    state = GreedyState(space=space, f=f.coords.copy(), f_m=f.coords.copy(),
-                        G_m=np.zeros(space.n))
+    st = GreedyState(space=space, f=f.coords.copy(), f_m=f.coords.copy(),
+                     G_m=np.zeros(space.n), cfg=cfg)
     records: list = []
     termination = "max_m"
+    r = r0 = pnorm(p, st.f_m)
+    delta0 = delta0_achieved = 0.0
     loop_to = max_m
-    if pnorm(space.p, state.f_m) <= stop_tol:
+    if r0 <= stop_tol:
         termination = "already exact"
         loop_to = 0
+    else:
+        F, delta0, delta0_achieved = _functional(space, errs, 0, st.f_m, r0,
+                                                 tau.value(1))
 
     for m in range(1, loop_to + 1):
         tick = time.perf_counter_ns()
-        f_prev = state.f_m.copy()
-        r_prev = pnorm(space.p, f_prev)
-        F = _functional(space, f_prev, r_prev)
-
+        f_prev, r_prev = st.f_m, r
         if algorithm == "rrxga":
-            t_m = 0.0
-            sidx, lam_scan = _xgreedy_scan(space, f_prev, D, r_prev)
-            phi = D.atom(sidx)
-            gs_lhs = float(np.dot(F.coords, phi))
-            gs_rhs = 0.0
+            t_m = gs_rhs = 0.0
+            sidx, hint = _xgreedy_scan(space, f_prev, D, r_prev)
+            gs_lhs = float(np.dot(F.coords, D.atom(sidx)))
         else:
             t_m = tau.value(m)
             dn = dict_dual_norm(F, D)
@@ -442,37 +488,37 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                 break
             sidx, gs_lhs = greedy_select(F, D, t_m, rule)
             gs_rhs = t_m * dn
-            phi = D.atom(sidx)
-
+            hint = gs_lhs
+        phi = D.atom(sidx)
         er_ref = _er_reference(space, f_prev, phi, r_prev, cfg)
+        eta_m = errs.eta_at(space, m, r_prev, t_m)
 
-        if algorithm == "wcga":
-            info = step_wcga(state, D, sidx, cfg)
-            if not info.pop("converged"):
-                warnings.append(f"projection not converged at m={m}")
-        elif algorithm == "wgafr":
-            info = step_wgafr(state, D, sidx, cfg)
-        elif algorithm == "rwrga":
-            info = step_rwrga(state, D, sidx, cfg)
-        elif algorithm == "rrxga":
-            info = step_rrxga(state, D, sidx, lam_scan, cfg)
-        else:
-            info = step_variant(state, D, sidx, algorithm, cfg, gs_value=gs_lhs)
+        info = update(st, phi, hint, eta_m, errs.seed + 7919 * m)
+        if not info.pop("converged", True):
+            warnings.append(f"projection not converged at m={m}")
 
-        state.selected.append(sidx)
-        state.m = m
-        r_new = pnorm(space.p, state.f_m)
-        bo_abs = _measured_bo(space, state.f_m, r_new, state.G_m)
-        bj, neg = _grid_margins(space, f_prev, r_prev, phi, state.f_m, r_new,
-                                state.G_m)
+        r = pnorm(p, st.f_m)
+        g_norm = pnorm(p, st.G_m)
+        if errs.eta_overrun(space, eta_m, r, t_m):
+            warnings.append(f"eta threshold exceeded at m={m}")
+        # below both floors the run stops here and needs no functional
+        delta_m = delta_achieved = 0.0
+        if r > min(stop_tol, DEFAULT_TOLS.zero_residual):
+            F, delta_m, delta_achieved = _functional(space, errs, m, st.f_m,
+                                                     r, tau.value(m + 1))
+        bo_abs = _measured_bo(F, r, st.G_m, g_norm)
+        bj = neg = 0.0
+        if exact:
+            bj, neg = _grid_margins(space, f_prev, r_prev, phi, st.f_m, r,
+                                    st.G_m)
         records.append(IterationRecord(
             m=m, selected_index=int(sidx), t_m=t_m, gs_lhs=gs_lhs, gs_rhs=gs_rhs,
-            residual_norm=r_new, bo_abs=bo_abs, er_reference=er_ref,
-            lam=float(info.get("lam", 0.0)),
-            omega=info.get("omega"), mu=info.get("mu"),
+            residual_norm=r, bo_abs=bo_abs, er_reference=er_ref,
+            delta_m=delta_m, delta_achieved=delta_achieved, eta_m=eta_m,
+            eps_m=errs.eps_at(space, m, delta_m, eta_m, g_norm),
             bj_margin=bj, neg_line_margin=neg,
-            wall_ns=time.perf_counter_ns() - tick))
-        if r_new <= stop_tol:
+            wall_ns=time.perf_counter_ns() - tick, **info))
+        if r <= stop_tol:
             termination = "stop_tol"
             break
 
@@ -487,8 +533,9 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
         weakness=tau.as_dict(),
         solver=asdict(cfg),
         max_m=max_m, stop_tol=stop_tol, rule=rule,
-        termination=termination, records=records,
-        initial_residual=pnorm(space.p, f.coords), warnings=warnings)
+        termination=termination, records=records, initial_residual=r0,
+        warnings=warnings, errors=None if exact else errs.as_dict(),
+        delta0=delta0, delta0_achieved=delta0_achieved)
 
 
 def _target_meta(target: Optional[Target]) -> dict:

@@ -10,7 +10,8 @@ from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Element,
                       WeaknessSchedule, audit_conditions, build_dictionary,
                       error_reduction_margins, lp_space, make_target,
                       run_awbga, run_greedy, verify_rates)
-from lpgreedy.algorithms import _grid_margins, _xgreedy_scan
+from lpgreedy.algorithms import _RULES, _grid_margins, _xgreedy_scan
+from lpgreedy.diagnostics import APPLICABLE_CHECKS
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
 from lpgreedy.solvers import min_along_ray
 from lpgreedy.space import pnorm
@@ -346,3 +347,72 @@ class TestLargeP:
         with np.errstate(over="ignore"):
             rep = run_greedy("wgafr", t.f, D, T1, max_m=60, target=t)
         assert audit_conditions(rep).passed
+
+
+# Selected indices of every exact id on one input, captured before the
+# greedy loop and the update rules were merged: a change to the loop or a
+# rule must not change which atoms an exact run picks.
+PINNED_EXACT_SELECTIONS = {
+    ("wcga", 1.5): [37, -76, -99, 62, -89, 102, -20, -43, 122, -25, 29, 28,
+                    -6, 81, 97, -13, 104, -42, -95, -72, -123, -35, -53, -55,
+                    7, -124, 66, -71, 54, -117],
+    ("wcga", 3.0): [37, -99, -76, 62, -89, -63, 28, -108, -101, 5, -20, -43,
+                    50, 78, 110, 29, -6, 45, 93, 42, -21, -46, 57, -56, 127,
+                    -123, -88, -117, 66, -12],
+    ("wgafr", 1.5): [37, -76, -99, 62, 112, 17, 67, 76, -43, -13, -31, -63,
+                     -89, -56, -14, -119, 50, 124, 78, -24, -30, 12, -77, 123,
+                     -98, -47, 88, 82, -119, -89],
+    ("wgafr", 3.0): [37, -99, -76, 62, -89, 102, -43, -14, 39, -20, 28, -30,
+                     97, 64, -53, 22, -65, -19, -3, -119, -51, -8, 35, 49, 62,
+                     -15, 100, -53, 125, -98],
+    ("rwrga", 1.5): [37, -76, -99, -56, -23, 112, 67, 62, 28, -31, -66, 39,
+                     -81, -14, -96, -89, -74, -9, -61, 104, -58, -74, -7, 5,
+                     23, -92, 112, 105, 128, 113],
+    ("rwrga", 3.0): [37, -99, -76, 62, 67, 112, -66, -24, 109, 102, -57, 28,
+                     -43, 122, 105, 94, -30, -65, -63, 10, -38, 1, -96, -123,
+                     14, -127, 100, -113, 125, 16],
+    ("rrxga", 1.5): [37, -99, -76, 102, 5, -60, 118, -51, 112, 62, -65, 91,
+                     19, -81, -77, 117, -23, 67, 87, -20, -46, -36, -30, -49,
+                     105, -108, -119, -65, -63, -77],
+    ("rrxga", 3.0): [37, -99, -76, 62, -89, 102, -43, -14, -20, 97, -51, 28,
+                     -30, 64, -108, -19, -46, 29, 114, -96, -8, -13, -59, -119,
+                     -43, 16, -44, -14, -59, -98],
+    ("wrga", 1.5): [37, -76, -99, 62, 73, -25, 37, 102, 84, 121, -89, 37, 5,
+                    -89, 62, 75, -89, -40, -76, 37, -66, -99, 37, 112, -76, 62,
+                    17, 37, -99, 37],
+    ("wrga", 3.0): [37, -99, -76, 62, 37, 102, -89, -99, 37, -25, -99, 5, -76,
+                    84, 37, -99, 62, 73, -76, -38, -40, -66, 75, 37, 112, -99,
+                    62, -76, 37, -99],
+    ("wdga", 1.5): [37, -76, -99, 102, 5, -9, 39, -65, 99, 62, 112, -85, -96,
+                    76, -10, 114, 6, -23, 19, -124, -68, -45, -43, -24, -14,
+                    -77, -46, 128, -54, -96],
+    ("wdga", 3.0): [37, -99, -76, 62, -89, 102, -108, -43, 28, -63, -13, 5,
+                    -20, 76, -24, 39, -59, -53, -31, 18, -13, -72, 112, 62,
+                    -30, -65, -95, 73, -111, 45],
+    ("gg", 1.5): [37, -76, -99, -99, -76, -99, 102, -76, 102, -76, -99, -43,
+                  102, -43, -76, -99, -43, 102, 62, -76, -99, -65, 67, 62, -43,
+                  -99, -76, -65, 62, 67],
+    ("gg", 3.0): [37, -99, -76, -99, -76, -99, 62, 102, 121, 5, 102, -76, 112,
+                  62, -37, 67, -37, -37, 112, -10, -65, -43, -37, -37, -66,
+                  112, -86, 67, -14, 17],
+}
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("algo", ALGORITHM_IDS)
+def test_pinned_exact_selections(algo, p):
+    s = lp_space(p, 32)
+    D = build_dictionary(s, "random_gauss", 128, seed=101)
+    t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=201))
+    rep = run_greedy(algo, t.f, D, T1, max_m=30, target=t)
+    pinned = PINNED_EXACT_SELECTIONS[(algo, p)]
+    assert [r.selected_index for r in rep.records] == pinned
+
+
+def test_one_rule_table():
+    # every id, exact or approximate, is one entry of the loop's rule table,
+    # and the audit knows exactly these ids
+    assert tuple(_RULES) == ALGORITHM_IDS + AWBGA_IDS
+    assert set(_RULES) == set(APPLICABLE_CHECKS)
+    for exact_id, approx_id in zip(ALGORITHM_IDS, AWBGA_IDS):
+        assert _RULES[exact_id] is _RULES[approx_id]

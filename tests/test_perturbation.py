@@ -200,13 +200,31 @@ class TestRunAwbga:
     @pytest.mark.parametrize("pair", [("awcga", "wcga"), ("awgafr", "wgafr"),
                                       ("arwrga", "rwrga")])
     def test_zero_schedules_reproduce_exact_runs(self, pair):
+        # the exact ids are the zero-error case of the approximate ones:
+        # same atoms and bitwise the same residual norms
         approx_id, exact_id = pair
-        s, D, t = self.setup_env()
-        rep_a = run_awbga(approx_id, t.f, D, T1, ZERO_ERRORS, max_m=12, target=t)
-        rep_e = run_greedy(exact_id, t.f, D, T1, max_m=12, target=t)
-        n = min(len(rep_a.records), len(rep_e.records))
-        for ra, re in zip(rep_a.records[:n], rep_e.records[:n]):
-            assert ra.residual_norm == pytest.approx(re.residual_norm, abs=1e-6)
+        for p in (1.5, 2.0, 3.0):
+            s, D, t = self.setup_env(p=p)
+            rep_a = run_awbga(approx_id, t.f, D, T1, ZERO_ERRORS, max_m=12,
+                              target=t)
+            rep_e = run_greedy(exact_id, t.f, D, T1, max_m=12, target=t)
+            assert ([r.selected_index for r in rep_a.records]
+                    == [r.selected_index for r in rep_e.records])
+            assert ([r.residual_norm for r in rep_a.records]
+                    == [r.residual_norm for r in rep_e.records])
+
+    def test_functional_is_fresh_below_the_zero_residual(self):
+        # with stop_tol below the zero-residual floor the run goes on past
+        # an exact arrival; each step must still take the delta-perturbed
+        # functional of its own residual, not reuse the previous one
+        s, D, t = self.setup_env(p=3.0, n=8, N=32)
+        errs = ErrorSchedule(delta=SequenceSpec(kind="const", c=0.1),
+                             eta=SequenceSpec(kind="const", c=0.0))
+        rep = run_awbga("awcga", t.f, D, T1, errs, max_m=12, stop_tol=0.0,
+                        target=t)
+        assert len(rep.records) == 12
+        assert min(r.residual_norm for r in rep.records) < 1e-12
+        assert all(r.delta_m == 0.1 for r in rep.records)
 
     @pytest.mark.parametrize("algo", ["awcga", "awgafr", "arwrga"])
     def test_bo_defect_within_derived_slack(self, algo):
@@ -292,7 +310,7 @@ class TestTwoAtomProjection:
             free = chebyshev_project(s, Element(f, s),
                                      [Element(G, s), Element(phi, s)])
             assert (free.coeffs[1] < 0.0) == (k % 2 == 1)
-            w, lam, v = algorithms._two_dir_solve(s, f, G, phi)
+            (w, lam), v = algorithms._two_dir_solve(s, f, G, phi)
             assert lam >= 0.0
             assert v == pytest.approx(grid_two_dir_min(p, f, G, phi),
                                       rel=1e-9)
@@ -305,7 +323,7 @@ class TestTwoAtomProjection:
         rng = np.random.default_rng(3)
         phi = rng.standard_normal(16)
         for f in (rng.standard_normal(16), -phi + 0.1 * rng.standard_normal(16)):
-            w, lam, v = algorithms._two_dir_solve(s, f, np.zeros(16), phi)
+            (w, lam), v = algorithms._two_dir_solve(s, f, np.zeros(16), phi)
             ref = min_along_ray(p, f, phi, nonneg=True)
             assert (w, lam) == (0.0, ref)
             assert v == pnorm(p, f - ref * phi)
@@ -318,7 +336,7 @@ class TestTwoAtomProjection:
         rng = np.random.default_rng(4)
         phi = rng.standard_normal(16)
         f = rng.standard_normal(16)
-        w, lam, v = algorithms._two_dir_solve(s, f, c * phi, phi)
+        (w, lam), v = algorithms._two_dir_solve(s, f, c * phi, phi)
         t = min_along_ray(p, f, phi)
         assert lam >= 0.0
         assert v == pytest.approx(pnorm(p, f - t * phi), rel=1e-12)
@@ -334,7 +352,7 @@ class TestTwoAtomProjection:
             phi = rng.standard_normal(16)
             f = G + 10.0 ** rng.uniform(-8, 0) * rng.standard_normal(16)
             with np.errstate(over="ignore"):
-                w, lam, v = algorithms._two_dir_solve(s, f, G, phi)
+                (w, lam), v = algorithms._two_dir_solve(s, f, G, phi)
                 assert lam >= 0.0
                 assert v <= pnorm(p, f - G)
 
