@@ -22,16 +22,15 @@ from .solvers import (ProjectionResult, SolverConfig, bracket_minimum,
 from .space import (DualFunctional, Element, LpSpace, apply_functional,
                     dict_dual_norm, empirical_modulus, lp_space, norm,
                     norming_functional, smoothness_bound, xi_root)
-from .tolerances import DEFAULT_TOLS, Tolerances
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_IDS", "AWBGA_IDS", "BOUND_IDS", "AuditReport", "BoundSpec",
-    "DEFAULT_TOLS", "Dictionary", "DualFunctional", "Element",
-    "ErrorSchedule", "IterationRecord", "LpSpace", "PerturbedFunctional",
-    "ProjectionResult", "RunReport", "SequenceSpec", "SolverConfig",
-    "Target", "TargetSpec", "Tolerances", "WeaknessSchedule",
+    "Dictionary", "DualFunctional", "Element", "ErrorSchedule",
+    "IterationRecord", "LpSpace", "PerturbedFunctional", "ProjectionResult",
+    "RunReport", "SequenceSpec", "SolverConfig", "Target", "TargetSpec",
+    "WeaknessSchedule",
     "apply_functional", "audit_conditions", "bound_curve",
     "bracket_minimum", "build_dictionary", "chebyshev_project",
     "derived_eps_bound", "dict_dual_norm", "empirical_modulus",

@@ -10,13 +10,14 @@ the exact ids are the zero-error case of the approximate ones.  The
 functional of the new residual is computed once per step: it measures the
 residual-approximant pairing and then drives the next selection.
 
-Update rules: wcga/awcga (projection onto all selected atoms), wgafr/awgafr
-(free relaxation: the same projection onto the previous approximant and the
-new atom, with a nonnegative atom coefficient), rwrga/arwrga (line search
-along the atom, then rescale), rrxga (norm-scan selection, then rescale; no
-weakness parameter), wrga (convex relaxation), wdga (plain one-dimensional
-update), gg (explicit step size from the space's smoothness constants, then
-rescale).
+Update rules: wcga/awcga (projection onto all selected atoms, kept as the
+rows of a growing ``(m, n)`` array, the layout of ``Dictionary.matrix``),
+wgafr/awgafr (free relaxation: the same projection onto the previous
+approximant and the new atom, with a nonnegative atom coefficient),
+rwrga/arwrga (line search along the atom, then rescale), rrxga (norm-scan
+selection, then rescale; no weakness parameter), wrga (convex relaxation),
+wdga (plain one-dimensional update), gg (explicit step size from the
+space's smoothness constants, then rescale).
 
 Every iteration records the measured quantities the diagnostics layer
 audits: selection threshold values, an independently measured single-atom
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,6 @@ from .solvers import (_TINY, DEFAULT_SOLVER, SolverConfig, chebyshev_project,
                       dense_line_min, min_along_ray)
 from .space import (DualFunctional, Element, LpSpace, dict_dual_norm, pnorm,
                     pnorm_rows)
-from .tolerances import DEFAULT_TOLS
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
 
@@ -52,6 +52,8 @@ _NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
 # test is out of floating-point reach (near-optimal at p = 1.5 under
 # prop72auto) the default cap of 500 would be spent in full.
 _TWO_DIR_SOLVER = SolverConfig(max_iters=20)
+# Below this residual norm a remainder counts as exactly 0.
+_ZERO_RESIDUAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class GreedyState:
     f_m: np.ndarray
     G_m: np.ndarray
     cfg: SolverConfig
-    basis: list = field(default_factory=list)   # Elements, wcga only
+    basis: np.ndarray  # (m, n), the selected atoms as rows (wcga only)
 
     def update(self, G: np.ndarray) -> None:
         self.G_m = G
@@ -183,11 +185,31 @@ class RunReport:
             raise ValueError(f"report must be a JSON object, not {type(d).__name__}")
         if not isinstance(d.get("records"), list):
             raise ValueError("report has no 'records' list")
+        # the fields the audit and the rate bounds read
+        for name, keys in (("space_meta", ("q", "gamma", "p_conj")),
+                           ("weakness", ("kind", "t0")),
+                           ("target_meta", ("eps", "a_eps"))):
+            sub = d.get(name)
+            bad = [k for k in keys if not isinstance(sub, dict) or not
+                   isinstance(sub.get(k), str if k == "kind" else (int, float))]
+            if bad:
+                raise ValueError(f"report field {name!r} lacks {bad}")
         try:
             records = [IterationRecord(**r) for r in d.pop("records")]
-            return RunReport(records=records, **d)
+            report = RunReport(records=records, **d)
         except TypeError as e:
             raise ValueError(f"malformed report: {e}") from e
+        # one set of types per field over all records, which costs about
+        # half as much as checking value by value
+        columns = zip(*(vars(r).values() for r in records))
+        for f, column in zip(fields(IterationRecord), columns):
+            odd = set(map(type, column)) - {int, float}
+            if f.name in ("omega", "mu"):
+                odd.discard(type(None))
+            if odd:
+                raise ValueError(f"record field {f.name!r} is not a number "
+                                 f"in every record")
+        return report
 
 
 def _functional(space: LpSpace, errs: ErrorSchedule, k: int, f_k: np.ndarray,
@@ -206,7 +228,7 @@ def _measured_bo(F: DualFunctional, r_new: float, G: np.ndarray,
     below the noise floor max(zero_residual, 1e-8 max(1, ||G||)), where the
     residual direction is float cancellation noise and the pairing cannot be
     measured (such remainders count as numerically exact)."""
-    if r_new <= max(DEFAULT_TOLS.zero_residual, 1e-8 * max(1.0, g_norm)):
+    if r_new <= max(_ZERO_RESIDUAL, 1e-8 * max(1.0, g_norm)):
         return 0.0
     return abs(float(np.dot(F.coords, G)))
 
@@ -313,12 +335,10 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     if not G_prev.any():
         lam = min_along_ray(p, f, phi, nonneg=True)
         return np.array([0.0, lam]), pnorm(p, f - lam * phi)
-    proj = chebyshev_project(space, Element(coords=f, space=space),
-                             [Element(coords=G_prev, space=space),
-                              Element(coords=phi, space=space)],
+    proj = chebyshev_project(space, f, np.array([G_prev, phi]),
                              _TWO_DIR_SOLVER)
     a, b = (float(c) for c in proj.coeffs)
-    r = proj.residual.coords
+    r = proj.residual
     if b < 0.0:
         a, b = min_along_ray(p, f, G_prev), 0.0
         r = f - a * G_prev
@@ -333,13 +353,12 @@ def _wcga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
           seed: int) -> dict:
     """Append the atom and project f onto the span of all selected atoms."""
     space, f = st.space, st.f
-    st.basis.append(Element(coords=phi, space=space))
-    Phi = np.array([b.coords for b in st.basis]).T
-    proj = chebyshev_project(space, Element(coords=f, space=space), st.basis,
-                             st.cfg)
+    st.basis = np.vstack((st.basis, phi))
+    Phi = st.basis.T
+    proj = chebyshev_project(space, f, st.basis, st.cfg)
     c, _ = relaxed_minimize(
         lambda c: pnorm(space.p, f - Phi @ c), eta,
-        lambda: (proj.coeffs, pnorm(space.p, proj.residual.coords)),
+        lambda: (proj.coeffs, pnorm(space.p, proj.residual)),
         seed=seed + 1)
     # f_m = f - Phi c is bitwise the projection's residual when c is exact
     st.f_m = f - Phi @ c
@@ -460,7 +479,8 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                         "convergence is only guaranteed on the hull")
 
     st = GreedyState(space=space, f=f.coords.copy(), f_m=f.coords.copy(),
-                     G_m=np.zeros(space.n), cfg=cfg)
+                     G_m=np.zeros(space.n), cfg=cfg,
+                     basis=np.empty((0, space.n)))
     records: list = []
     termination = "max_m"
     r = r0 = pnorm(p, st.f_m)
@@ -503,7 +523,7 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
             warnings.append(f"eta threshold exceeded at m={m}")
         # below both floors the run stops here and needs no functional
         delta_m = delta_achieved = 0.0
-        if r > min(stop_tol, DEFAULT_TOLS.zero_residual):
+        if r > min(stop_tol, _ZERO_RESIDUAL):
             F, delta_m, delta_achieved = _functional(space, errs, m, st.f_m,
                                                      r, tau.value(m + 1))
         bo_abs = _measured_bo(F, r, st.G_m, g_norm)

@@ -297,23 +297,16 @@ def verify_rates(report: RunReport, bound_ids: list,
     meta = report.target_meta
     for bid in bound_ids:
         if bid in ("cor21", "cor52", "cor72", "prop72"):
-            if not meta.get("in_hull"):
-                results.append(RateCheck(bound_id=bid, applicable=False,
-                                         passed=True, worst_margin=float("nan"),
-                                         max_tightness=float("nan"),
-                                         reason="requires a hull certificate"))
-                continue
-        elif not meta.get("certificate"):
+            skip = "" if meta.get("in_hull") else "requires a hull certificate"
+        else:
+            skip = "" if meta.get("certificate") else \
+                "requires (eps, A(eps)) metadata"
+        if not skip and bid == "cor21" and report.weakness["kind"] != "constant":
+            skip = "requires a constant weakness sequence"
+        if skip:
             results.append(RateCheck(bound_id=bid, applicable=False,
                                      passed=True, worst_margin=float("nan"),
-                                     max_tightness=float("nan"),
-                                     reason="requires (eps, A(eps)) metadata"))
-            continue
-        if bid == "cor21" and report.weakness["kind"] != "constant":
-            results.append(RateCheck(bound_id=bid, applicable=False,
-                                     passed=True, worst_margin=float("nan"),
-                                     max_tightness=float("nan"),
-                                     reason="requires a constant weakness sequence"))
+                                     max_tightness=float("nan"), reason=skip))
             continue
         spec = BoundSpec.from_report(bid, report)
         bounds = bound_curve(spec, report)

@@ -2,11 +2,14 @@
 
 A dictionary stores one representative per symmetric pair {g, -g}; selection
 always scans both signs, encoded as a signed 1-based index (+i picks g_i,
--i picks -g_i).
+-i picks -g_i).  Its atoms are the rows of one ``(N, n)`` array,
+``Dictionary.matrix``: every scan, the target sampler and the signed-index
+lookup read it, and the projection takes a set of atoms in the same layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,32 +24,35 @@ DICTIONARY_KINDS = ("canonical", "random_gauss", "trig_grid", "coherent")
 class Dictionary:
     """Ordered set of unit-norm atoms spanning the whole space.
 
-    ``matrix`` stacks the atom coordinates row-wise for vectorized scans;
-    treat instances as immutable after construction.
+    ``matrix`` is the ``(N, n)`` array of the atoms, one per row; treat
+    instances as immutable after construction.
     """
 
     space: LpSpace
-    elements: list
+    matrix: np.ndarray = field(repr=False)
     kind_tag: str
     seed: int
-    matrix: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.matrix is None:
-            self.matrix = np.array([e.coords for e in self.elements])
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[1] != self.space.n:
+            raise ValueError(f"dictionary matrix must have shape (N, "
+                             f"{self.space.n}), got {self.matrix.shape}")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("dictionary atoms must be finite")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.matrix.shape[0]
 
     def atom(self, signed_index: int) -> np.ndarray:
         """Atom for a signed 1-based index; the sign selects g or -g."""
-        if signed_index == 0 or abs(signed_index) > len(self.elements):
+        if signed_index == 0 or abs(signed_index) > len(self):
             raise IndexError(f"signed index {signed_index} out of range")
         v = self.matrix[abs(signed_index) - 1]
         return v if signed_index > 0 else -v
 
     def spec_string(self) -> str:
-        return f"dict:{self.kind_tag},N={len(self.elements)},seed={self.seed}"
+        return f"dict:{self.kind_tag},N={len(self)},seed={self.seed}"
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,8 @@ class TargetSpec:
     def __post_init__(self):
         if self.mode not in ("a1_sparse", "a1_dense", "general_plus_noise"):
             raise ValueError(f"unknown target mode {self.mode!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,7 @@ def build_dictionary(space: LpSpace, kind: str, size: int, seed: int = 0) -> Dic
     rows = rows / pnorm_rows(space.p, rows)[:, None]
     if np.linalg.matrix_rank(rows) < n:
         raise ValueError("dictionary does not span the space")
-    elements = [Element(coords=r, space=space) for r in rows]
-    return Dictionary(space=space, elements=elements, kind_tag=kind, seed=seed,
-                      matrix=rows)
+    return Dictionary(space=space, matrix=rows, kind_tag=kind, seed=seed)
 
 
 def greedy_select(F: DualFunctional, D: Dictionary, t: float,
@@ -136,7 +140,7 @@ def greedy_select(F: DualFunctional, D: Dictionary, t: float,
     sign preferred); "threshold_first" returns the first atom in scan order
     clearing the threshold, which is what actually exercises t < 1.
     """
-    if len(D.elements) == 0:
+    if len(D) == 0:
         raise ValueError("empty dictionary")
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
@@ -162,7 +166,7 @@ def sample_a1_target(D: Dictionary, spec: TargetSpec) -> tuple:
     """
     if spec.mode not in ("a1_sparse", "a1_dense"):
         raise ValueError("sample_a1_target requires an a1 mode")
-    size = len(D.elements)
+    size = len(D)
     k = size if spec.mode == "a1_dense" else spec.k
     if not (1 <= k <= size):
         raise ValueError(f"sparsity k={k} out of range for dictionary of size {size}")

@@ -85,10 +85,14 @@ def parse_space(spec: str) -> LpSpace:
 
 
 def parse_dict_spec(spec: str) -> tuple:
+    """(kind, N, seed); N is None when omitted, which means N = n."""
     body = _fields(_strip_tag(spec, "dict:"))
     kind = body[0]
     kv = _kv(body[1:])
-    return kind, int(kv.get("N", 0)), int(kv.get("seed", 0))
+    size = int(kv["N"]) if "N" in kv else None
+    if size is not None and size < 1:
+        raise ValueError(f"dictionary size N must be positive, got {size}")
+    return kind, size, int(kv.get("seed", 0))
 
 
 def parse_target_spec(spec: str) -> TargetSpec:
@@ -174,8 +178,6 @@ class ExperimentConfig:
     solver_tol: float = 1e-8
     solver_grad_tol: float = 1e-10
     solver_max_iters: int = 500
-    out: Optional[str] = None
-    timings: bool = False
 
     def serialize(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -210,7 +212,7 @@ def execute(config: ExperimentConfig) -> RunReport:
     config.validate()
     space = parse_space(config.space)
     kind, size, dseed = parse_dict_spec(config.dict_spec)
-    D = build_dictionary(space, kind, size if size > 0 else space.n, dseed)
+    D = build_dictionary(space, kind, space.n if size is None else size, dseed)
     target = make_target(D, parse_target_spec(config.target))
     tau = parse_weakness(config.weakness)
     cfg = SolverConfig(tol=config.solver_tol, grad_tol=config.solver_grad_tol,
@@ -291,8 +293,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         space=args.space, dict_spec=args.dict, target=args.target,
         algorithm=args.algo, weakness=args.weakness, errors=args.errors,
-        max_m=args.iters, stop_tol=args.stop_tol, rule=args.rule,
-        out=args.out, timings=args.timings)
+        max_m=args.iters, stop_tol=args.stop_tol, rule=args.rule)
     report = execute(config)
     out = _out_path(args.out)
     emit_csv(report, out, timings=args.timings)
@@ -430,7 +431,7 @@ def main(argv: list = None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -140,6 +140,8 @@ class ErrorSchedule:
             raise ValueError(f"unknown eps mode {self.eps_mode!r}")
         if self.eps_mode == "list" and not self.eps_values:
             raise ValueError("list eps mode needs values")
+        if not all(math.isfinite(v) and v >= 0.0 for v in self.eps_values or ()):
+            raise ValueError("eps list values must be finite and nonnegative")
 
     def as_dict(self) -> dict:
         return {"delta": self.delta.as_dict(), "eta": self.eta.as_dict(),

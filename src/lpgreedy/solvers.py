@@ -5,7 +5,9 @@ a -> ||r - a v||, and ``min_along_ray`` solves it exactly: safeguarded
 Newton on the sign of its derivative, certified by the width of a bracket.
 The Chebyshev projection is the one multi-dimensional solve.  It serves the
 WCGA over all selected atoms and the free-relaxation step over two atoms,
-the previous approximant and the new one.  It takes Newton directions from
+the previous approximant and the new one.  Like ``Dictionary.matrix``, its
+basis is an ``(m, n)`` array with one atom per row, and the target and the
+residual are plain ``(n,)`` arrays.  It takes Newton directions from
 reweighted least squares, steps along each by the exact ray minimiser, and
 its stopping rule is the biorthogonality of the residual against every
 atom of the basis.  Its least-squares start and directions are
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .space import Element, LpSpace, functional_coords, pnorm
+from .space import LpSpace, functional_coords, pnorm
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_CAP = 1e12
@@ -74,9 +76,8 @@ DEFAULT_SOLVER = SolverConfig()
 
 @dataclass
 class ProjectionResult:
-    coeffs: np.ndarray
-    approximant: Element
-    residual: Element
+    coeffs: np.ndarray    # (m,): one coefficient per basis row
+    residual: np.ndarray  # (n,): f - basis.T @ coeffs
     converged: bool
     iterations: int
 
@@ -341,9 +342,12 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
+def chebyshev_project(space: LpSpace, f: np.ndarray, basis: np.ndarray,
                       cfg: SolverConfig = DEFAULT_SOLVER) -> ProjectionResult:
-    """Best approximation of f from span(basis) in the lp norm.
+    """Best approximation of f from the span of the basis rows, lp norm.
+
+    ``f`` is an ``(n,)`` array and ``basis`` an ``(m, n)`` array of atoms as
+    rows, the layout of ``Dictionary.matrix``; the solves use basis.T.
 
     Newton descent on sum |r_i|^p from the least-squares coefficients (the
     answer at p = 2).  Each direction is the reweighted least-squares fit of
@@ -358,12 +362,20 @@ def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
     representation) stops immediately, since the norm is not differentiable
     there.
     """
-    if len(basis) == 0:
-        raise ValueError("basis must be nonempty")
+    f = np.asarray(f, dtype=float)
+    # C order makes Phi the same F-ordered view whatever layout the caller
+    # passed, so the solves do not depend on it
+    basis = np.ascontiguousarray(basis, dtype=float)
+    if (f.shape != (space.n,) or basis.ndim != 2 or len(basis) == 0
+            or basis.shape[1] != space.n):
+        raise ValueError(f"need f of shape ({space.n},) and a nonempty basis of "
+                         f"shape (m, {space.n}), got {f.shape} and {basis.shape}")
+    if not (np.isfinite(f).all() and np.isfinite(basis).all()):
+        raise ValueError("f and basis must be finite")
     p = space.p
-    Phi = np.array([b.coords for b in basis]).T  # (n, m)
-    lam = _lstsq(Phi, f.coords)
-    r = f.coords - Phi @ lam
+    Phi = basis.T  # (n, m)
+    lam = _lstsq(Phi, f)
+    r = f - Phi @ lam
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
@@ -385,8 +397,6 @@ def chebyshev_project(space: LpSpace, f: Element, basis: Sequence[Element],
         if alpha == 0.0:
             break
         lam = lam + alpha * d
-        r = f.coords - Phi @ lam
-    G = Element(coords=f.coords - r, space=space)
-    return ProjectionResult(coeffs=lam, approximant=G,
-                            residual=Element(coords=r, space=space),
-                            converged=converged, iterations=iters)
+        r = f - Phi @ lam
+    return ProjectionResult(coeffs=lam, residual=r, converged=converged,
+                            iterations=iters)

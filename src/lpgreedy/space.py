@@ -39,11 +39,6 @@ class LpSpace:
     gamma: float
     p_conj: float
 
-    @property
-    def dual_exponent(self) -> float:
-        """Hoelder conjugate p/(p-1) used for dual-vector norms."""
-        return self.p / (self.p - 1.0)
-
     def spec_string(self) -> str:
         return f"lp:p={self.p:g},n={self.n}"
 
@@ -196,7 +191,7 @@ def apply_functional(F: DualFunctional, g: Element) -> float:
 
 def dict_dual_norm(F: DualFunctional, D: "Dictionary") -> float:
     """sup over the (symmetrized) dictionary of F(g), i.e. max_i |F(g_i)|."""
-    if len(D.elements) == 0:
+    if len(D) == 0:
         raise ValueError("empty dictionary")
     return float(np.max(np.abs(D.matrix @ F.coords)))
 
@@ -220,21 +215,10 @@ def _modulus_sample(space: LpSpace, n_samples: int, seed: int):
     n = space.n
     xs = rng.standard_normal((n_samples, n))
     ys = rng.standard_normal((n_samples, n))
-    extras_x, extras_y = [], []
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    extras_x.append(e1)
-    extras_y.append(e1)  # y = x
-    if n >= 2:
-        e2 = np.zeros(n)
-        e2[1] = 1.0
-        extras_x.append(e1)
-        extras_y.append(e2)  # axis pair
-    ones = np.ones(n)
-    extras_x.append(ones)
-    extras_y.append(ones)
-    X = np.vstack([xs] + [v[None, :] for v in extras_x])
-    Y = np.vstack([ys] + [v[None, :] for v in extras_y])
+    eye, ones = np.eye(n), np.ones(n)
+    # (e1, e1) is the pair y = x, (e1, e2) the axis pair
+    X = np.vstack([xs, eye[0], eye[0], ones] if n >= 2 else [xs, eye[0], ones])
+    Y = np.vstack([ys, eye[0], eye[1], ones] if n >= 2 else [ys, eye[0], ones])
     X = X / pnorm_rows(space.p, X)[:, None]
     Y = Y / pnorm_rows(space.p, Y)[:, None]
     return X, Y

@@ -1,14 +1,29 @@
 import numpy as np
 import pytest
 
-from lpgreedy import (Element, TargetSpec, build_dictionary, dict_dual_norm,
-                      greedy_select, lp_space, make_target, norm,
+from lpgreedy import (Dictionary, Element, TargetSpec, build_dictionary,
+                      dict_dual_norm, greedy_select, lp_space, make_target, norm,
                       norming_functional, perturb_target, sample_a1_target)
 
 
 @pytest.fixture
 def s2():
     return lp_space(2.0, 3)
+
+
+class TestDictionaryMatrix:
+    def test_atoms_are_the_rows(self, s2):
+        D = Dictionary(space=s2, matrix=[[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]],
+                       kind_tag="custom", seed=0)
+        assert len(D) == 2
+        assert np.array_equal(D.atom(-2), [0.0, -0.6, -0.8])
+        assert D.spec_string() == "dict:custom,N=2,seed=0"
+
+    @pytest.mark.parametrize("matrix", [np.ones(3), np.ones((4, 2)),
+                                        np.array([[1.0, 0.0, np.nan]])])
+    def test_malformed_matrix_rejected(self, s2, matrix):
+        with pytest.raises(ValueError):
+            Dictionary(space=s2, matrix=matrix, kind_tag="custom", seed=0)
 
 
 class TestBuildDictionary:
@@ -23,8 +38,8 @@ class TestBuildDictionary:
         s = lp_space(p, 16)
         D = build_dictionary(s, kind, 48, seed=3)
         assert len(D) == 48
-        for g in D.elements:
-            assert norm(s, g) == pytest.approx(1.0, abs=1e-12)
+        for g in D.matrix:
+            assert norm(s, Element(coords=g, space=s)) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.matrix_rank(D.matrix) == 16
 
     def test_random_gauss_full_scale(self):

@@ -34,6 +34,7 @@ class TestSpecParsing:
         assert parse_dict_spec("dict:random_gauss,N=256,seed=7") == \
             ("random_gauss", 256, 7)
         assert parse_dict_spec("canonical,N=8,seed=0") == ("canonical", 8, 0)
+        assert parse_dict_spec("canonical,seed=2") == ("canonical", None, 2)
 
     def test_target_specs(self):
         t = parse_target_spec("target:a1,k=16,seed=3")
@@ -190,6 +191,75 @@ class TestCli:
         rc = main(["audit", str(bad)])
         assert rc == 2
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda b: b["records"][0].update(residual_norm="x"),
+         "'residual_norm' is not a number"),
+        (lambda b: b["space_meta"].pop("q"), "'space_meta' lacks ['q']"),
+        (lambda b: b["space_meta"].pop("gamma"),
+         "'space_meta' lacks ['gamma']"),
+        (lambda b: b["space_meta"].pop("p_conj"),
+         "'space_meta' lacks ['p_conj']"),
+        (lambda b: b["target_meta"].pop("eps"),
+         "'target_meta' lacks ['eps']"),
+        (lambda b: b["target_meta"].pop("a_eps"),
+         "'target_meta' lacks ['a_eps']"),
+        (lambda b: b["weakness"].pop("kind"), "'weakness' lacks ['kind']"),
+        (lambda b: b["weakness"].pop("t0"), "'weakness' lacks ['t0']"),
+    ])
+    def test_audit_malformed_nested_field_is_usage_error(self, tmp_path, capsys,
+                                                         edit, problem):
+        out = tmp_path / "r.csv"
+        main(RUN_ARGS + ["--out", str(out)])
+        blob = json.loads(out.with_suffix(".json").read_text())
+        assert blob["target_meta"]["certificate"]
+        edit(blob)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        with pytest.raises(ValueError) as e:
+            RunReport.from_json(bad.read_text())
+        assert problem in str(e.value)
+        rc = main(["audit", str(bad)])
+        assert rc == 2
+        assert problem in capsys.readouterr().err
+
+    def test_audit_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["audit", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_out_below_a_file_is_usage_error(self, tmp_path, capsys):
+        # like --out /dev/null/x.csv: the parent directory cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(RUN_ARGS + ["--out", str(blocker / "x.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,spec,problem", [
+        ("--target", "noisy,k=2,eps=nan,seed=3", "eps must be finite"),
+        ("--target", "noisy,k=2,eps=inf,seed=3", "eps must be finite"),
+        ("--dict", "random_gauss,N=-3,seed=7", "N must be positive"),
+        ("--dict", "random_gauss,N=0,seed=7", "N must be positive"),
+    ])
+    def test_bad_spec_number_is_usage_error(self, tmp_path, capsys, option,
+                                            spec, problem):
+        args = list(RUN_ARGS)
+        args[args.index(option) + 1] = spec
+        out = tmp_path / "r.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["list:nan", "list:0.1,inf", "list:-0.1"])
+    def test_bad_eps_list_is_usage_error(self, tmp_path, capsys, eps):
+        out = tmp_path / "a.csv"
+        rc = main(["run", "--algo", "awcga", "--space", "lp:p=2,n=8",
+                   "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=3",
+                   "--errors", f"err:delta=const:0,eta=const:0,eps={eps}",
+                   "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        assert "eps list values" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_nonpositive_iters_is_usage_error(self, tmp_path, capsys, iters):

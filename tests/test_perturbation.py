@@ -134,17 +134,16 @@ class TestRelaxedMinimize:
         s = lp_space(p, 24)
         rng = np.random.default_rng(9)
         for i in range(20):
-            basis = [Element(coords=rng.standard_normal(24), space=s)
-                     for _ in range(4)]
-            Phi = np.array([b.coords for b in basis]).T
-            f = Element(coords=rng.standard_normal(24), space=s)
+            basis = rng.standard_normal((4, 24))
+            Phi = basis.T
+            f = rng.standard_normal(24)
             proj = chebyshev_project(s, f, basis)
             eta = float(10.0 ** rng.uniform(-8, 0))
 
             def obj(c, f=f, Phi=Phi):
-                return pnorm(p, f.coords - Phi @ c)
+                return pnorm(p, f - Phi @ c)
 
-            v_star = pnorm(p, proj.residual.coords)
+            v_star = pnorm(p, proj.residual)
             _, v = relaxed_minimize(obj, eta, lambda: (proj.coeffs, v_star),
                                     seed=i)
             budget = v_star * (1.0 + 0.5 * eta)
@@ -307,8 +306,7 @@ class TestTwoAtomProjection:
             # odd draws put the unconstrained optimum at lam < 0
             c = -1.0 if k % 2 else 1.0
             f = 0.9 * G + c * phi + 0.2 * rng.standard_normal(16)
-            free = chebyshev_project(s, Element(f, s),
-                                     [Element(G, s), Element(phi, s)])
+            free = chebyshev_project(s, f, np.array([G, phi]))
             assert (free.coeffs[1] < 0.0) == (k % 2 == 1)
             (w, lam), v = algorithms._two_dir_solve(s, f, G, phi)
             assert lam >= 0.0

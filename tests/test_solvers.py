@@ -226,25 +226,46 @@ class TestMinAlongRay:
 class TestChebyshevProject:
     def test_hilbert_single_axis(self):
         s = lp_space(2.0, 2)
-        f = Element(coords=np.array([0.6, 0.4]), space=s)
-        e1 = Element(coords=np.array([1.0, 0.0]), space=s)
-        res = chebyshev_project(s, f, [e1])
+        f = np.array([0.6, 0.4])
+        e1 = np.array([1.0, 0.0])
+        res = chebyshev_project(s, f, e1[None, :])
         assert res.coeffs[0] == pytest.approx(0.6, abs=1e-10)
-        assert np.allclose(res.residual.coords, [0.0, 0.4], atol=1e-10)
+        assert np.allclose(res.residual, [0.0, 0.4], atol=1e-10)
         assert res.converged
 
     def test_exact_representation(self):
         s = lp_space(2.0, 3)
-        f = Element(coords=np.array([0.6, 0.4, 0.0]), space=s)
-        basis = [Element(coords=np.eye(3)[i], space=s) for i in (0, 1)]
+        f = np.array([0.6, 0.4, 0.0])
+        basis = np.eye(3)[[0, 1]]
         res = chebyshev_project(s, f, basis)
-        assert pnorm(2.0, res.residual.coords) <= 1e-12
+        assert pnorm(2.0, res.residual) <= 1e-12
 
     def test_empty_basis_rejected(self):
         s = lp_space(2.0, 2)
-        f = Element(coords=np.array([1.0, 0.0]), space=s)
+        f = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
-            chebyshev_project(s, f, [])
+            chebyshev_project(s, f, np.empty((0, 2)))
+
+    @pytest.mark.parametrize("f,basis", [
+        (np.ones(2), np.ones((2, 3))),           # rows of the wrong length
+        (np.ones(3), np.ones((1, 2))),           # f of the wrong length
+        (np.ones(2), np.ones(2)),                # an atom that is not a row
+        (np.array([1.0, np.nan]), np.ones((1, 2))),
+        (np.ones(2), np.array([[1.0, np.inf]])),
+    ])
+    def test_malformed_input_rejected(self, f, basis):
+        with pytest.raises(ValueError):
+            chebyshev_project(lp_space(2.0, 2), f, basis)
+
+    def test_basis_layout_does_not_change_the_result(self):
+        rng = np.random.default_rng(8)
+        s = lp_space(3.0, 12)
+        A = rng.standard_normal((12, 5))
+        f = rng.standard_normal(12)
+        rows = chebyshev_project(s, f, np.ascontiguousarray(A.T))
+        cols = chebyshev_project(s, f, A.T)  # a Fortran-ordered view
+        assert np.array_equal(rows.coeffs, cols.coeffs)
+        assert np.array_equal(rows.residual, cols.residual)
 
     @pytest.mark.parametrize("k", [5, 20, 50])
     def test_matches_normal_equations_up_to_size_50(self, k):
@@ -252,39 +273,35 @@ class TestChebyshevProject:
         s = lp_space(2.0, 64)
         A = rng.standard_normal((64, k))
         A /= np.linalg.norm(A, axis=0)
-        basis = [Element(coords=A[:, j], space=s) for j in range(k)]
-        f = Element(coords=rng.standard_normal(64), space=s)
-        res = chebyshev_project(s, f, basis)
-        coef, *_ = np.linalg.lstsq(A, f.coords, rcond=None)
+        f = rng.standard_normal(64)
+        res = chebyshev_project(s, f, A.T)
+        coef, *_ = np.linalg.lstsq(A, f, rcond=None)
         assert np.allclose(res.coeffs, coef, atol=1e-8)
-        ref = float(np.linalg.norm(f.coords - A @ coef))
-        assert pnorm(2.0, res.residual.coords) == pytest.approx(ref, abs=1e-8)
+        ref = float(np.linalg.norm(f - A @ coef))
+        assert pnorm(2.0, res.residual) == pytest.approx(ref, abs=1e-8)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_residual_biorthogonal_to_basis(self, p):
         rng = np.random.default_rng(3)
         s = lp_space(p, 12)
         A = rng.standard_normal((12, 6))
-        basis = []
-        for j in range(6):
-            col = A[:, j] / pnorm(p, A[:, j])
-            basis.append(Element(coords=col, space=s))
-        f = Element(coords=rng.standard_normal(12), space=s)
+        basis = np.array([A[:, j] / pnorm(p, A[:, j]) for j in range(6)])
+        f = rng.standard_normal(12)
         cfg = SolverConfig()
         res = chebyshev_project(s, f, basis, cfg)
         assert res.converged
-        F = norming_functional(s, res.residual)
+        F = norming_functional(s, Element(coords=res.residual, space=s))
         for b in basis:
-            assert abs(float(np.dot(F.coords, b.coords))) <= cfg.grad_tol * 1.01
+            assert abs(float(np.dot(F.coords, b))) <= cfg.grad_tol * 1.01
 
     def test_rank_deficient_basis_converges_in_value(self):
         s = lp_space(2.0, 4)
         v = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
-        basis = [Element(coords=v, space=s)] * 3  # duplicated atom
-        f = Element(coords=np.array([1.0, 0.0, 0.0, 0.0]), space=s)
+        basis = np.array([v] * 3)  # duplicated atom
+        f = np.array([1.0, 0.0, 0.0, 0.0])
         res = chebyshev_project(s, f, basis)
-        ref = float(np.linalg.norm(f.coords - np.dot(f.coords, v) * v))
-        assert pnorm(2.0, res.residual.coords) == pytest.approx(ref, abs=1e-9)
+        ref = float(np.linalg.norm(f - np.dot(f, v) * v))
+        assert pnorm(2.0, res.residual) == pytest.approx(ref, abs=1e-9)
 
     @staticmethod
     def _random_problem(p, n, m, seed):
@@ -292,14 +309,13 @@ class TestChebyshevProject:
         A = rng.standard_normal((n, m))
         f = rng.standard_normal(n)
         s = lp_space(p, n)
-        basis = [Element(coords=A[:, j], space=s) for j in range(m)]
-        return s, A, Element(coords=f, space=s), basis
+        return s, A, f, A.T
 
     def test_hilbert_full_span_reaches_zero_residual(self):
         s, _, f, basis = self._random_problem(2.0, 64, 64, 0)
         res = chebyshev_project(s, f, basis)
         assert res.converged
-        assert pnorm(2.0, res.residual.coords) <= 1e-12 * np.linalg.norm(f.coords)
+        assert pnorm(2.0, res.residual) <= 1e-12 * np.linalg.norm(f)
 
     @pytest.mark.parametrize("p,n,m,seed", [(4.0, 64, 63, 1), (32.0, 32, 28, 0)])
     def test_nearly_full_span_converges_quickly(self, p, n, m, seed):
@@ -308,7 +324,7 @@ class TestChebyshevProject:
         res = chebyshev_project(s, f, basis, cfg)
         assert res.converged
         assert res.iterations <= 50
-        F = norming_functional(s, res.residual)
+        F = norming_functional(s, Element(coords=res.residual, space=s))
         assert float(np.max(np.abs(F.coords @ A))) <= cfg.grad_tol
 
     def test_wcga_run_below_two_never_caps(self):
@@ -343,8 +359,8 @@ class TestProjectionLstsq:
         rng = np.random.default_rng(5)
         s = lp_space(p, 12)
         A = rng.standard_normal((12, 4))
-        basis = [Element(coords=A[:, j], space=s) for j in (0, 1, 2, 1, 3)]
-        f = Element(coords=rng.standard_normal(12), space=s)
+        basis = A.T[[0, 1, 2, 1, 3]]
+        f = rng.standard_normal(12)
         calls = self._count_lstsq(monkeypatch)
         res = chebyshev_project(s, f, basis)
         assert calls  # the duplicated column leaves R with a tiny diagonal
@@ -352,21 +368,20 @@ class TestProjectionLstsq:
                             lambda A, b: np.linalg.lstsq(A, b, rcond=None)[0])
         ref = chebyshev_project(s, f, basis)
         assert res.converged and ref.converged
-        assert pnorm(p, res.residual.coords) == pytest.approx(
-            pnorm(p, ref.residual.coords), rel=1e-12)
+        assert pnorm(p, res.residual) == pytest.approx(
+            pnorm(p, ref.residual), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_wide_basis(self, p, monkeypatch):
         rng = np.random.default_rng(6)
         s = lp_space(p, 5)
-        basis = [Element(coords=rng.standard_normal(5), space=s)
-                 for _ in range(8)]
-        f = Element(coords=rng.standard_normal(5), space=s)
+        basis = np.array([rng.standard_normal(5) for _ in range(8)])
+        f = rng.standard_normal(5)
         calls = self._count_lstsq(monkeypatch)
         res = chebyshev_project(s, f, basis)
         assert calls == [(5, 8)]
         assert res.converged
-        assert pnorm(p, res.residual.coords) <= 1e-12
+        assert pnorm(p, res.residual) <= 1e-12
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
     @pytest.mark.parametrize("m", [1, 8, 32, 64])

@@ -9,7 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lpgreedy import chebyshev_project, lp_space
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -26,3 +29,14 @@ def test_traced_label_resolves_to_a_function(label):
     mod, fn = label.split(".")
     obj = getattr(importlib.import_module("lpgreedy." + mod), fn, None)
     assert callable(obj), f"{label} is not a function of lpgreedy"
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_projection_result_carries_the_traced_counters(p):
+    # the trace adds up ``iterations`` and counts ``not converged`` of every
+    # projection it wraps
+    rng = np.random.default_rng(0)
+    res = chebyshev_project(lp_space(p, 8), rng.standard_normal(8),
+                            rng.standard_normal((3, 8)))
+    assert type(res.iterations) is int and res.iterations >= 1
+    assert type(res.converged) is bool
