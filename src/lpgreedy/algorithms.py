@@ -3,8 +3,8 @@
 One private loop, ``_run``, drives every algorithm id.  Each iteration
 takes the norming functional of the residual f_{m-1} (perturbed by delta
 for the approximate ids), selects an atom by the weak greedy rule (or by
-the norm scan, for rrxga), applies the id's update rule from ``_RULES``,
-and measures the result.  A rule wraps its exact solve in
+the norm scan, for rrxga) and applies the id's update rule from
+``_RULES``.  A rule wraps its exact solve in
 ``relaxed_minimize``, which with eta = 0 returns that solve unchanged, so
 the exact ids are the zero-error case of the approximate ones.  The
 functional of the new residual is computed once per step: it measures the
@@ -23,7 +23,11 @@ Every iteration records the measured quantities the diagnostics layer
 audits: selection threshold values, an independently measured single-atom
 error-reduction reference, the residual-approximant pairing, the error
 budgets, and (exact ids) grid margins for the orthogonality-style
-inequalities.
+inequalities.  The reference and the grid margins never feed the next
+step, so the loop only keeps what they need (the residuals, atoms, norms
+and, for the exact ids, approximants) and ``_measure`` computes them after
+it: a few steps at a time, each batch one call of the nested grid scans
+and two row-norm calls.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ _NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
 _TWO_DIR_SOLVER = SolverConfig(max_iters=20)
 # Below this residual norm a remainder counts as exactly 0.
 _ZERO_RESIDUAL = 1e-12
+# Largest temporary of the measurement pass, in float64 values (128 KB):
+# it measures as many steps at once as keep their grid scans within it.
+_MEASURE_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -217,8 +224,7 @@ def _functional(space: LpSpace, errs: ErrorSchedule, k: int, f_k: np.ndarray,
     """(F, delta_k, achieved delta) for the residual f_k of norm r_k: its
     norming functional, perturbed by the schedule's delta_k (exact at 0)."""
     delta = errs.delta_at(space, k, r_k, t_next)
-    pf = perturbed_functional(space, Element(coords=f_k, space=space), delta,
-                              seed=errs.seed + 7919 * k)
+    pf = perturbed_functional(space, f_k, delta, seed=errs.seed + 7919 * k)
     return pf.functional, delta, pf.achieved_delta
 
 
@@ -234,22 +240,59 @@ def _measured_bo(F: DualFunctional, r_new: float, G: np.ndarray,
 
 
 def _er_reference(space: LpSpace, f_prev: np.ndarray, phi: np.ndarray,
-                  r_prev: float, cfg: SolverConfig) -> float:
-    """Independently measured inf over lam >= 0 of ||f_prev - lam phi||,
-    by the nested grid scans of ``dense_line_min`` (no ray solve)."""
-    def vec(ls: np.ndarray) -> np.ndarray:
-        return pnorm_rows(space.p, f_prev[None, :] - ls[:, None] * phi[None, :])
-    return dense_line_min(vec, 0.0, 2.0 * r_prev, cfg=cfg)[1]
+                  r_prev: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Independently measured inf over lam >= 0 of ||f_prev - lam phi|| for
+    each row of the ``(k, n)`` arrays f_prev and phi, with r_prev the norms
+    of f_prev: one batch of nested grid scans over [0, 2 r_prev] by
+    ``dense_line_min`` (no ray solve)."""
+    n = space.n
+
+    def vec(ls: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        R = f_prev[rows, None, :] - ls[:, :, None] * phi[rows, None, :]
+        return pnorm_rows(space.p, R.reshape(-1, n)).reshape(ls.shape)
+    return dense_line_min(vec, np.zeros(len(r_prev)), 2.0 * r_prev, cfg=cfg)[1]
 
 
-def _grid_margins(space: LpSpace, f_prev: np.ndarray, r_prev: float,
-                  phi: np.ndarray, f_new: np.ndarray, r_new: float,
+def _grid_margins(space: LpSpace, f_prev: np.ndarray, r_prev: np.ndarray,
+                  phi: np.ndarray, f_new: np.ndarray, r_new: np.ndarray,
                   G_new: np.ndarray) -> tuple:
-    """(bj_margin, neg_line_margin) over the fixed lambda grids."""
-    p = space.p
-    neg = float(np.min(pnorm_rows(p, f_prev - _NEG_GRID[:, None] * phi))) - r_prev
-    bj = float(np.min(pnorm_rows(p, f_new - _BJ_GRID[:, None] * G_new))) - r_new
-    return bj, neg
+    """(bj_margin, neg_line_margin) over the fixed lambda grids, one entry
+    per row of the ``(k, n)`` arrays, each grid in one ``pnorm_rows`` call."""
+    p, n = space.p, space.n
+
+    def least(f: np.ndarray, grid: np.ndarray, v: np.ndarray) -> np.ndarray:
+        R = f[:, None, :] - grid[None, :, None] * v[:, None, :]
+        return pnorm_rows(p, R.reshape(-1, n)).reshape(len(f), -1).min(axis=1)
+    return (least(f_new, _BJ_GRID, G_new) - r_new,
+            least(f_prev, _NEG_GRID, phi) - r_prev)
+
+
+def _chunk_steps(n: int) -> int:
+    """Steps measured together: their scans of dense_line_min's 33-point
+    grids, (steps * 33, n) values, stay within ``_MEASURE_VALUES``."""
+    return max(1, _MEASURE_VALUES // (33 * n))
+
+
+def _measure(space: LpSpace, f_traj: list, phis: list, norms: list,
+             G_traj: Optional[list], cfg: SolverConfig) -> tuple:
+    """(er_reference, bj_margin, neg_line_margin) lists, one entry per step,
+    from the residuals f_0..f_M, the atoms phi_1..phi_M, the norms r_0..r_M
+    and, for the grid margins, the approximants G_1..G_M (None: margins 0).
+    Steps are measured in chunks of ``_chunk_steps``."""
+    steps = len(phis)
+    er, bj, neg = [], [0.0] * steps, [0.0] * steps
+    chunk = _chunk_steps(space.n)
+    for s in range(0, steps, chunk):
+        e = min(s + chunk, steps)
+        f_prev, phi = np.array(f_traj[s:e]), np.array(phis[s:e])
+        r_prev = np.array(norms[s:e])
+        er += _er_reference(space, f_prev, phi, r_prev, cfg).tolist()
+        if G_traj is not None:
+            bj_s, neg_s = _grid_margins(
+                space, f_prev, r_prev, phi, np.array(f_traj[s + 1:e + 1]),
+                np.array(norms[s + 1:e + 1]), np.array(G_traj[s:e]))
+            bj[s:e], neg[s:e] = bj_s.tolist(), neg_s.tolist()
+    return er, bj, neg
 
 
 def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
@@ -484,6 +527,10 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     records: list = []
     termination = "max_m"
     r = r0 = pnorm(p, st.f_m)
+    # what the measurement pass after the loop reads: f_0..f_M, phi_1..phi_M,
+    # r_0..r_M and (exact ids) G_1..G_M
+    f_traj, phis, norms = [st.f_m], [], [r0]
+    G_traj = [] if exact else None
     delta0 = delta0_achieved = 0.0
     loop_to = max_m
     if r0 <= stop_tol:
@@ -495,22 +542,22 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
 
     for m in range(1, loop_to + 1):
         tick = time.perf_counter_ns()
-        f_prev, r_prev = st.f_m, r
+        r_prev = r
         if algorithm == "rrxga":
             t_m = gs_rhs = 0.0
-            sidx, hint = _xgreedy_scan(space, f_prev, D, r_prev)
+            sidx, hint = _xgreedy_scan(space, st.f_m, D, r_prev)
             gs_lhs = float(np.dot(F.coords, D.atom(sidx)))
         else:
             t_m = tau.value(m)
-            dn = dict_dual_norm(F, D)
+            scores = D.matrix @ F.coords
+            dn = dict_dual_norm(F, D, scores)
             if dn <= 1e-13:
                 termination = "stalled"
                 break
-            sidx, gs_lhs = greedy_select(F, D, t_m, rule)
+            sidx, gs_lhs = greedy_select(F, D, t_m, rule, scores)
             gs_rhs = t_m * dn
             hint = gs_lhs
         phi = D.atom(sidx)
-        er_ref = _er_reference(space, f_prev, phi, r_prev, cfg)
         eta_m = errs.eta_at(space, m, r_prev, t_m)
 
         info = update(st, phi, hint, eta_m, errs.seed + 7919 * m)
@@ -527,21 +574,24 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
             F, delta_m, delta_achieved = _functional(space, errs, m, st.f_m,
                                                      r, tau.value(m + 1))
         bo_abs = _measured_bo(F, r, st.G_m, g_norm)
-        bj = neg = 0.0
-        if exact:
-            bj, neg = _grid_margins(space, f_prev, r_prev, phi, st.f_m, r,
-                                    st.G_m)
         records.append(IterationRecord(
             m=m, selected_index=int(sidx), t_m=t_m, gs_lhs=gs_lhs, gs_rhs=gs_rhs,
-            residual_norm=r, bo_abs=bo_abs, er_reference=er_ref,
+            residual_norm=r, bo_abs=bo_abs, er_reference=0.0,  # see _measure
             delta_m=delta_m, delta_achieved=delta_achieved, eta_m=eta_m,
             eps_m=errs.eps_at(space, m, delta_m, eta_m, g_norm),
-            bj_margin=bj, neg_line_margin=neg,
             wall_ns=time.perf_counter_ns() - tick, **info))
+        f_traj.append(st.f_m)
+        phis.append(phi)
+        norms.append(r)
+        if exact:
+            G_traj.append(st.G_m)
         if r <= stop_tol:
             termination = "stop_tol"
             break
 
+    measured = _measure(space, f_traj, phis, norms, G_traj, cfg)
+    for rec, er_ref, bj, neg in zip(records, *measured):
+        rec.er_reference, rec.bj_margin, rec.neg_line_margin = er_ref, bj, neg
     return RunReport(
         algorithm=algorithm,
         space_spec=space.spec_string(),

@@ -133,18 +133,20 @@ def build_dictionary(space: LpSpace, kind: str, size: int, seed: int = 0) -> Dic
 
 
 def greedy_select(F: DualFunctional, D: Dictionary, t: float,
-                  rule: str = "exact_argmax") -> tuple:
+                  rule: str = "exact_argmax", scores: np.ndarray = None) -> tuple:
     """Pick a signed atom with F(phi) >= t * max_g F(g).
 
     "exact_argmax" returns the maximizer (smallest index on ties, positive
     sign preferred); "threshold_first" returns the first atom in scan order
     clearing the threshold, which is what actually exercises t < 1.
+    ``scores``, when given, is ``D.matrix @ F.coords``, already computed by
+    the caller (as for ``dict_dual_norm``).
     """
     if len(D) == 0:
         raise ValueError("empty dictionary")
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    vals = D.matrix @ F.coords
+    vals = D.matrix @ F.coords if scores is None else scores
     if rule == "exact_argmax":
         i = int(np.argmax(np.abs(vals)))
         sign = 1 if vals[i] >= 0 else -1

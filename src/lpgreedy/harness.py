@@ -18,6 +18,7 @@ paths (the only environment override).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -426,8 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call of the process.  Parsing
+    leaves it unchanged, so every later ``main`` call reuses it."""
+    return build_parser()
+
+
 def main(argv: list = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         return args.fn(args)

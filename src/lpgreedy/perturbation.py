@@ -26,7 +26,7 @@ import numpy as np
 from .dictionary import Dictionary, Target
 from .solvers import SolverConfig
 from .space import (DualFunctional, Element, LpSpace, dual_norm,
-                    functional_coords, norm)
+                    functional_coords, pnorm)
 
 if TYPE_CHECKING:
     from .algorithms import RunReport, WeaknessSchedule
@@ -199,24 +199,28 @@ class PerturbedFunctional:
     achieved_delta: float
 
 
-def perturbed_functional(space: LpSpace, f_m: Element, delta: float,
+def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
                          seed: int = 0) -> PerturbedFunctional:
     """Adversarial admissible functional: ||F|| <= 1, F(f_m) >= (1-delta)||f_m||.
 
-    Mixes the exact peak functional with a random unit dual vector and
-    takes the largest mixing weight s in [0, 1] that keeps the defining
-    inequality.  value(s) = F_s(f_m) has a numerator linear in s over a
-    convex dual norm, so {value >= target} is an interval starting at 0, and
-    its right end is found by regula falsi on target - value(s) (stop
-    tests at ``_DELTA_REL``).  delta = 0 returns the exact functional.
+    ``f_m`` is the residual as an ``(n,)`` array.  Mixes the exact peak
+    functional with a random unit dual vector and takes the largest mixing
+    weight s in [0, 1] that keeps the defining inequality.  value(s) =
+    F_s(f_m) has a numerator linear in s over a convex dual norm, so
+    {value >= target} is an interval starting at 0, and its right end is
+    found by regula falsi on target - value(s) (stop tests at
+    ``_DELTA_REL``).  delta = 0 returns the exact functional.
     """
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
-    fn = norm(space, f_m)
+    if f_m.shape != (space.n,):
+        raise ValueError(f"dimension mismatch: got shape {f_m.shape}, "
+                         f"space has n={space.n}")
+    p = space.p
+    fn = pnorm(p, f_m)
     if fn == 0.0:
         raise ValueError("norming functional of zero undefined")
-    p = space.p
-    exact = functional_coords(p, f_m.coords, fn)
+    exact = functional_coords(p, f_m, fn)
     if delta <= 0.0:
         return PerturbedFunctional(
             DualFunctional(coords=exact, space=space, norm_bound=1.0),
@@ -225,7 +229,7 @@ def perturbed_functional(space: LpSpace, f_m: Element, delta: float,
     rng = np.random.default_rng(seed)
     R = rng.standard_normal(space.n)
     R = R / dual_norm(p, R)
-    if float(np.dot(R, f_m.coords)) < 0.0:
+    if float(np.dot(R, f_m)) < 0.0:
         R = -R
     target = (1.0 - delta) * fn
 
@@ -235,7 +239,7 @@ def perturbed_functional(space: LpSpace, f_m: Element, delta: float,
         return c / dn if dn > 1e-300 else exact
 
     def value(s: float) -> float:
-        return float(np.dot(mixed(s), f_m.coords))
+        return float(np.dot(mixed(s), f_m))
 
     g1 = target - value(1.0)
     if g1 <= 0.0:
@@ -244,7 +248,7 @@ def perturbed_functional(space: LpSpace, f_m: Element, delta: float,
         s_feasible = _level_crossing(lambda s: target - value(s), 0.0, 1.0,
                                      -delta * fn, g1, _DELTA_REL, _ULP_REL * fn)
     coords = mixed(s_feasible)
-    achieved = max(0.0, 1.0 - float(np.dot(coords, f_m.coords)) / fn)
+    achieved = max(0.0, 1.0 - float(np.dot(coords, f_m)) / fn)
     return PerturbedFunctional(
         DualFunctional(coords=coords, space=space,
                        norm_bound=dual_norm(p, coords)),

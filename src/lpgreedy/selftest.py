@@ -269,7 +269,7 @@ def run_all(fast: bool = False) -> list:
     for i in range(50 if fast else 200):
         f = Element(coords=rng.standard_normal(6), space=spg)
         delta = float(rng.uniform(0, 1))
-        pf = perturbed_functional(spg, f, delta, seed=i)
+        pf = perturbed_functional(spg, f.coords, delta, seed=i)
         nb = dual_norm(spg.p, pf.functional.coords)
         ok = (ok and nb <= 1.0 + 1e-12 and pf.achieved_delta <= delta + 1e-12
               and apply_functional(pf.functional, f)

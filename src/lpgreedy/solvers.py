@@ -19,7 +19,9 @@ The measured error-reduction reference takes an independent route that
 shares no code with the ray minimiser: ``dense_line_min`` scans a grid of
 the interval, keeps the bracket around the best point, and scans that
 again, each pass one vectorised evaluation of the objective, until the
-bracket is within the argument tolerance ``SolverConfig.tol``.
+bracket is within the argument tolerance ``SolverConfig.tol``.  It takes
+one interval or an array of them: a batch of line problems shares each
+pass, so the measurements of many greedy steps cost one call.
 
 Derivative-free golden section (``line_search``, ``bracket_minimum``,
 ``minimize_2d``) serves no step and no measurement.  It is kept for the
@@ -196,36 +198,59 @@ def minimize_2d(objective: Callable[[float, float], float],
     return (best_w, best_lam), best_v
 
 
-def dense_line_min(objective_vec: Callable[[np.ndarray], np.ndarray],
-                   lo: float, hi: float, n_grid: int = 33,
+def dense_line_min(objective_vec: Callable, lo, hi, n_grid: int = 33,
                    cfg: SolverConfig = DEFAULT_SOLVER) -> tuple:
     """Nested grid scans; the independent line-search oracle.
 
     Scans ``n_grid`` evenly spaced points of [lo, hi], keeps the bracket
     [x_(i-1), x_(i+1)] around the best one (which holds the minimiser of a
     convex objective) and scans it again, until the bracket is within
-    ``cfg.tol * max(1, hi - lo)``.  Returns the best point ever evaluated
-    and its value.  ``objective_vec`` must accept an array of arguments and
-    return the array of values; it is only ever called on whole grids.
-    Used for the independently measured error-reduction reference.
+    ``cfg.tol * max(1, hi - lo)`` or stops narrowing.  Returns the best
+    point ever evaluated and its value.
+
+    With float ``lo`` and ``hi`` there is one problem, and
+    ``objective_vec(xs)`` maps a grid of shape ``(n_grid,)`` to its values.
+    With ``(k,)`` arrays there are k problems, solved in one pass per scan:
+    ``objective_vec(xs, rows)`` gets the grids of the unfinished problems
+    ``rows`` as the rows of ``xs`` and returns their values in the same
+    shape, a finished problem drops out of later passes, and the best points
+    and values come back as ``(k,)`` arrays.  A grid is built as
+    ``np.linspace`` builds it, so a problem's answer does not depend on the
+    others solved with it.
     """
-    if lo > hi:
+    scalar = np.ndim(lo) == 0
+    if scalar:
+        vec = objective_vec
+        objective_vec = lambda xs, rows: vec(xs[0])[None]  # noqa: E731
+    a = np.array(lo, dtype=float, ndmin=1)
+    b = np.array(hi, dtype=float, ndmin=1)
+    if (a > b).any():
         raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
-    tol = cfg.tol * max(1.0, hi - lo)
-    a, b = lo, hi
-    best_x, best_v = lo, np.inf
-    while True:
-        xs = np.linspace(a, b, n_grid)
-        vs = objective_vec(xs)
-        i = int(np.argmin(vs))
-        if vs[i] < best_v:
-            best_x, best_v = float(xs[i]), float(vs[i])
-        na, nb = xs[max(0, i - 1)], xs[min(n_grid - 1, i + 1)]
+    tol = cfg.tol * np.maximum(1.0, b - a)
+    best_x, best_v = a.copy(), np.full(a.shape, np.inf)
+    steps = np.arange(n_grid, dtype=float)
+    rows = np.arange(a.size)
+    while rows.size:
+        ra, rb = a[rows], b[rows]
+        # np.linspace(a, b, n_grid): a + i (b - a)/(n_grid - 1), last point b
+        xs = steps * ((rb - ra) / (n_grid - 1))[:, None] + ra[:, None]
+        xs[:, -1] = rb
+        vs = objective_vec(xs, rows)
+        k = np.arange(rows.size)
+        i = np.argmin(vs, axis=1)
+        better = vs[k, i] < best_v[rows]
+        best_x[rows[better]] = xs[k, i][better]
+        best_v[rows[better]] = vs[k, i][better]
+        na = xs[k, np.maximum(i - 1, 0)]
+        nb = xs[k, np.minimum(i + 1, n_grid - 1)]
         # a bracket that stops narrowing has hit the float spacing (or a
         # grid of three points or fewer)
-        if nb - na <= tol or nb - na >= b - a:
-            return best_x, best_v
-        a, b = na, nb
+        go = (nb - na > tol[rows]) & (nb - na < rb - ra)
+        a[rows], b[rows] = na, nb
+        rows = rows[go]
+    if scalar:
+        return float(best_x[0]), float(best_v[0])
+    return best_x, best_v
 
 
 def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,

@@ -189,11 +189,17 @@ def apply_functional(F: DualFunctional, g: Element) -> float:
     return float(np.dot(F.coords, g.coords))
 
 
-def dict_dual_norm(F: DualFunctional, D: "Dictionary") -> float:
-    """sup over the (symmetrized) dictionary of F(g), i.e. max_i |F(g_i)|."""
+def dict_dual_norm(F: DualFunctional, D: "Dictionary",
+                   scores: np.ndarray = None) -> float:
+    """sup over the (symmetrized) dictionary of F(g), i.e. max_i |F(g_i)|.
+
+    ``scores``, when given, is ``D.matrix @ F.coords``, already computed by
+    the caller for the selection of the same step."""
     if len(D) == 0:
         raise ValueError("empty dictionary")
-    return float(np.max(np.abs(D.matrix @ F.coords)))
+    if scores is None:
+        scores = D.matrix @ F.coords
+    return float(np.max(np.abs(scores)))
 
 
 def smoothness_bound(space: LpSpace, u: float) -> float:

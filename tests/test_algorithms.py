@@ -10,11 +10,13 @@ from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Element,
                       WeaknessSchedule, audit_conditions, build_dictionary,
                       error_reduction_margins, lp_space, make_target,
                       run_awbga, run_greedy, verify_rates)
-from lpgreedy.algorithms import _RULES, _grid_margins, _xgreedy_scan
+from lpgreedy import algorithms
+from lpgreedy.algorithms import (_RULES, _chunk_steps, _grid_margins, _measure,
+                                 _xgreedy_scan)
 from lpgreedy.diagnostics import APPLICABLE_CHECKS
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
-from lpgreedy.solvers import min_along_ray
-from lpgreedy.space import pnorm
+from lpgreedy.solvers import DEFAULT_SOLVER, min_along_ray
+from lpgreedy.space import pnorm, pnorm_rows
 
 T1 = WeaknessSchedule()  # constant t = 1
 
@@ -290,7 +292,9 @@ class TestMeasurePhase:
                 phi = f_prev / neg_grid[trial] + 0.01 * phi
                 G = f_new / bj_grid[trial] + 0.01 * G
             r_prev, r_new = pnorm(p, f_prev), pnorm(p, f_new)
-            bj, neg = _grid_margins(s, f_prev, r_prev, phi, f_new, r_new, G)
+            (bj,), (neg,) = _grid_margins(s, f_prev[None], np.array([r_prev]),
+                                          phi[None], f_new[None],
+                                          np.array([r_new]), G[None])
             neg_ref = min(pnorm(p, f_prev - lam * phi) for lam in neg_grid) - r_prev
             bj_ref = min(pnorm(p, f_new - lam * G) for lam in bj_grid) - r_new
             assert abs(neg - neg_ref) <= 1e-15 * r_prev
@@ -322,6 +326,119 @@ class TestMeasurePhase:
             audit_conditions(rep)
             error_reduction_margins(rep)
             verify_rates(rep, list(BOUND_IDS))
+
+
+NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
+BJ_GRID = np.array([-1.0, -0.5, 0.1, 0.5, 1.0])
+
+
+def line_min_per_step(objective, lo, hi, tol=1e-8, n_grid=33):
+    """The nested grid scans one problem at a time: np.linspace grids and
+    the stop test of the scalar loop."""
+    tol = tol * max(1.0, hi - lo)
+    a, b = lo, hi
+    best_x, best_v = lo, np.inf
+    while True:
+        xs = np.linspace(a, b, n_grid)
+        vs = objective(xs)
+        i = int(np.argmin(vs))
+        if vs[i] < best_v:
+            best_x, best_v = float(xs[i]), float(vs[i])
+        na, nb = xs[max(0, i - 1)], xs[min(n_grid - 1, i + 1)]
+        if nb - na <= tol or nb - na >= b - a:
+            return best_x, best_v
+        a, b = na, nb
+
+
+def measure_per_step(p, f_traj, phis, norms, G_traj):
+    """(er_reference, bj_margin, neg_line_margin) lists, step by step."""
+    er, bj, neg = [], [], []
+    for m, phi in enumerate(phis):
+        f_prev, r_prev = f_traj[m], norms[m]
+        er.append(line_min_per_step(lambda ls: pnorm_rows(
+            p, f_prev[None, :] - ls[:, None] * phi[None, :]), 0.0, 2.0 * r_prev)[1])
+        if G_traj is None:
+            bj.append(0.0)
+            neg.append(0.0)
+            continue
+        neg.append(float(np.min(pnorm_rows(
+            p, f_prev - NEG_GRID[:, None] * phi))) - r_prev)
+        bj.append(float(np.min(pnorm_rows(
+            p, f_traj[m + 1] - BJ_GRID[:, None] * G_traj[m]))) - norms[m + 1])
+    return er, bj, neg
+
+
+class TestBatchedMeasure:
+    N = 32
+    CHUNK = _chunk_steps(N)
+
+    def test_chunk_keeps_the_grid_scans_within_bound(self):
+        assert self.CHUNK * 33 * self.N <= algorithms._MEASURE_VALUES
+        assert (self.CHUNK + 1) * 33 * self.N > algorithms._MEASURE_VALUES
+        assert _chunk_steps(10 ** 6) == 1
+
+    @staticmethod
+    def trajectory(p, n, steps, seed):
+        """A shrinking residual trajectory with unit atoms; the middle step
+        of three or more starts from a zero residual (lo = hi = 0)."""
+        rng = np.random.default_rng(seed)
+        f_traj = rng.standard_normal((steps + 1, n)) * 0.9 ** np.arange(
+            steps + 1)[:, None]
+        if steps >= 3:
+            f_traj[steps // 2] = 0.0
+        phis = rng.standard_normal((steps, n))
+        phis /= pnorm_rows(p, phis)[:, None]
+        G_traj = rng.standard_normal((steps, n))
+        norms = [pnorm(p, f) for f in f_traj]
+        return list(f_traj), list(phis), norms, list(G_traj)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 64.0])
+    @pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 100])
+    def test_matches_per_step_loop_bitwise(self, p, steps):
+        f_traj, phis, norms, G_traj = self.trajectory(p, self.N, steps, steps)
+        s = lp_space(p, self.N)
+        got = _measure(s, f_traj, phis, norms, G_traj, DEFAULT_SOLVER)
+        assert got == measure_per_step(p, f_traj, phis, norms, G_traj)
+        er, bj, neg = _measure(s, f_traj, phis, norms, None, DEFAULT_SOLVER)
+        assert er == got[0] and bj == neg == [0.0] * steps
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_zero_residual_step(self, p):
+        f_traj, phis, norms, G_traj = self.trajectory(p, self.N, 1, 0)
+        f_traj[0] = np.zeros(self.N)
+        norms[0] = 0.0
+        s = lp_space(p, self.N)
+        got = _measure(s, f_traj, phis, norms, G_traj, DEFAULT_SOLVER)
+        assert got == measure_per_step(p, f_traj, phis, norms, G_traj)
+        assert got[0] == [0.0]
+
+    @pytest.mark.parametrize("algo", ALGORITHM_IDS)
+    def test_run_records_match_per_step_loop(self, algo, monkeypatch):
+        seen = []
+
+        def spy(space, f_traj, phis, norms, G_traj, cfg):
+            seen.append((f_traj, phis, norms, G_traj))
+            return _measure(space, f_traj, phis, norms, G_traj, cfg)
+
+        monkeypatch.setattr(algorithms, "_measure", spy)
+        p = 3.0
+        s = lp_space(p, 16)
+        D = build_dictionary(s, "random_gauss", 64, seed=1)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=6, seed=2))
+        rep = run_greedy(algo, t.f, D, T1, max_m=40, target=t)
+        (f_traj, phis, norms, G_traj), = seen
+        # the pass reads the run's own trajectory
+        f = t.f.coords
+        assert np.array_equal(f_traj[0], f) and norms[0] == rep.initial_residual
+        assert len(phis) == len(G_traj) == len(rep.records) == len(norms) - 1
+        for m, rec in enumerate(rep.records, 1):
+            assert norms[m] == rec.residual_norm == pnorm(p, f_traj[m])
+            assert np.array_equal(phis[m - 1], D.atom(rec.selected_index))
+            assert np.allclose(f_traj[m] + G_traj[m - 1], f, rtol=0, atol=1e-12)
+        er, bj, neg = measure_per_step(p, f_traj, phis, norms, G_traj)
+        assert [r.er_reference for r in rep.records] == er
+        assert [r.bj_margin for r in rep.records] == bj
+        assert [r.neg_line_margin for r in rep.records] == neg
 
 
 class TestLargeP:

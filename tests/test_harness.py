@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lpgreedy import RunReport
+from lpgreedy import RunReport, harness
 from lpgreedy.harness import (CSV_HEADER, ExperimentConfig, emit_csv, execute,
                               main, parse_dict_spec, parse_errors, parse_space,
                               parse_target_spec, parse_weakness, summarize)
@@ -333,6 +333,38 @@ class TestCli:
                          "wcga_k3_s1.csv", "wcga_k3_s2.csv"]
         text = capsys.readouterr().out
         assert "wcga" in text and "rwrga" in text
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a reused parser must
+    answer every call as a freshly built one does."""
+
+    @staticmethod
+    def _call(argv, tmp_path, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's own usage errors
+            code = e.code
+        out, err = capsys.readouterr()
+        csv = tmp_path / "r.csv"
+        return code, out, err, csv.read_bytes() if csv.exists() else None
+
+    def test_one_parser_answers_like_fresh_ones(self, tmp_path, capsys):
+        report = str(tmp_path / "r.json")
+        calls = [RUN_ARGS + ["--out", str(tmp_path / "r.csv")],
+                 ["audit", report, "--bound", "cor52"],
+                 ["run", "--algo", "wcga"],  # required arguments missing
+                 ["audit", report, "--bound", "nope"],
+                 RUN_ARGS + ["--iters", "4", "--out", str(tmp_path / "r.csv")]]
+        harness._parser.cache_clear()
+        reused = [self._call(argv, tmp_path, capsys) for argv in calls]
+        assert harness._parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            harness._parser.cache_clear()
+            fresh.append(self._call(argv, tmp_path, capsys))
+        assert reused == fresh
+        assert [c[0] for c in reused] == [0, 0, 2, 2, 0]
 
 
 class TestSummarize:

@@ -25,7 +25,7 @@ class TestPerturbedFunctional:
         s = lp_space(3.0, 5)
         rng = np.random.default_rng(1)
         f = Element(coords=rng.standard_normal(5), space=s)
-        pf = perturbed_functional(s, f, 0.0, seed=3)
+        pf = perturbed_functional(s, f.coords, 0.0, seed=3)
         assert pf.achieved_delta == 0.0
         assert apply_functional(pf.functional, f) == pytest.approx(
             norm(s, f), rel=1e-10)
@@ -37,7 +37,7 @@ class TestPerturbedFunctional:
         for i in range(300):
             f = Element(coords=rng.standard_normal(6), space=s)
             delta = float(rng.uniform(0, 1))
-            pf = perturbed_functional(s, f, delta, seed=i)
+            pf = perturbed_functional(s, f.coords, delta, seed=i)
             assert dual_norm(p, pf.functional.coords) <= 1.0 + 1e-12
             assert pf.achieved_delta <= delta + 1e-12
             assert apply_functional(pf.functional, f) >= \
@@ -46,7 +46,7 @@ class TestPerturbedFunctional:
     def test_vacuous_budget_still_valid(self):
         s = lp_space(2.0, 4)
         f = Element(coords=np.array([1.0, 2.0, 0.0, 0.0]), space=s)
-        pf = perturbed_functional(s, f, 1.0, seed=5)
+        pf = perturbed_functional(s, f.coords, 1.0, seed=5)
         assert dual_norm(2.0, pf.functional.coords) <= 1.0 + 1e-12
         assert apply_functional(pf.functional, f) >= -1e-12
 
@@ -56,14 +56,15 @@ class TestPerturbedFunctional:
         s = lp_space(2.0, 6)
         rng = np.random.default_rng(3)
         f = Element(coords=rng.standard_normal(6), space=s)
-        achieved = [perturbed_functional(s, f, 0.2, seed=i).achieved_delta
+        achieved = [perturbed_functional(s, f.coords, 0.2,
+                                         seed=i).achieved_delta
                     for i in range(20)]
         assert np.median(achieved) > 0.05
 
     def test_zero_input_rejected(self):
         s = lp_space(2.0, 3)
         with pytest.raises(ValueError, match="zero"):
-            perturbed_functional(s, Element(coords=np.zeros(3), space=s), 0.1)
+            perturbed_functional(s, np.zeros(3), 0.1)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_whole_budget_is_used(self, p):
@@ -78,7 +79,7 @@ class TestPerturbedFunctional:
             delta = float(rng.uniform(1e-6, 0.9))
             R = np.random.default_rng(i).standard_normal(32)
             value_at_one = abs(float(R @ f.coords)) / dual_norm(p, R)
-            pf = perturbed_functional(s, f, delta, seed=i)
+            pf = perturbed_functional(s, f.coords, delta, seed=i)
             if value_at_one < (1.0 - delta) * norm(s, f):
                 interior += 1
                 assert pf.achieved_delta >= delta - 1e-12

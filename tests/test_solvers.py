@@ -8,7 +8,7 @@ from lpgreedy import (Element, SolverConfig, TargetSpec, WeaknessSchedule,
 from lpgreedy import solvers
 from lpgreedy.solvers import (_WEIGHT_FLOOR, _lstsq, dense_line_min,
                               min_along_ray)
-from lpgreedy.space import pnorm
+from lpgreedy.space import pnorm, pnorm_rows
 
 
 class TestLineSearch:
@@ -509,3 +509,31 @@ class TestDenseLineMin:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             dense_line_min(lambda ls: ls, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            dense_line_min(lambda xs, rows: xs, np.zeros(2), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_batch_rows_match_single_problems(self, p):
+        # each row keeps its own bracket and stop test, so a batch answers
+        # every problem bitwise as a call on that problem alone does
+        rng = np.random.default_rng(13)
+        f = rng.standard_normal((9, 16))
+        phi = rng.standard_normal((9, 16))
+        lo = np.zeros(9)
+        hi = 2.0 * np.array([pnorm(p, r) for r in f])
+        hi[4] = 0.0  # a point interval
+        lo[7], hi[7] = 1e10, 1e10 + 1.0  # stops at the float spacing
+        passes = []
+
+        def batch(xs, rows):
+            passes.append(rows.copy())
+            R = f[rows, None, :] - xs[:, :, None] * phi[rows, None, :]
+            return pnorm_rows(p, R.reshape(-1, 16)).reshape(xs.shape)
+
+        bx, bv = dense_line_min(batch, lo, hi)
+        for j in range(9):
+            x, v = dense_line_min(lambda ls: pnorm_rows(
+                p, f[j][None, :] - ls[:, None] * phi[j][None, :]), lo[j], hi[j])
+            assert (bx[j], bv[j]) == (x, v)
+        # a finished row drops out of later passes
+        assert len(passes[-1]) < 9 and 4 not in passes[1]
