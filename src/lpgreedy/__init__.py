@@ -14,24 +14,23 @@ from .diagnostics import (BOUND_IDS, AuditReport, BoundSpec, audit_conditions,
 from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
                          greedy_select, make_target, perturb_target,
                          sample_a1_target)
-from .perturbation import (AWBGA_IDS, ErrorSchedule, PerturbedFunctional,
-                           SequenceSpec, derived_eps_bound,
-                           perturbed_functional, relaxed_minimize, run_awbga)
+from .perturbation import (AWBGA_IDS, ErrorSchedule, SequenceSpec,
+                           derived_eps_bound, perturbed_functional,
+                           relaxed_minimize, run_awbga)
 from .solvers import (ProjectionResult, SolverConfig, bracket_minimum,
                       chebyshev_project, line_search, minimize_2d)
-from .space import (DualFunctional, Element, LpSpace, apply_functional,
-                    dict_dual_norm, empirical_modulus, lp_space, norm,
-                    norming_functional, smoothness_bound, xi_root)
+from .space import (Element, LpSpace, dict_dual_norm, empirical_modulus,
+                    lp_space, norm, norming_functional, smoothness_bound,
+                    xi_root)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_IDS", "AWBGA_IDS", "BOUND_IDS", "AuditReport", "BoundSpec",
-    "Dictionary", "DualFunctional", "Element", "ErrorSchedule",
-    "IterationRecord", "LpSpace", "PerturbedFunctional", "ProjectionResult",
-    "RunReport", "SequenceSpec", "SolverConfig", "Target", "TargetSpec",
-    "WeaknessSchedule",
-    "apply_functional", "audit_conditions", "bound_curve",
+    "Dictionary", "Element", "ErrorSchedule", "IterationRecord", "LpSpace",
+    "ProjectionResult", "RunReport", "SequenceSpec", "SolverConfig", "Target",
+    "TargetSpec", "WeaknessSchedule",
+    "audit_conditions", "bound_curve",
     "bracket_minimum", "build_dictionary", "chebyshev_project",
     "derived_eps_bound", "dict_dual_norm", "empirical_modulus",
     "error_reduction_margins", "greedy_select", "line_search", "lp_space",

@@ -33,6 +33,7 @@ and two row-norm calls.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -44,8 +45,7 @@ from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
                            relaxed_minimize)
 from .solvers import (_TINY, DEFAULT_SOLVER, SolverConfig, chebyshev_project,
                       dense_line_min, min_along_ray)
-from .space import (DualFunctional, Element, LpSpace, dict_dual_norm, pnorm,
-                    pnorm_rows)
+from .space import Element, LpSpace, dict_dual_norm, pnorm, pnorm_rows
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
 
@@ -77,8 +77,9 @@ class WeaknessSchedule:
             raise ValueError(f"unknown weakness kind {self.kind!r}")
         if not (0.0 < self.t0 <= 1.0):
             raise ValueError("t0 must lie in (0, 1]")
-        if self.exponent < 0:
-            raise ValueError("decay exponent must be nonnegative")
+        if not (math.isfinite(self.exponent) and self.exponent >= 0):
+            raise ValueError(f"decay exponent must be finite and "
+                             f"nonnegative, got {self.exponent}")
         if self.kind == "explicit_list":
             if not self.values:
                 raise ValueError("explicit_list schedule needs values")
@@ -224,11 +225,12 @@ def _functional(space: LpSpace, errs: ErrorSchedule, k: int, f_k: np.ndarray,
     """(F, delta_k, achieved delta) for the residual f_k of norm r_k: its
     norming functional, perturbed by the schedule's delta_k (exact at 0)."""
     delta = errs.delta_at(space, k, r_k, t_next)
-    pf = perturbed_functional(space, f_k, delta, seed=errs.seed + 7919 * k)
-    return pf.functional, delta, pf.achieved_delta
+    F, achieved = perturbed_functional(space, f_k, delta,
+                                       seed=errs.seed + 7919 * k)
+    return F, delta, achieved
 
 
-def _measured_bo(F: DualFunctional, r_new: float, G: np.ndarray,
+def _measured_bo(F: np.ndarray, r_new: float, G: np.ndarray,
                  g_norm: float) -> float:
     """|F(G)| for the functional F of the residual, whose norm is r_new; 0
     below the noise floor max(zero_residual, 1e-8 max(1, ||G||)), where the
@@ -236,7 +238,7 @@ def _measured_bo(F: DualFunctional, r_new: float, G: np.ndarray,
     measured (such remainders count as numerically exact)."""
     if r_new <= max(_ZERO_RESIDUAL, 1e-8 * max(1.0, g_norm)):
         return 0.0
-    return abs(float(np.dot(F.coords, G)))
+    return abs(float(np.dot(F, G)))
 
 
 def _er_reference(space: LpSpace, f_prev: np.ndarray, phi: np.ndarray,
@@ -546,10 +548,10 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
         if algorithm == "rrxga":
             t_m = gs_rhs = 0.0
             sidx, hint = _xgreedy_scan(space, st.f_m, D, r_prev)
-            gs_lhs = float(np.dot(F.coords, D.atom(sidx)))
+            gs_lhs = float(np.dot(F, D.atom(sidx)))
         else:
             t_m = tau.value(m)
-            scores = D.matrix @ F.coords
+            scores = D.matrix @ F
             dn = dict_dual_norm(F, D, scores)
             if dn <= 1e-13:
                 termination = "stalled"

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .space import (DualFunctional, Element, LpSpace, pnorm, pnorm_rows)
+from .space import Element, LpSpace, check_functional, pnorm, pnorm_rows
 
 DICTIONARY_KINDS = ("canonical", "random_gauss", "trig_grid", "coherent")
 
@@ -132,21 +132,23 @@ def build_dictionary(space: LpSpace, kind: str, size: int, seed: int = 0) -> Dic
     return Dictionary(space=space, matrix=rows, kind_tag=kind, seed=seed)
 
 
-def greedy_select(F: DualFunctional, D: Dictionary, t: float,
+def greedy_select(F: np.ndarray, D: Dictionary, t: float,
                   rule: str = "exact_argmax", scores: np.ndarray = None) -> tuple:
     """Pick a signed atom with F(phi) >= t * max_g F(g).
 
-    "exact_argmax" returns the maximizer (smallest index on ties, positive
-    sign preferred); "threshold_first" returns the first atom in scan order
-    clearing the threshold, which is what actually exercises t < 1.
-    ``scores``, when given, is ``D.matrix @ F.coords``, already computed by
-    the caller (as for ``dict_dual_norm``).
+    ``F`` is the functional as an ``(n,)`` array.  "exact_argmax" returns
+    the maximizer (smallest index on ties, positive sign preferred);
+    "threshold_first" returns the first atom in scan order clearing the
+    threshold, which is what actually exercises t < 1.  ``scores``, when
+    given, is ``D.matrix @ F``, already computed by the caller (as for
+    ``dict_dual_norm``).
     """
+    check_functional(F, D.space.n)
     if len(D) == 0:
         raise ValueError("empty dictionary")
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    vals = D.matrix @ F.coords if scores is None else scores
+    vals = D.matrix @ F if scores is None else scores
     if rule == "exact_argmax":
         i = int(np.argmax(np.abs(vals)))
         sign = 1 if vals[i] >= 0 else -1

@@ -34,7 +34,6 @@ from .diagnostics import (BOUND_IDS, BoundSpec, audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
 from .dictionary import TargetSpec, build_dictionary, make_target
 from .perturbation import (AWBGA_IDS, ErrorSchedule, SequenceSpec, run_awbga)
-from .solvers import SolverConfig
 from .space import LpSpace, lp_space
 
 CSV_HEADER = ("m,algo,residual_norm,gs_lhs,gs_rhs,bo_abs,er_reference,"
@@ -67,18 +66,31 @@ def _fields(body: str) -> list:
     return out
 
 
-def _kv(fields: list) -> dict:
+def _kv(fields: list, spec: str, keys: tuple) -> dict:
+    """key=value fields as a dict; a key outside ``keys``, or one given
+    twice, is a usage error naming the ``spec`` it came from."""
     d = {}
     for f in fields:
         if "=" not in f:
             raise ValueError(f"malformed field {f!r}: expected key=value")
-        k, v = f.split("=", 1)
-        d[k.strip()] = v.strip()
+        k, v = (x.strip() for x in f.split("=", 1))
+        if k in d:
+            raise ValueError(f"spec {spec!r} gives field {k!r} twice")
+        d[k] = v
+    unknown = [k for k in d if k not in keys]
+    if unknown:
+        raise ValueError(f"spec {spec!r} has unknown field(s) {unknown}; "
+                         f"expected {list(keys)}")
     return d
 
 
+# accepted fields of each target mode
+_TARGET_KEYS = {"a1": ("k", "seed"), "a1dense": ("seed",),
+                "noisy": ("k", "eps", "seed")}
+
+
 def parse_space(spec: str) -> LpSpace:
-    kv = _kv(_fields(_strip_tag(spec, "lp:")))
+    kv = _kv(_fields(_strip_tag(spec, "lp:")), spec, ("p", "n"))
     try:
         return lp_space(p=float(kv["p"]), n=int(kv["n"]))
     except KeyError as e:
@@ -89,7 +101,7 @@ def parse_dict_spec(spec: str) -> tuple:
     """(kind, N, seed); N is None when omitted, which means N = n."""
     body = _fields(_strip_tag(spec, "dict:"))
     kind = body[0]
-    kv = _kv(body[1:])
+    kv = _kv(body[1:], spec, ("N", "seed"))
     size = int(kv["N"]) if "N" in kv else None
     if size is not None and size < 1:
         raise ValueError(f"dictionary size N must be positive, got {size}")
@@ -99,19 +111,19 @@ def parse_dict_spec(spec: str) -> tuple:
 def parse_target_spec(spec: str) -> TargetSpec:
     body = _fields(_strip_tag(spec, "target:"))
     mode = body[0]
-    kv = _kv(body[1:])
+    if mode not in _TARGET_KEYS:
+        raise ValueError(f"unknown target mode {mode!r}")
+    kv = _kv(body[1:], spec, _TARGET_KEYS[mode])
     seed = int(kv.get("seed", 0))
     try:
         if mode == "a1":
             return TargetSpec(mode="a1_sparse", k=int(kv["k"]), seed=seed)
         if mode == "a1dense":
             return TargetSpec(mode="a1_dense", seed=seed)
-        if mode == "noisy":
-            return TargetSpec(mode="general_plus_noise", k=int(kv["k"]),
-                              eps=float(kv["eps"]), seed=seed)
+        return TargetSpec(mode="general_plus_noise", k=int(kv["k"]),
+                          eps=float(kv["eps"]), seed=seed)
     except KeyError as e:
         raise ValueError(f"target spec {spec!r} missing field {e}") from e
-    raise ValueError(f"unknown target mode {mode!r}")
 
 
 def parse_weakness(spec: str) -> WeaknessSchedule:
@@ -145,7 +157,8 @@ def _parse_sequence(spec: str) -> SequenceSpec:
 
 
 def parse_errors(spec: str) -> ErrorSchedule:
-    kv = _kv(_fields(_strip_tag(spec, "err:")))
+    kv = _kv(_fields(_strip_tag(spec, "err:")), spec,
+             ("delta", "eta", "eps", "seed"))
     eps = kv.get("eps", "derived")
     if eps == "derived":
         eps_mode, eps_values = "derived", None
@@ -176,9 +189,6 @@ class ExperimentConfig:
     max_m: int = 100
     stop_tol: float = 1e-12
     rule: str = "exact_argmax"
-    solver_tol: float = 1e-8
-    solver_grad_tol: float = 1e-10
-    solver_max_iters: int = 500
 
     def serialize(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -216,17 +226,15 @@ def execute(config: ExperimentConfig) -> RunReport:
     D = build_dictionary(space, kind, space.n if size is None else size, dseed)
     target = make_target(D, parse_target_spec(config.target))
     tau = parse_weakness(config.weakness)
-    cfg = SolverConfig(tol=config.solver_tol, grad_tol=config.solver_grad_tol,
-                       max_iters=config.solver_max_iters)
     algo = config.algorithm.lower()
     if algo in AWBGA_IDS:
         errs = parse_errors(config.errors) if config.errors else None
         if errs is None:
             raise ValueError("approximate algorithms need an --errors schedule")
-        return run_awbga(algo, target.f, D, tau, errs, cfg=cfg,
-                         max_m=config.max_m, stop_tol=config.stop_tol,
-                         rule=config.rule, target=target)
-    return run_greedy(algo, target.f, D, tau, cfg=cfg, max_m=config.max_m,
+        return run_awbga(algo, target.f, D, tau, errs, max_m=config.max_m,
+                         stop_tol=config.stop_tol, rule=config.rule,
+                         target=target)
+    return run_greedy(algo, target.f, D, tau, max_m=config.max_m,
                       stop_tol=config.stop_tol, rule=config.rule, target=target)
 
 
@@ -318,7 +326,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             tspec = args.target
             # replace the target seed for this sweep instance
             body = _fields(_strip_tag(tspec, "target:"))
-            kv = _kv(body[1:])
+            kv = _kv(body[1:], tspec, _TARGET_KEYS[body[0]])
             kv["seed"] = str(seed)
             tspec = "target:" + ",".join([body[0]] + [f"{k}={v}"
                                                       for k, v in kv.items()])

@@ -25,8 +25,8 @@ import numpy as np
 
 from .dictionary import Dictionary, Target
 from .solvers import SolverConfig
-from .space import (DualFunctional, Element, LpSpace, dual_norm,
-                    functional_coords, pnorm)
+from .space import (Element, LpSpace, dual_norm, functional_coords,
+                    in_dual_ball, pnorm)
 
 if TYPE_CHECKING:
     from .algorithms import RunReport, WeaknessSchedule
@@ -192,24 +192,18 @@ ZERO_ERRORS = ErrorSchedule(delta=SequenceSpec(kind="const", c=0.0),
                             eta=SequenceSpec(kind="const", c=0.0))
 
 
-@dataclass(frozen=True)
-class PerturbedFunctional:
-    functional: DualFunctional
-    requested_delta: float
-    achieved_delta: float
-
-
 def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
-                         seed: int = 0) -> PerturbedFunctional:
+                         seed: int = 0) -> tuple:
     """Adversarial admissible functional: ||F|| <= 1, F(f_m) >= (1-delta)||f_m||.
 
-    ``f_m`` is the residual as an ``(n,)`` array.  Mixes the exact peak
-    functional with a random unit dual vector and takes the largest mixing
-    weight s in [0, 1] that keeps the defining inequality.  value(s) =
-    F_s(f_m) has a numerator linear in s over a convex dual norm, so
-    {value >= target} is an interval starting at 0, and its right end is
-    found by regula falsi on target - value(s) (stop tests at
-    ``_DELTA_REL``).  delta = 0 returns the exact functional.
+    ``f_m`` is the residual as an ``(n,)`` array; returns (F, achieved
+    delta) with F an ``(n,)`` array.  Mixes the exact peak functional with
+    a random unit dual vector and takes the largest mixing weight s in
+    [0, 1] that keeps the defining inequality.  value(s) = F_s(f_m) has a
+    numerator linear in s over a convex dual norm, so {value >= target} is
+    an interval starting at 0, and its right end is found by regula falsi
+    on target - value(s) (stop tests at ``_DELTA_REL``).  delta = 0 returns
+    the exact functional.
     """
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
@@ -222,9 +216,7 @@ def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
         raise ValueError("norming functional of zero undefined")
     exact = functional_coords(p, f_m, fn)
     if delta <= 0.0:
-        return PerturbedFunctional(
-            DualFunctional(coords=exact, space=space, norm_bound=1.0),
-            0.0, 0.0)
+        return exact, 0.0
 
     rng = np.random.default_rng(seed)
     R = rng.standard_normal(space.n)
@@ -247,12 +239,8 @@ def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
     else:  # value(0) = ||f_m||, so g(0) = -delta ||f_m||
         s_feasible = _level_crossing(lambda s: target - value(s), 0.0, 1.0,
                                      -delta * fn, g1, _DELTA_REL, _ULP_REL * fn)
-    coords = mixed(s_feasible)
-    achieved = max(0.0, 1.0 - float(np.dot(coords, f_m)) / fn)
-    return PerturbedFunctional(
-        DualFunctional(coords=coords, space=space,
-                       norm_bound=dual_norm(p, coords)),
-        delta, achieved)
+    F = in_dual_ball(p, mixed(s_feasible))
+    return F, max(0.0, 1.0 - float(np.dot(F, f_m)) / fn)
 
 
 def relaxed_minimize(objective: Callable, eta: float, exact: Callable,

@@ -24,8 +24,9 @@ one interval or an array of them: a batch of line problems shares each
 pass, so the measurements of many greedy steps cost one call.
 
 Derivative-free golden section (``line_search``, ``bracket_minimum``,
-``minimize_2d``) serves no step and no measurement.  It is kept for the
-oracle checks of ``selftest``.
+``minimize_2d``) serves no step, no measurement and no oracle check.  It is
+kept only because the benchmark's layer trace still names these three
+functions.
 """
 
 from __future__ import annotations

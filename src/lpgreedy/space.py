@@ -9,6 +9,10 @@ Only p in (1, inf) is supported: those are the uniformly smooth cases where
 the norming functional is unique and has the explicit coordinatewise form
 
     F_f(g) = sum_i sign(f_i) |f_i|^(p-1) g_i / ||f||_p^(p-1).
+
+A functional is its ``(n,)`` coordinate array, as atoms and residuals are,
+and F(g) is the dot product ``F @ g``.  ``Element`` ties a point to its
+space where a target enters the library.
 """
 
 from __future__ import annotations
@@ -75,25 +79,6 @@ class Element:
         if not np.all(np.isfinite(c)):
             raise ValueError("element coordinates must be finite")
         object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True)
-class DualFunctional:
-    """A dual vector; application is the coordinate dot product."""
-
-    coords: np.ndarray
-    space: LpSpace
-    norm_bound: float
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.space.n,):
-            raise ValueError(
-                f"dimension mismatch: got shape {c.shape}, space has n={self.space.n}"
-            )
-        object.__setattr__(self, "coords", c)
-        if self.norm_bound > 1.0 + 1e-12:
-            raise ValueError(f"dual norm {self.norm_bound} exceeds 1")
 
 
 # -- raw-array helpers (hot paths work on ndarrays, wrappers on Elements) --
@@ -164,6 +149,21 @@ def dual_norm(p: float, coords: np.ndarray) -> float:
     return pnorm(p / (p - 1.0), coords)
 
 
+def in_dual_ball(p: float, F: np.ndarray) -> np.ndarray:
+    """F itself, after checking that its dual norm is at most 1 + 1e-12."""
+    dn = dual_norm(p, F)
+    if dn > 1.0 + 1e-12:
+        raise ValueError(f"dual norm {dn} exceeds 1")
+    return F
+
+
+def check_functional(F: np.ndarray, n: int) -> None:
+    """Raise unless the functional F has the shape (n,) of lp^n."""
+    if np.shape(F) != (n,):
+        raise ValueError(f"functional must have shape ({n},), "
+                         f"got {np.shape(F)}")
+
+
 # -- public operations --
 
 def norm(space: LpSpace, x: Element) -> float:
@@ -173,32 +173,26 @@ def norm(space: LpSpace, x: Element) -> float:
     return pnorm(space.p, x.coords)
 
 
-def norming_functional(space: LpSpace, f: Element) -> DualFunctional:
-    """The unique peak functional of f: ||F|| = 1 and F(f) = ||f||."""
+def norming_functional(space: LpSpace, f: Element) -> np.ndarray:
+    """The unique peak functional of f, as an ``(n,)`` array: ||F|| = 1 and
+    F(f) = ||f||."""
     fn = norm(space, f)
     if fn == 0.0:
         raise ValueError("norming functional of zero undefined")
-    coords = functional_coords(space.p, f.coords, fn)
-    return DualFunctional(coords=coords, space=space,
-                          norm_bound=dual_norm(space.p, coords))
+    return in_dual_ball(space.p, functional_coords(space.p, f.coords, fn))
 
 
-def apply_functional(F: DualFunctional, g: Element) -> float:
-    if F.coords.shape != g.coords.shape:
-        raise ValueError("dimension mismatch between functional and element")
-    return float(np.dot(F.coords, g.coords))
-
-
-def dict_dual_norm(F: DualFunctional, D: "Dictionary",
+def dict_dual_norm(F: np.ndarray, D: "Dictionary",
                    scores: np.ndarray = None) -> float:
     """sup over the (symmetrized) dictionary of F(g), i.e. max_i |F(g_i)|.
 
-    ``scores``, when given, is ``D.matrix @ F.coords``, already computed by
-    the caller for the selection of the same step."""
+    ``F`` is an ``(n,)`` array; ``scores``, when given, is ``D.matrix @ F``,
+    already computed by the caller for the selection of the same step."""
+    check_functional(F, D.space.n)
     if len(D) == 0:
         raise ValueError("empty dictionary")
     if scores is None:
-        scores = D.matrix @ F.coords
+        scores = D.matrix @ F
     return float(np.max(np.abs(scores)))
 
 

@@ -44,6 +44,13 @@ class TestWeaknessSchedule:
         with pytest.raises(ValueError):
             WeaknessSchedule(kind="oscillating")
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), -0.5])
+    def test_decay_exponent_must_be_finite_and_nonnegative(self, exponent):
+        # a nan exponent would surface only mid-run as t_m = nan, and an
+        # infinite one would make t_m = 0 from m = 2 on
+        with pytest.raises(ValueError, match="decay exponent"):
+            WeaknessSchedule(kind="power_decay", t0=0.5, exponent=exponent)
+
     def test_round_trip(self):
         tau = WeaknessSchedule(kind="power_decay", t0=0.9, exponent=0.25)
         assert WeaknessSchedule.from_dict(tau.as_dict()) == tau

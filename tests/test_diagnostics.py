@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from lpgreedy import (BoundSpec, Element, ErrorSchedule, SequenceSpec,
-                      TargetSpec, WeaknessSchedule, apply_functional,
-                      audit_conditions, bound_curve, build_dictionary,
-                      dict_dual_norm, error_reduction_margins, lp_space,
-                      make_target, norming_functional, rate_bound, run_awbga,
-                      run_greedy, verify_rates)
+                      TargetSpec, WeaknessSchedule, audit_conditions,
+                      bound_curve, build_dictionary, dict_dual_norm,
+                      error_reduction_margins, lp_space, make_target,
+                      norming_functional, rate_bound, run_awbga, run_greedy,
+                      verify_rates)
 
 T1 = WeaknessSchedule()
 
@@ -137,7 +137,7 @@ class TestHullFunctionalBound:
             hull_el = Element(
                 coords=(w[:, None] * signs[:, None] * D.matrix[idx]).sum(axis=0),
                 space=s)
-            assert apply_functional(F, hull_el) <= dn + 1e-10
+            assert F @ hull_el.coords <= dn + 1e-10
 
 
 class TestRateBound:

@@ -121,6 +121,15 @@ class TestGreedySelect:
             _, val = greedy_select(F, D, t, rule)
             assert val >= t * dict_dual_norm(F, D) - 1e-12
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2), ()])
+    def test_wrong_shape_functional_rejected(self, shape):
+        s = lp_space(2.0, 2)
+        D = build_dictionary(s, "canonical", 2)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            greedy_select(np.ones(shape), D, t=1.0)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            greedy_select(np.ones(shape), D, 1.0, scores=np.ones(2))
+
     def test_threshold_first_genuinely_weak(self):
         # with t < 1 the first-above-threshold atom differs from the argmax
         # for some draws, which is the point of the rule

@@ -1,8 +1,9 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from lpgreedy import RunReport, harness
+from lpgreedy import RunReport, SolverConfig, harness
 from lpgreedy.harness import (CSV_HEADER, ExperimentConfig, emit_csv, execute,
                               main, parse_dict_spec, parse_errors, parse_space,
                               parse_target_spec, parse_weakness, summarize)
@@ -61,6 +62,9 @@ class TestSpecParsing:
         assert errs.eps_mode == "derived" and errs.seed == 5
         errs = parse_errors("delta=prop72auto,eta=prop72auto,eps=list:0.5,0.1")
         assert errs.eps_mode == "list" and errs.eps_values == (0.5, 0.1)
+
+    def test_report_records_the_default_solver(self):
+        assert execute(small_config()).solver == asdict(SolverConfig())
 
     def test_config_round_trip(self):
         cfg = small_config(weakness="pow:1.0,0.25", stop_tol=1e-10)
@@ -239,6 +243,14 @@ class TestCli:
         ("--target", "noisy,k=2,eps=inf,seed=3", "eps must be finite"),
         ("--dict", "random_gauss,N=-3,seed=7", "N must be positive"),
         ("--dict", "random_gauss,N=0,seed=7", "N must be positive"),
+        ("--dict", "random_gauss,N=16,sed=5", "unknown field(s) ['sed']"),
+        ("--target", "a1,k=2,sed=5", "unknown field(s) ['sed']"),
+        ("--target", "a1dense,k=3", "unknown field(s) ['k']"),
+        ("--target", "noisy,k=2,eps=0.1,sd=1", "unknown field(s) ['sd']"),
+        ("--dict", "random_gauss,N=16,seed=1,seed=2", "field 'seed' twice"),
+        ("--space", "lp:p=3,n=8,x=1", "unknown field(s) ['x']"),
+        ("--weakness", "pow:0.5,nan", "decay exponent must be finite"),
+        ("--weakness", "pow:0.5,inf", "decay exponent must be finite"),
     ])
     def test_bad_spec_number_is_usage_error(self, tmp_path, capsys, option,
                                             spec, problem):
@@ -289,6 +301,17 @@ class TestCli:
                    "--iters", "3", "--out", str(out)])
         assert rc == 2
         assert "sequence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_error_field_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        rc = main(["run", "--algo", "awcga", "--space", "lp:p=2,n=8",
+                   "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=3",
+                   "--errors", "err:delta=const:0,eta=const:0,sed=4",
+                   "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        assert "unknown field(s) ['sed']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

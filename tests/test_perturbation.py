@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from lpgreedy import (AWBGA_IDS, Element, ErrorSchedule, SequenceSpec,
-                      TargetSpec, WeaknessSchedule, apply_functional,
-                      build_dictionary, chebyshev_project, derived_eps_bound,
-                      audit_conditions, lp_space, make_target, norm,
-                      perturbed_functional, relaxed_minimize, run_awbga,
-                      run_greedy)
+                      TargetSpec, WeaknessSchedule, build_dictionary,
+                      chebyshev_project, derived_eps_bound, audit_conditions,
+                      lp_space, make_target, norm, perturbed_functional,
+                      relaxed_minimize, run_awbga, run_greedy)
 from lpgreedy import algorithms, perturbation
 from lpgreedy.perturbation import ZERO_ERRORS
 from lpgreedy.solvers import dense_line_min, min_along_ray
@@ -25,10 +24,9 @@ class TestPerturbedFunctional:
         s = lp_space(3.0, 5)
         rng = np.random.default_rng(1)
         f = Element(coords=rng.standard_normal(5), space=s)
-        pf = perturbed_functional(s, f.coords, 0.0, seed=3)
-        assert pf.achieved_delta == 0.0
-        assert apply_functional(pf.functional, f) == pytest.approx(
-            norm(s, f), rel=1e-10)
+        F, achieved = perturbed_functional(s, f.coords, 0.0, seed=3)
+        assert achieved == 0.0
+        assert F @ f.coords == pytest.approx(norm(s, f), rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_admissibility_random_trials(self, p):
@@ -37,18 +35,17 @@ class TestPerturbedFunctional:
         for i in range(300):
             f = Element(coords=rng.standard_normal(6), space=s)
             delta = float(rng.uniform(0, 1))
-            pf = perturbed_functional(s, f.coords, delta, seed=i)
-            assert dual_norm(p, pf.functional.coords) <= 1.0 + 1e-12
-            assert pf.achieved_delta <= delta + 1e-12
-            assert apply_functional(pf.functional, f) >= \
-                (1.0 - delta) * norm(s, f) - 1e-10
+            F, achieved = perturbed_functional(s, f.coords, delta, seed=i)
+            assert dual_norm(p, F) <= 1.0 + 1e-12
+            assert achieved <= delta + 1e-12
+            assert F @ f.coords >= (1.0 - delta) * norm(s, f) - 1e-10
 
     def test_vacuous_budget_still_valid(self):
         s = lp_space(2.0, 4)
         f = Element(coords=np.array([1.0, 2.0, 0.0, 0.0]), space=s)
-        pf = perturbed_functional(s, f.coords, 1.0, seed=5)
-        assert dual_norm(2.0, pf.functional.coords) <= 1.0 + 1e-12
-        assert apply_functional(pf.functional, f) >= -1e-12
+        F, _ = perturbed_functional(s, f.coords, 1.0, seed=5)
+        assert dual_norm(2.0, F) <= 1.0 + 1e-12
+        assert F @ f.coords >= -1e-12
 
     def test_adversarial_budget_is_used(self):
         # with a positive budget the construction should actually move away
@@ -56,8 +53,7 @@ class TestPerturbedFunctional:
         s = lp_space(2.0, 6)
         rng = np.random.default_rng(3)
         f = Element(coords=rng.standard_normal(6), space=s)
-        achieved = [perturbed_functional(s, f.coords, 0.2,
-                                         seed=i).achieved_delta
+        achieved = [perturbed_functional(s, f.coords, 0.2, seed=i)[1]
                     for i in range(20)]
         assert np.median(achieved) > 0.05
 
@@ -65,6 +61,15 @@ class TestPerturbedFunctional:
         s = lp_space(2.0, 3)
         with pytest.raises(ValueError, match="zero"):
             perturbed_functional(s, np.zeros(3), 0.1)
+
+    def test_dual_norm_above_one_rejected(self, monkeypatch):
+        # a mixed functional normalised by half its dual norm has norm 2
+        s = lp_space(3.0, 4)
+        monkeypatch.setattr(perturbation, "dual_norm",
+                            lambda p, c: 0.5 * dual_norm(p, c))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            perturbed_functional(s, np.array([1.0, 2.0, 0.5, -1.0]), 0.3,
+                                 seed=1)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_whole_budget_is_used(self, p):
@@ -79,11 +84,11 @@ class TestPerturbedFunctional:
             delta = float(rng.uniform(1e-6, 0.9))
             R = np.random.default_rng(i).standard_normal(32)
             value_at_one = abs(float(R @ f.coords)) / dual_norm(p, R)
-            pf = perturbed_functional(s, f.coords, delta, seed=i)
+            _, achieved = perturbed_functional(s, f.coords, delta, seed=i)
             if value_at_one < (1.0 - delta) * norm(s, f):
                 interior += 1
-                assert pf.achieved_delta >= delta - 1e-12
-            assert pf.achieved_delta <= delta + 1e-12
+                assert achieved >= delta - 1e-12
+            assert achieved <= delta + 1e-12
         assert interior >= 50
 
 

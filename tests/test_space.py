@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lpgreedy import (Element, apply_functional, dict_dual_norm,
-                      empirical_modulus, lp_space, norm, norming_functional,
-                      smoothness_bound, xi_root)
+from lpgreedy import (Element, dict_dual_norm, empirical_modulus, lp_space,
+                      norm, norming_functional, smoothness_bound, xi_root)
 from lpgreedy.dictionary import Dictionary, build_dictionary
-from lpgreedy.space import dual_norm, pnorm, pnorm_rows
+from lpgreedy import space as space_module
+from lpgreedy.space import dual_norm, in_dual_ball, pnorm, pnorm_rows
 
 
 def elem(space, *coords):
@@ -141,22 +141,22 @@ class TestNormingFunctional:
         s = lp_space(2.0, 2)
         f = elem(s, 3.0, 4.0)
         F = norming_functional(s, f)
-        assert np.allclose(F.coords, [0.6, 0.8])
-        assert apply_functional(F, f) == pytest.approx(5.0, rel=1e-10)
+        assert np.allclose(F, [0.6, 0.8])
+        assert F @ f.coords == pytest.approx(5.0, rel=1e-10)
 
     def test_p4_axis_value(self):
         s = lp_space(4.0, 2)
         F = norming_functional(s, elem(s, 1.0, 1.0))
-        assert np.allclose(F.coords, [2 ** -0.75, 2 ** -0.75], atol=1e-12)
-        assert apply_functional(F, elem(s, 1.0, 0.0)) == pytest.approx(
-            2 ** -0.75, rel=1e-10)
+        assert np.allclose(F, [2 ** -0.75, 2 ** -0.75], atol=1e-12)
+        assert F @ np.array([1.0, 0.0]) == pytest.approx(2 ** -0.75,
+                                                         rel=1e-10)
 
     def test_sign_structure_on_axis(self):
         s = lp_space(1.5, 2)
         f = elem(s, -1.0, 0.0)
         F = norming_functional(s, f)
-        assert np.allclose(F.coords, [-1.0, 0.0], atol=1e-14)
-        assert apply_functional(F, f) == pytest.approx(1.0, rel=1e-10)
+        assert np.allclose(F, [-1.0, 0.0], atol=1e-14)
+        assert F @ f.coords == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_rejected(self):
         s = lp_space(2.0, 2)
@@ -170,8 +170,8 @@ class TestNormingFunctional:
         for _ in range(25):
             f = Element(coords=rng.standard_normal(6), space=s)
             F = norming_functional(s, f)
-            assert dual_norm(p, F.coords) == pytest.approx(1.0, abs=1e-10)
-            assert apply_functional(F, f) == pytest.approx(norm(s, f), rel=1e-10)
+            assert dual_norm(p, F) == pytest.approx(1.0, abs=1e-10)
+            assert F @ f.coords == pytest.approx(norm(s, f), rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(coords=arrays(np.float64, (4,),
@@ -186,7 +186,7 @@ class TestNormingFunctional:
             return
         g = Element(coords=gcoords, space=s)
         F = norming_functional(s, f)
-        assert abs(apply_functional(F, g)) <= norm(s, g) + 1e-10
+        assert abs(F @ g.coords) <= norm(s, g) + 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(coords=arrays(np.float64, (4,),
@@ -200,16 +200,18 @@ class TestNormingFunctional:
             return
         F1 = norming_functional(s, f)
         F2 = norming_functional(s, Element(coords=c * coords, space=s))
-        assert np.allclose(F1.coords, F2.coords, atol=1e-12)
+        assert np.allclose(F1, F2, atol=1e-12)
 
 
 class TestApplyFunctional:
     def test_values(self):
         s = lp_space(2.0, 2)
         F = norming_functional(s, elem(s, 3.0, 4.0))
-        assert apply_functional(F, elem(s, 1.0, 0.0)) == pytest.approx(0.6)
-        assert apply_functional(F, elem(s, 3.0, 4.0)) == pytest.approx(5.0)
-        assert apply_functional(F, elem(s, -4.0, 3.0)) == pytest.approx(0.0, abs=1e-15)
+        # a functional is an (n,) array, applied by the dot product
+        assert isinstance(F, np.ndarray) and F.shape == (2,)
+        assert F @ np.array([1.0, 0.0]) == pytest.approx(0.6)
+        assert F @ np.array([3.0, 4.0]) == pytest.approx(5.0)
+        assert F @ np.array([-4.0, 3.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestDictDualNorm:
@@ -236,7 +238,7 @@ class TestDictDualNorm:
         for _ in range(20):
             f = Element(coords=rng.standard_normal(8), space=s)
             F = norming_functional(s, f)
-            brute = max(abs(float(np.dot(F.coords, g))) for g in D.matrix)
+            brute = max(abs(float(np.dot(F, g))) for g in D.matrix)
             assert dict_dual_norm(F, D) == pytest.approx(brute, abs=1e-12)
 
     def test_oracle_equivalence_at_ten_thousand_atoms(self):
@@ -245,7 +247,7 @@ class TestDictDualNorm:
         rng = np.random.default_rng(10)
         f = Element(coords=rng.standard_normal(6), space=s)
         F = norming_functional(s, f)
-        brute = max(abs(float(np.dot(F.coords, g))) for g in D.matrix)
+        brute = max(abs(float(np.dot(F, g))) for g in D.matrix)
         assert dict_dual_norm(F, D) == pytest.approx(brute, abs=1e-12)
 
     def test_empty_dictionary(self):
@@ -255,6 +257,31 @@ class TestDictDualNorm:
         F = norming_functional(s, elem(s, 1.0, 0.0))
         with pytest.raises(ValueError, match="empty"):
             dict_dual_norm(F, D)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2), ()])
+    def test_wrong_shape_functional_rejected(self, shape):
+        # (2, 1) would broadcast through D.matrix @ F without the check
+        s = lp_space(2.0, 2)
+        D = build_dictionary(s, "canonical", 2)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            dict_dual_norm(np.ones(shape), D)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            dict_dual_norm(np.ones(shape), D, scores=np.ones(2))
+
+
+class TestDualBall:
+    def test_norm_above_one_rejected(self):
+        F = np.array([0.6, 0.8])
+        assert in_dual_ball(2.0, F) is F
+        with pytest.raises(ValueError, match="exceeds 1"):
+            in_dual_ball(2.0, (1.0 + 1e-9) * F)
+
+    def test_norming_functional_checks_its_dual_norm(self, monkeypatch):
+        s = lp_space(3.0, 2)
+        monkeypatch.setattr(space_module, "functional_coords",
+                            lambda p, f, fn: 2.0 * f / fn)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            norming_functional(s, elem(s, 1.0, 0.0))
 
 
 class TestSmoothness:
