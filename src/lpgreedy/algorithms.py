@@ -43,9 +43,10 @@ import numpy as np
 from .dictionary import Dictionary, Target, greedy_select
 from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
                            relaxed_minimize)
-from .solvers import (_TINY, DEFAULT_SOLVER, SolverConfig, chebyshev_project,
-                      dense_line_min, min_along_ray)
-from .space import Element, LpSpace, dict_dual_norm, pnorm, pnorm_rows
+from .solvers import (_TINY, DEFAULT_SOLVER, N_GRID, SolverConfig, _psi_scaled,
+                      chebyshev_project, dense_line_min, min_along_ray)
+from .space import (_NORMAL_MIN, Element, LpSpace, _max, _min, dict_dual_norm,
+                    lp_space, pnorm, pnorm_rows)
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
 
@@ -99,9 +100,13 @@ class WeaknessSchedule:
 
     @staticmethod
     def from_dict(d: dict) -> "WeaknessSchedule":
-        vals = tuple(d["values"]) if d.get("values") else None
-        return WeaknessSchedule(kind=d["kind"], t0=d["t0"],
-                                exponent=d["exponent"], values=vals)
+        """The schedule ``as_dict`` wrote; ``ValueError`` if d is not one."""
+        try:
+            vals = tuple(d["values"]) if d.get("values") else None
+            return WeaknessSchedule(kind=d["kind"], t0=d["t0"],
+                                    exponent=d["exponent"], values=vals)
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise ValueError(f"malformed weakness schedule {d!r}: {e}") from e
 
 
 @dataclass
@@ -112,7 +117,6 @@ class GreedyState:
     f: np.ndarray
     f_m: np.ndarray
     G_m: np.ndarray
-    cfg: SolverConfig
     basis: np.ndarray  # (m, n), the selected atoms as rows (wcga only)
 
     def update(self, G: np.ndarray) -> None:
@@ -194,7 +198,7 @@ class RunReport:
         if not isinstance(d.get("records"), list):
             raise ValueError("report has no 'records' list")
         # the fields the audit and the rate bounds read
-        for name, keys in (("space_meta", ("q", "gamma", "p_conj")),
+        for name, keys in (("space_meta", ("n", "p", "q", "gamma", "p_conj")),
                            ("weakness", ("kind", "t0")),
                            ("target_meta", ("eps", "a_eps"))):
             sub = d.get(name)
@@ -202,11 +206,23 @@ class RunReport:
                    isinstance(sub.get(k), str if k == "kind" else (int, float))]
             if bad:
                 raise ValueError(f"report field {name!r} lacks {bad}")
+        sm = d["space_meta"]
+        space = lp_space(sm["p"], sm["n"])
+        if sm != vars(space):
+            raise ValueError(f"report field 'space_meta' {sm} differs from "
+                             f"the constants of {space.spec_string()}")
+        WeaknessSchedule.from_dict(d["weakness"])
+        if d.get("errors") is not None:
+            ErrorSchedule.from_dict(d["errors"])
         try:
             records = [IterationRecord(**r) for r in d.pop("records")]
             report = RunReport(records=records, **d)
         except TypeError as e:
             raise ValueError(f"malformed report: {e}") from e
+        odd = [f.name for f in fields(RunReport) if f.type in ("int", "float")
+               and type(getattr(report, f.name)) not in (int, float)]
+        if odd:
+            raise ValueError(f"report field(s) {odd} are not numbers")
         # one set of types per field over all records, which costs about
         # half as much as checking value by value
         columns = zip(*(vars(r).values() for r in records))
@@ -242,7 +258,7 @@ def _measured_bo(F: np.ndarray, r_new: float, G: np.ndarray,
 
 
 def _er_reference(space: LpSpace, f_prev: np.ndarray, phi: np.ndarray,
-                  r_prev: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+                  r_prev: np.ndarray) -> np.ndarray:
     """Independently measured inf over lam >= 0 of ||f_prev - lam phi|| for
     each row of the ``(k, n)`` arrays f_prev and phi, with r_prev the norms
     of f_prev: one batch of nested grid scans over [0, 2 r_prev] by
@@ -252,7 +268,7 @@ def _er_reference(space: LpSpace, f_prev: np.ndarray, phi: np.ndarray,
     def vec(ls: np.ndarray, rows: np.ndarray) -> np.ndarray:
         R = f_prev[rows, None, :] - ls[:, :, None] * phi[rows, None, :]
         return pnorm_rows(space.p, R.reshape(-1, n)).reshape(ls.shape)
-    return dense_line_min(vec, np.zeros(len(r_prev)), 2.0 * r_prev, cfg=cfg)[1]
+    return dense_line_min(vec, np.zeros(len(r_prev)), 2.0 * r_prev)[1]
 
 
 def _grid_margins(space: LpSpace, f_prev: np.ndarray, r_prev: np.ndarray,
@@ -270,13 +286,14 @@ def _grid_margins(space: LpSpace, f_prev: np.ndarray, r_prev: np.ndarray,
 
 
 def _chunk_steps(n: int) -> int:
-    """Steps measured together: their scans of dense_line_min's 33-point
-    grids, (steps * 33, n) values, stay within ``_MEASURE_VALUES``."""
-    return max(1, _MEASURE_VALUES // (33 * n))
+    """Steps measured together: their scans of dense_line_min's grids of
+    ``N_GRID`` points, (steps * N_GRID, n) values, stay within
+    ``_MEASURE_VALUES``."""
+    return max(1, _MEASURE_VALUES // (N_GRID * n))
 
 
 def _measure(space: LpSpace, f_traj: list, phis: list, norms: list,
-             G_traj: Optional[list], cfg: SolverConfig) -> tuple:
+             G_traj: Optional[list]) -> tuple:
     """(er_reference, bj_margin, neg_line_margin) lists, one entry per step,
     from the residuals f_0..f_M, the atoms phi_1..phi_M, the norms r_0..r_M
     and, for the grid margins, the approximants G_1..G_M (None: margins 0).
@@ -288,7 +305,7 @@ def _measure(space: LpSpace, f_traj: list, phis: list, norms: list,
         e = min(s + chunk, steps)
         f_prev, phi = np.array(f_traj[s:e]), np.array(phis[s:e])
         r_prev = np.array(norms[s:e])
-        er += _er_reference(space, f_prev, phi, r_prev, cfg).tolist()
+        er += _er_reference(space, f_prev, phi, r_prev).tolist()
         if G_traj is not None:
             bj_s, neg_s = _grid_margins(
                 space, f_prev, r_prev, phi, np.array(f_traj[s + 1:e + 1]),
@@ -305,8 +322,10 @@ def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
     at once over [-2 r, 2 r] with r = ||f_prev|| (the minimizer magnitude
     never exceeds 2 r for unit atoms).  An atom is frozen once its step or
     its bracket is below 1e-10 r; without the freeze, bisection would move
-    converged atoms away from their root.  The smallest value picks the
-    atom, and an exact ray solve refines its step.
+    converged atoms away from their root.  Rows whose plain psi' is not a
+    normal float take psi and psi' from ``_psi_scaled``, as the ray solve
+    does.  The smallest value picks the atom, and an exact ray solve
+    refines its step.
     """
     p = space.p
     M = D.matrix
@@ -323,14 +342,17 @@ def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
         W = np.abs(R)
         if p < 2.0:
             np.maximum(W, _TINY, out=W)
-        W **= p - 2.0
-        psi = -np.einsum("ij,ij->i", R * W, Ma)
-        dpsi = (p - 1.0) * np.einsum("ij,ij->i", W, Ma * Ma)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            W **= p - 2.0
+            psi = -np.einsum("ij,ij->i", R * W, Ma)
+            dpsi = (p - 1.0) * np.einsum("ij,ij->i", W, Ma * Ma)
+            if not (_NORMAL_MIN <= _min(dpsi) and _max(dpsi) < math.inf):
+                bad = ~((dpsi >= _NORMAL_MIN) & (dpsi < math.inf))
+                psi[bad], dpsi[bad] = _psi_scaled(p, R[bad], Ma[bad])
+            newton_step = psi / dpsi
         neg = psi < 0.0
         la = np.where(neg, xa, lo[active])
         ha = np.where(neg, hi[active], xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton_step = psi / dpsi
         xn = xa - newton_step
         step = np.abs(newton_step)
         newton = (la <= xn) & (xn <= ha) & (step <= 0.5 * last[active])
@@ -400,7 +422,7 @@ def _wcga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     space, f = st.space, st.f
     st.basis = np.vstack((st.basis, phi))
     Phi = st.basis.T
-    proj = chebyshev_project(space, f, st.basis, st.cfg)
+    proj = chebyshev_project(space, f, st.basis)
     c, _ = relaxed_minimize(
         lambda c: pnorm(space.p, f - Phi @ c), eta,
         lambda: (proj.coeffs, pnorm(space.p, proj.residual)),
@@ -489,8 +511,8 @@ _RULES = {"wcga": _wcga, "wgafr": _wgafr, "rwrga": _rwrga, "rrxga": _rrxga,
 
 
 def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
-               cfg: SolverConfig = None, max_m: int = 100,
-               stop_tol: float = 1e-12, rule: str = "exact_argmax",
+               *, max_m: int = 100, stop_tol: float = 1e-12,
+               rule: str = "exact_argmax",
                target: Optional[Target] = None) -> RunReport:
     """Iterate one exact algorithm until max_m, exact arrival, or a stall.
 
@@ -500,19 +522,17 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _run(algorithm, f, D, tau, None, cfg, max_m, stop_tol, rule, target)
+    return _run(algorithm, f, D, tau, None, max_m, stop_tol, rule, target)
 
 
 def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
-         errs: Optional[ErrorSchedule], cfg: Optional[SolverConfig],
-         max_m: int, stop_tol: float, rule: str,
+         errs: Optional[ErrorSchedule], max_m: int, stop_tol: float, rule: str,
          target: Optional[Target]) -> RunReport:
     """The WBGA loop for every id; ``errs`` is None for the exact ids, which
     run with zero errors and also record the grid margins."""
     space = f.space
     if D.space != space:
         raise ValueError("target and dictionary live in different spaces")
-    cfg = cfg or DEFAULT_SOLVER
     exact = errs is None
     errs = errs or ZERO_ERRORS
     p = space.p
@@ -524,8 +544,7 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                         "convergence is only guaranteed on the hull")
 
     st = GreedyState(space=space, f=f.coords.copy(), f_m=f.coords.copy(),
-                     G_m=np.zeros(space.n), cfg=cfg,
-                     basis=np.empty((0, space.n)))
+                     G_m=np.zeros(space.n), basis=np.empty((0, space.n)))
     records: list = []
     termination = "max_m"
     r = r0 = pnorm(p, st.f_m)
@@ -591,7 +610,7 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
             termination = "stop_tol"
             break
 
-    measured = _measure(space, f_traj, phis, norms, G_traj, cfg)
+    measured = _measure(space, f_traj, phis, norms, G_traj)
     for rec, er_ref, bj, neg in zip(records, *measured):
         rec.er_reference, rec.bj_margin, rec.neg_line_margin = er_ref, bj, neg
     return RunReport(
@@ -603,7 +622,7 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
         target_spec=target.spec.mode if target else "custom",
         target_meta=_target_meta(target),
         weakness=tau.as_dict(),
-        solver=asdict(cfg),
+        solver=asdict(DEFAULT_SOLVER),
         max_m=max_m, stop_tol=stop_tol, rule=rule,
         termination=termination, records=records, initial_residual=r0,
         warnings=warnings, errors=None if exact else errs.as_dict(),

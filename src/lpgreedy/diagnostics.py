@@ -26,6 +26,8 @@ BOUND_IDS = ("cor21", "thm52", "cor52", "thm72", "cor72", "prop72", "thm91")
 
 DEFAULT_COND_TOLS = (1e-12, 1e-6, 1e-6)  # selection, error reduction, biorthogonality
 _NEG_LINE_TOL = 1e-9
+# Absolute slack of a rate bound: residual_norm(m) <= bound(m) + _RATE_SLACK.
+_RATE_SLACK = 1e-6
 
 # Which per-iteration properties each algorithm actually promises.  wdga
 # never satisfies biorthogonality (no projection step) and is excluded from
@@ -149,8 +151,8 @@ def _reduction_rhs_factor(q: float, gamma: float, coef_a: float, c0: float,
     The objective is convex in lam; for coef_a > 0 its stationary point
     lam* = (coef_a r_prev^q / (2 gamma q))^(1/(q-1)) satisfies
     2 gamma (lam*/r_prev)^q = coef_a lam* / q, so the infimum is
-    1 + c0 - coef_a lam* (1 - 1/q).  The grid-and-golden evaluation it
-    replaced is kept as an oracle in ``selftest``."""
+    1 + c0 - coef_a lam* (1 - 1/q).  ``selftest`` checks it against the
+    nested grid scans of ``dense_line_min``."""
     if coef_a <= 0.0:
         return 1.0 + c0
     lam_star = (coef_a * r_prev ** q / (2.0 * gamma * q)) ** (1.0 / (q - 1.0))
@@ -285,9 +287,9 @@ def bound_curve(spec: BoundSpec, report: RunReport) -> np.ndarray:
                      for i, r in enumerate(report.records)])
 
 
-def verify_rates(report: RunReport, bound_ids: list,
-                 slack: float = 1e-6) -> list:
-    """Check residual_norm(m) <= bound(m) for each requested estimate.
+def verify_rates(report: RunReport, bound_ids: list) -> list:
+    """Check residual_norm(m) <= bound(m) for each requested estimate, up
+    to ``_RATE_SLACK``.
 
     Bounds that need a hull certificate (cor21/cor52/cor72/prop72) or a
     constant weakness sequence (cor21) are skipped with a reason when the
@@ -315,7 +317,8 @@ def verify_rates(report: RunReport, bound_ids: list,
         tight = (resid / np.maximum(bounds, 1e-300)).tolist()
         worst = min(margins) if margins else 0.0
         results.append(RateCheck(bound_id=bid, applicable=True,
-                                 passed=worst >= -slack, worst_margin=worst,
+                                 passed=worst >= -_RATE_SLACK,
+                                 worst_margin=worst,
                                  max_tightness=max(tight) if tight else 0.0,
                                  margins=margins, tightness=tight))
     return results

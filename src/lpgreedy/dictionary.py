@@ -63,7 +63,6 @@ class TargetSpec:
     k: int = 1
     eps: float = 0.0
     seed: int = 0
-    a_eps: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("a1_sparse", "a1_dense", "general_plus_noise"):
@@ -88,7 +87,9 @@ class Target:
 
     @property
     def a_eps(self) -> float:
-        return self.spec.a_eps
+        """A(eps) of the certificate: 1, since every target lies within eps
+        of the convex hull A_1(D) of the symmetrized dictionary."""
+        return 1.0
 
 
 def build_dictionary(space: LpSpace, kind: str, size: int, seed: int = 0) -> Dictionary:

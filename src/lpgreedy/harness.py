@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -126,16 +125,32 @@ def parse_target_spec(spec: str) -> TargetSpec:
         raise ValueError(f"target spec {spec!r} missing field {e}") from e
 
 
+_LIST_FORM = "list:<v>,<v>,..."
+
+
+def _numbers(text: str, spec: str, form: str, count: int = 0) -> tuple:
+    """The comma-separated numbers of ``text``: exactly ``count`` of them,
+    or at least one when ``count`` is 0.  Anything else is a usage error
+    naming the ``spec`` and the ``form`` it should take."""
+    try:
+        vals = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        vals = ()
+    if not vals or (count and len(vals) != count):
+        raise ValueError(f"spec {spec!r} does not match the form {form}")
+    return vals
+
+
 def parse_weakness(spec: str) -> WeaknessSchedule:
     kind, _, rest = spec.partition(":")
     if kind == "const":
-        return WeaknessSchedule(kind="constant", t0=float(rest))
+        t0, = _numbers(rest, spec, "const:<t>", 1)
+        return WeaknessSchedule(kind="constant", t0=t0)
     if kind == "pow":
-        t0, a = rest.split(",")
-        return WeaknessSchedule(kind="power_decay", t0=float(t0),
-                                exponent=float(a))
+        t0, a = _numbers(rest, spec, "pow:<t0>,<a>", 2)
+        return WeaknessSchedule(kind="power_decay", t0=t0, exponent=a)
     if kind == "list":
-        vals = tuple(float(v) for v in rest.split(","))
+        vals = _numbers(rest, spec, _LIST_FORM)
         return WeaknessSchedule(kind="explicit_list", t0=vals[0] or 1.0,
                                 values=vals)
     raise ValueError(f"unknown weakness spec {spec!r}")
@@ -144,15 +159,15 @@ def parse_weakness(spec: str) -> WeaknessSchedule:
 def _parse_sequence(spec: str) -> SequenceSpec:
     kind, _, rest = spec.partition(":")
     if kind == "const":
-        return SequenceSpec(kind="const", c=float(rest))
+        c, = _numbers(rest, spec, "const:<v>", 1)
+        return SequenceSpec(kind="const", c=c)
     if kind == "pow":
-        c, a = rest.split(",")
-        return SequenceSpec(kind="pow", c=float(c), a=float(a))
+        c, a = _numbers(rest, spec, "pow:<c>,<a>", 2)
+        return SequenceSpec(kind="pow", c=c, a=a)
     if kind == "prop72auto":
         return SequenceSpec(kind="prop72auto")
     if kind == "list":
-        return SequenceSpec(kind="list",
-                            values=tuple(float(v) for v in rest.split(",")))
+        return SequenceSpec(kind="list", values=_numbers(rest, spec, _LIST_FORM))
     raise ValueError(f"unknown error sequence spec {spec!r}")
 
 
@@ -164,7 +179,7 @@ def parse_errors(spec: str) -> ErrorSchedule:
         eps_mode, eps_values = "derived", None
     elif eps.startswith("list:"):
         eps_mode = "list"
-        eps_values = tuple(float(v) for v in eps[5:].split(","))
+        eps_values = _numbers(eps[5:], eps, _LIST_FORM)
     else:
         raise ValueError(f"unknown eps mode {eps!r}")
     try:
@@ -178,7 +193,7 @@ def parse_errors(spec: str) -> ErrorSchedule:
 
 @dataclass
 class ExperimentConfig:
-    """One run's flat configuration; parses and serializes losslessly."""
+    """One run's flat configuration: the spec strings of the CLI."""
 
     space: str
     dict_spec: str
@@ -190,25 +205,20 @@ class ExperimentConfig:
     stop_tol: float = 1e-12
     rule: str = "exact_argmax"
 
-    def serialize(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def parse(text: str) -> "ExperimentConfig":
-        return ExperimentConfig(**json.loads(text))
-
-    def validate(self) -> None:
+    def validate(self) -> tuple:
+        """Check every field; returns what the specs parse to: (space,
+        (kind, N, seed), TargetSpec, WeaknessSchedule, ErrorSchedule or
+        None)."""
         algo = self.algorithm.lower()
         if algo not in ALGORITHM_IDS + AWBGA_IDS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.errors and algo not in AWBGA_IDS:
             raise ValueError("error schedules apply to awcga/awgafr/arwrga only")
-        parse_space(self.space)
-        parse_dict_spec(self.dict_spec)
-        parse_target_spec(self.target)
-        parse_weakness(self.weakness)
-        if self.errors:
-            parse_errors(self.errors)
+        if algo in AWBGA_IDS and not self.errors:
+            raise ValueError("approximate algorithms need an --errors schedule")
+        parsed = (parse_space(self.space), parse_dict_spec(self.dict_spec),
+                  parse_target_spec(self.target), parse_weakness(self.weakness),
+                  parse_errors(self.errors) if self.errors else None)
         if self.rule not in ("exact_argmax", "threshold_first"):
             raise ValueError(f"unknown selection rule {self.rule!r}")
         if self.max_m < 1:
@@ -216,26 +226,20 @@ class ExperimentConfig:
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
             raise ValueError(f"stop_tol (--stop-tol) must be finite and "
                              f"nonnegative, got {self.stop_tol}")
+        return parsed
 
 
 def execute(config: ExperimentConfig) -> RunReport:
     """Run one experiment described by a config, deterministically."""
-    config.validate()
-    space = parse_space(config.space)
-    kind, size, dseed = parse_dict_spec(config.dict_spec)
+    space, (kind, size, dseed), tspec, tau, errs = config.validate()
     D = build_dictionary(space, kind, space.n if size is None else size, dseed)
-    target = make_target(D, parse_target_spec(config.target))
-    tau = parse_weakness(config.weakness)
+    target = make_target(D, tspec)
     algo = config.algorithm.lower()
+    opts = dict(max_m=config.max_m, stop_tol=config.stop_tol, rule=config.rule,
+                target=target)
     if algo in AWBGA_IDS:
-        errs = parse_errors(config.errors) if config.errors else None
-        if errs is None:
-            raise ValueError("approximate algorithms need an --errors schedule")
-        return run_awbga(algo, target.f, D, tau, errs, max_m=config.max_m,
-                         stop_tol=config.stop_tol, rule=config.rule,
-                         target=target)
-    return run_greedy(algo, target.f, D, tau, max_m=config.max_m,
-                      stop_tol=config.stop_tol, rule=config.rule, target=target)
+        return run_awbga(algo, target.f, D, tau, errs, **opts)
+    return run_greedy(algo, target.f, D, tau, **opts)
 
 
 def emit_csv(report: RunReport, path: str, timings: bool = False) -> None:
@@ -298,12 +302,17 @@ def summarize(reports: list) -> str:
     return "\n".join(lines)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        space=args.space, dict_spec=args.dict, target=args.target,
-        algorithm=args.algo, weakness=args.weakness, errors=args.errors,
+def _config(args: argparse.Namespace, algorithm: str,
+            target: str) -> ExperimentConfig:
+    """The config of one run from the options ``_add_spec_options`` adds."""
+    return ExperimentConfig(
+        space=args.space, dict_spec=args.dict, target=target,
+        algorithm=algorithm, weakness=args.weakness, errors=args.errors,
         max_m=args.iters, stop_tol=args.stop_tol, rule=args.rule)
-    report = execute(config)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    report = execute(_config(args, args.algo, args.target))
     out = _out_path(args.out)
     emit_csv(report, out, timings=args.timings)
     out.with_suffix(".json").write_text(report.to_json())
@@ -320,21 +329,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     algos = args.algos.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     base_target = parse_target_spec(args.target)
+    body = _fields(_strip_tag(args.target, "target:"))
+    kv = _kv(body[1:], args.target, _TARGET_KEYS[body[0]])
     reports = []
     for algo in algos:
         for seed in seeds:
-            tspec = args.target
-            # replace the target seed for this sweep instance
-            body = _fields(_strip_tag(tspec, "target:"))
-            kv = _kv(body[1:], tspec, _TARGET_KEYS[body[0]])
+            # the target spec with this sweep instance's seed
             kv["seed"] = str(seed)
             tspec = "target:" + ",".join([body[0]] + [f"{k}={v}"
                                                       for k, v in kv.items()])
-            config = ExperimentConfig(
-                space=args.space, dict_spec=args.dict, target=tspec,
-                algorithm=algo, weakness=args.weakness, errors=args.errors,
-                max_m=args.iters, stop_tol=args.stop_tol, rule=args.rule)
-            report = execute(config)
+            report = execute(_config(args, algo, tspec))
             stem = out_dir / f"{algo}_k{base_target.k}_s{seed}"
             emit_csv(report, stem.with_suffix(".csv"))
             stem.with_suffix(".json").write_text(report.to_json())
@@ -388,6 +392,17 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _add_spec_options(parser: argparse.ArgumentParser) -> None:
+    """The eight options ``run`` and ``sweep`` share: the specs of a run."""
+    for name in ("--space", "--dict", "--target"):
+        parser.add_argument(name, required=True)
+    parser.add_argument("--weakness", default="const:1.0")
+    parser.add_argument("--errors", default=None)
+    parser.add_argument("--iters", type=int, default=100)
+    parser.add_argument("--stop-tol", type=float, default=1e-12)
+    parser.add_argument("--rule", default="exact_argmax")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lpgreedy",
                                  description="greedy lp approximation runner")
@@ -395,14 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one experiment")
     run.add_argument("--algo", required=True)
-    run.add_argument("--space", required=True)
-    run.add_argument("--dict", required=True)
-    run.add_argument("--target", required=True)
-    run.add_argument("--weakness", default="const:1.0")
-    run.add_argument("--errors", default=None)
-    run.add_argument("--iters", type=int, default=100)
-    run.add_argument("--stop-tol", type=float, default=1e-12)
-    run.add_argument("--rule", default="exact_argmax")
+    _add_spec_options(run)
     run.add_argument("--out", required=True)
     run.add_argument("--timings", action="store_true",
                      help="write real wall clocks into the CSV "
@@ -412,14 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="cross algorithms x seeds")
     sweep.add_argument("--algos", required=True)
     sweep.add_argument("--seeds", required=True)
-    sweep.add_argument("--space", required=True)
-    sweep.add_argument("--dict", required=True)
-    sweep.add_argument("--target", required=True)
-    sweep.add_argument("--weakness", default="const:1.0")
-    sweep.add_argument("--errors", default=None)
-    sweep.add_argument("--iters", type=int, default=100)
-    sweep.add_argument("--stop-tol", type=float, default=1e-12)
-    sweep.add_argument("--rule", default="exact_argmax")
+    _add_spec_options(sweep)
     sweep.add_argument("--out-dir", required=True)
     sweep.set_defaults(fn=_cmd_sweep)
 

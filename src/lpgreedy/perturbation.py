@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .dictionary import Dictionary, Target
-from .solvers import SolverConfig
 from .space import (Element, LpSpace, dual_norm, functional_coords,
                     in_dual_ball, pnorm)
 
@@ -181,11 +180,17 @@ class ErrorSchedule:
 
     @staticmethod
     def from_dict(d: dict) -> "ErrorSchedule":
-        vals = tuple(d["eps_values"]) if d.get("eps_values") else None
-        return ErrorSchedule(delta=SequenceSpec.from_dict(d["delta"]),
-                             eta=SequenceSpec.from_dict(d["eta"]),
-                             eps_mode=d["eps_mode"], eps_values=vals,
-                             seed=d["seed"])
+        """The schedule ``as_dict`` wrote; ``ValueError`` if d is not one."""
+        try:
+            vals = tuple(d["eps_values"]) if d.get("eps_values") else None
+            if type(d["seed"]) is not int:
+                raise TypeError("seed must be an integer")
+            return ErrorSchedule(delta=SequenceSpec.from_dict(d["delta"]),
+                                 eta=SequenceSpec.from_dict(d["eta"]),
+                                 eps_mode=d["eps_mode"], eps_values=vals,
+                                 seed=d["seed"])
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise ValueError(f"malformed error schedule {d!r}: {e}") from e
 
 
 ZERO_ERRORS = ErrorSchedule(delta=SequenceSpec(kind="const", c=0.0),
@@ -317,7 +322,7 @@ def _auto_threshold(space: LpSpace, r: float, t: float) -> float:
 
 
 def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
-              errs: ErrorSchedule, cfg: SolverConfig = None, max_m: int = 100,
+              errs: ErrorSchedule, *, max_m: int = 100,
               stop_tol: float = 1e-12, rule: str = "exact_argmax",
               target: Optional[Target] = None) -> RunReport:
     """Drive an approximate greedy run with perturbed functionals, relaxed
@@ -327,4 +332,4 @@ def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     algorithm = algorithm.lower()
     if algorithm not in AWBGA_IDS:
         raise ValueError(f"unknown approximate algorithm {algorithm!r}")
-    return _run(algorithm, f, D, tau, errs, cfg, max_m, stop_tol, rule, target)
+    return _run(algorithm, f, D, tau, errs, max_m, stop_tol, rule, target)

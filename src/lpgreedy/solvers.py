@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .space import LpSpace, functional_coords, pnorm
+from .space import _NORMAL_MIN, _PLAIN_P, LpSpace, functional_coords, pnorm
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_CAP = 1e12
@@ -53,6 +53,8 @@ _TINY = 1e-300
 # Cap on the Newton and bisection steps of one ray solve.  Bisection alone
 # narrows a doubling bracket to the 1e-15 relative tolerance in about 50-60.
 _RAY_ITERS = 100
+# Points of each grid scan of ``dense_line_min``.
+N_GRID = 33
 # Smallest |diag R| / max |diag R| at which the projection's least-squares
 # solves use the QR factor.  Below it the basis is numerically rank
 # deficient (a repeated atom), and lstsq's minimum-norm answer is kept.
@@ -199,18 +201,18 @@ def minimize_2d(objective: Callable[[float, float], float],
     return (best_w, best_lam), best_v
 
 
-def dense_line_min(objective_vec: Callable, lo, hi, n_grid: int = 33,
+def dense_line_min(objective_vec: Callable, lo, hi,
                    cfg: SolverConfig = DEFAULT_SOLVER) -> tuple:
     """Nested grid scans; the independent line-search oracle.
 
-    Scans ``n_grid`` evenly spaced points of [lo, hi], keeps the bracket
+    Scans ``N_GRID`` evenly spaced points of [lo, hi], keeps the bracket
     [x_(i-1), x_(i+1)] around the best one (which holds the minimiser of a
     convex objective) and scans it again, until the bracket is within
     ``cfg.tol * max(1, hi - lo)`` or stops narrowing.  Returns the best
     point ever evaluated and its value.
 
     With float ``lo`` and ``hi`` there is one problem, and
-    ``objective_vec(xs)`` maps a grid of shape ``(n_grid,)`` to its values.
+    ``objective_vec(xs)`` maps a grid of shape ``(N_GRID,)`` to its values.
     With ``(k,)`` arrays there are k problems, solved in one pass per scan:
     ``objective_vec(xs, rows)`` gets the grids of the unfinished problems
     ``rows`` as the rows of ``xs`` and returns their values in the same
@@ -229,12 +231,12 @@ def dense_line_min(objective_vec: Callable, lo, hi, n_grid: int = 33,
         raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
     tol = cfg.tol * np.maximum(1.0, b - a)
     best_x, best_v = a.copy(), np.full(a.shape, np.inf)
-    steps = np.arange(n_grid, dtype=float)
+    steps = np.arange(N_GRID, dtype=float)
     rows = np.arange(a.size)
     while rows.size:
         ra, rb = a[rows], b[rows]
-        # np.linspace(a, b, n_grid): a + i (b - a)/(n_grid - 1), last point b
-        xs = steps * ((rb - ra) / (n_grid - 1))[:, None] + ra[:, None]
+        # np.linspace(a, b, N_GRID): a + i (b - a)/(N_GRID - 1), last point b
+        xs = steps * ((rb - ra) / (N_GRID - 1))[:, None] + ra[:, None]
         xs[:, -1] = rb
         vs = objective_vec(xs, rows)
         k = np.arange(rows.size)
@@ -243,7 +245,7 @@ def dense_line_min(objective_vec: Callable, lo, hi, n_grid: int = 33,
         best_x[rows[better]] = xs[k, i][better]
         best_v[rows[better]] = vs[k, i][better]
         na = xs[k, np.maximum(i - 1, 0)]
-        nb = xs[k, np.minimum(i + 1, n_grid - 1)]
+        nb = xs[k, np.minimum(i + 1, N_GRID - 1)]
         # a bracket that stops narrowing has hit the float spacing (or a
         # grid of three points or fewer)
         go = (nb - na > tol[rows]) & (nb - na < rb - ra)
@@ -252,6 +254,24 @@ def dense_line_min(objective_vec: Callable, lo, hi, n_grid: int = 33,
     if scalar:
         return float(best_x[0]), float(best_v[0])
     return best_x, best_v
+
+
+def _psi_scaled(p: float, R: np.ndarray, V: np.ndarray) -> tuple:
+    """(psi, psi') of the ray solve for each row r of R, whose direction is
+    the same row of V, both divided by s^(p-1) with s = max|r|: the signs
+    and the Newton ratio psi/psi' stay, and no power of |r|/s exceeds 1.
+    The solves call it where the plain psi' is not a normal float: at large
+    p it underflows to 0 once max|r| is small (0.39^799 < 1e-326) and
+    overflows once max|r| > 2.4.  A zero row gives psi = 0."""
+    s = np.max(np.abs(R), axis=1)
+    s[s == 0.0] = 1.0  # a zero row stays zero
+    U = R / s[:, None]
+    W = np.abs(U)
+    if p < 2.0:
+        np.maximum(W, _TINY, out=W)
+    W **= p - 2.0
+    return (-np.einsum("ij,ij->i", U * W, V),
+            (p - 1.0) * np.einsum("ij,ij->i", W, V * V) / s)
 
 
 def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
@@ -268,8 +288,18 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     blows up where a residual coordinate crosses zero, so a tiny Newton step
     says nothing about the distance to the root; such a step is pushed out
     to half the tolerance so that the far side gets evaluated, and a push
-    that fails to cross the root is followed by a bisection.
+    that fails to cross the root is followed by a bisection.  Where the
+    plain psi' is not a normal float, psi and psi' come from
+    ``_psi_scaled``.
     """
+    if p > _PLAIN_P:  # an overflowing plain sum falls back to _psi_scaled
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _min_along_ray(p, r0, v, nonneg)
+    return _min_along_ray(p, r0, v, nonneg)
+
+
+def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
+                   nonneg: bool) -> float:
     vv = float(np.dot(v, v))
     if vv == 0.0:
         return 0.0
@@ -289,7 +319,11 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
         if p < 2.0:  # |r|^(p-2) is infinite at r = 0
             np.maximum(w, _TINY, out=w)
         w **= p - 2.0
-        return -float(np.dot(r * w, v)), pm1 * float(np.dot(w, v2))
+        d = pm1 * float(np.dot(w, v2))
+        if not _NORMAL_MIN <= d < math.inf:
+            f, d = _psi_scaled(p, r[None], v[None])
+            return float(f[0]), float(d[0])
+        return -float(np.dot(r * w, v)), d
 
     f0, d0 = psi(0.0)
     if nonneg and f0 >= 0.0:

@@ -85,6 +85,12 @@ class Element:
 
 _NORMAL_MIN = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
+# Largest p at which the plain power sums run with numpy's overflow warnings
+# on: |a|^p overflows only for |a| above 10^(308/p), which is 1e77 at p = 4
+# but 2.4 at p = 800.  Above it, an overflow is expected and handled (pnorm
+# and the ray solves fall back to forms scaled by max|a|), so its warning
+# is switched off.
+_PLAIN_P = 4.0
 _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 
@@ -94,7 +100,13 @@ def pnorm(p: float, a: np.ndarray) -> float:
     the plain sum is used, so ordinary inputs keep their exact results."""
     # the ufunc reduction is called directly: it is what np.sum calls, and
     # the wrapper costs more than the sum on these small arrays
-    s = float(np.dot(a, a)) if p == 2.0 else float(_sum(np.abs(a) ** p))
+    if p == 2.0:
+        s = float(np.dot(a, a))
+    elif p <= _PLAIN_P:
+        s = float(_sum(np.abs(a) ** p))
+    else:
+        with np.errstate(over="ignore"):
+            s = float(_sum(np.abs(a) ** p))
     if _NORMAL_MIN <= s < math.inf:
         return math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
     scale = float(np.max(np.abs(a), initial=0.0))

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -15,7 +16,7 @@ from lpgreedy.algorithms import (_RULES, _chunk_steps, _grid_margins, _measure,
                                  _xgreedy_scan)
 from lpgreedy.diagnostics import APPLICABLE_CHECKS
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
-from lpgreedy.solvers import DEFAULT_SOLVER, min_along_ray
+from lpgreedy.solvers import min_along_ray
 from lpgreedy.space import pnorm, pnorm_rows
 
 T1 = WeaknessSchedule()  # constant t = 1
@@ -404,9 +405,9 @@ class TestBatchedMeasure:
     def test_matches_per_step_loop_bitwise(self, p, steps):
         f_traj, phis, norms, G_traj = self.trajectory(p, self.N, steps, steps)
         s = lp_space(p, self.N)
-        got = _measure(s, f_traj, phis, norms, G_traj, DEFAULT_SOLVER)
+        got = _measure(s, f_traj, phis, norms, G_traj)
         assert got == measure_per_step(p, f_traj, phis, norms, G_traj)
-        er, bj, neg = _measure(s, f_traj, phis, norms, None, DEFAULT_SOLVER)
+        er, bj, neg = _measure(s, f_traj, phis, norms, None)
         assert er == got[0] and bj == neg == [0.0] * steps
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -415,7 +416,7 @@ class TestBatchedMeasure:
         f_traj[0] = np.zeros(self.N)
         norms[0] = 0.0
         s = lp_space(p, self.N)
-        got = _measure(s, f_traj, phis, norms, G_traj, DEFAULT_SOLVER)
+        got = _measure(s, f_traj, phis, norms, G_traj)
         assert got == measure_per_step(p, f_traj, phis, norms, G_traj)
         assert got[0] == [0.0]
 
@@ -423,9 +424,9 @@ class TestBatchedMeasure:
     def test_run_records_match_per_step_loop(self, algo, monkeypatch):
         seen = []
 
-        def spy(space, f_traj, phis, norms, G_traj, cfg):
+        def spy(space, f_traj, phis, norms, G_traj):
             seen.append((f_traj, phis, norms, G_traj))
-            return _measure(space, f_traj, phis, norms, G_traj, cfg)
+            return _measure(space, f_traj, phis, norms, G_traj)
 
         monkeypatch.setattr(algorithms, "_measure", spy)
         p = 3.0
@@ -468,9 +469,39 @@ class TestLargeP:
         s = lp_space(p, 16)
         D = build_dictionary(s, "random_gauss", 64, seed=3)
         t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=4))
-        with np.errstate(over="ignore"):
-            rep = run_greedy("wgafr", t.f, D, T1, max_m=60, target=t)
+        rep = run_greedy("wgafr", t.f, D, T1, max_m=60, target=t)
         assert audit_conditions(rep).passed
+
+    @staticmethod
+    def audit_input(p):
+        s = lp_space(p, 16)
+        D = build_dictionary(s, "random_gauss", 64, seed=1)
+        return D, make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=2))
+
+    @pytest.mark.parametrize("p", [64.0, 200.0, 800.0])
+    def test_every_exact_id_passes_audit_without_warnings(self, p):
+        # at p = 800 the ray solves' psi and psi' underflow to 0 once
+        # max|r| < 0.4, and |r|^p overflows once max|r| > 2.4
+        D, t = self.audit_input(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algo in ALGORITHM_IDS:
+                rep = run_greedy(algo, t.f, D, T1, max_m=60, target=t)
+                assert audit_conditions(rep).passed, algo
+
+    @pytest.mark.parametrize("p", [200.0, 800.0])
+    @pytest.mark.parametrize("schedule", ["pow", "prop72auto"])
+    def test_every_approximate_id_passes_audit_without_warnings(self, p,
+                                                                 schedule):
+        D, t = self.audit_input(p)
+        seq = (SequenceSpec(kind="pow", c=0.1, a=1.1) if schedule == "pow"
+               else SequenceSpec(kind="prop72auto"))
+        errs = ErrorSchedule(delta=seq, eta=seq, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algo in AWBGA_IDS:
+                rep = run_awbga(algo, t.f, D, T1, errs, max_m=60, target=t)
+                assert audit_conditions(rep).passed, algo
 
 
 # Selected indices of every exact id on one input, captured before the

@@ -66,9 +66,22 @@ class TestSpecParsing:
     def test_report_records_the_default_solver(self):
         assert execute(small_config()).solver == asdict(SolverConfig())
 
-    def test_config_round_trip(self):
-        cfg = small_config(weakness="pow:1.0,0.25", stop_tol=1e-10)
-        assert ExperimentConfig.parse(cfg.serialize()) == cfg
+    @pytest.mark.parametrize("config", [
+        small_config(),
+        small_config(algorithm="awcga", weakness="pow:1.0,0.25",
+                     errors="err:delta=const:0.1,eta=list:0.1,0.05,eps=derived")])
+    def test_execute_parses_each_spec_once(self, monkeypatch, config):
+        calls = []
+        for name in ("parse_space", "parse_dict_spec", "parse_target_spec",
+                     "parse_weakness", "parse_errors"):
+            def counted(spec, _name=name, _parse=getattr(harness, name)):
+                calls.append(_name)
+                return _parse(spec)
+            monkeypatch.setattr(harness, name, counted)
+        execute(config)
+        want = ["parse_space", "parse_dict_spec", "parse_target_spec",
+                "parse_weakness"] + (["parse_errors"] if config.errors else [])
+        assert calls == want
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -80,6 +93,18 @@ class TestSpecParsing:
             small_config(rule="random").validate()
         with pytest.raises(ValueError, match="at least 1"):
             small_config(max_m=0).validate()
+        with pytest.raises(ValueError, match="need an --errors schedule"):
+            small_config(algorithm="arwrga").validate()
+
+    def test_validate_returns_the_parsed_specs(self):
+        space, dict_spec, tspec, tau, errs = small_config(
+            algorithm="awcga", weakness="const:0.5",
+            errors="err:delta=const:0.1,eta=const:0").validate()
+        assert (space.p, space.n) == (2.0, 8)
+        assert dict_spec == ("random_gauss", 24, 7)
+        assert (tspec.mode, tspec.k, tspec.seed) == ("a1_sparse", 3, 3)
+        assert tau.t0 == 0.5 and errs.delta.c == 0.1
+        assert small_config().validate()[4] is None
 
 
 class TestEmitCsv:
@@ -210,6 +235,20 @@ class TestCli:
          "'target_meta' lacks ['a_eps']"),
         (lambda b: b["weakness"].pop("kind"), "'weakness' lacks ['kind']"),
         (lambda b: b["weakness"].pop("t0"), "'weakness' lacks ['t0']"),
+        (lambda b: b["space_meta"].update(q=1), "differs from the constants"),
+        (lambda b: b["space_meta"].update(gamma=-1),
+         "differs from the constants"),
+        (lambda b: b["space_meta"].update(p=1.0), "not uniformly smooth"),
+        (lambda b: b["space_meta"].pop("n"), "'space_meta' lacks ['n']"),
+        (lambda b: b["weakness"].update(t0=0), "t0 must lie in (0, 1]"),
+        (lambda b: b["weakness"].update(exponent="x"),
+         "malformed weakness schedule"),
+        (lambda b: b.update(initial_residual="x"),
+         "['initial_residual'] are not numbers"),
+        (lambda b: b.update(max_m=None), "['max_m'] are not numbers"),
+        (lambda b: b.update(errors="x"), "malformed error schedule"),
+        (lambda b: b.update(errors={"delta": {"kind": "const"}}),
+         "malformed error schedule"),
     ])
     def test_audit_malformed_nested_field_is_usage_error(self, tmp_path, capsys,
                                                          edit, problem):
@@ -251,6 +290,12 @@ class TestCli:
         ("--space", "lp:p=3,n=8,x=1", "unknown field(s) ['x']"),
         ("--weakness", "pow:0.5,nan", "decay exponent must be finite"),
         ("--weakness", "pow:0.5,inf", "decay exponent must be finite"),
+        ("--weakness", "pow:0.5", "does not match the form pow:<t0>,<a>"),
+        ("--weakness", "pow:0.5,1,2", "does not match the form pow:<t0>,<a>"),
+        ("--weakness", "pow:0.5,x", "does not match the form pow:<t0>,<a>"),
+        ("--weakness", "const:", "does not match the form const:<t>"),
+        ("--weakness", "list:", "does not match the form list:<v>,<v>,..."),
+        ("--weakness", "list:0.5,,1", "does not match the form list:"),
     ])
     def test_bad_spec_number_is_usage_error(self, tmp_path, capsys, option,
                                             spec, problem):
@@ -258,6 +303,27 @@ class TestCli:
         args[args.index(option) + 1] = spec
         out = tmp_path / "r.csv"
         assert main(args + ["--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("errors,problem", [
+        ("err:delta=pow:0.1,eta=const:0", "'pow:0.1' does not match the form "
+                                          "pow:<c>,<a>"),
+        ("err:delta=pow:0.1,1,2,eta=const:0", "does not match the form "
+                                              "pow:<c>,<a>"),
+        ("err:delta=const:0,eta=list:", "'list:' does not match the form "
+                                        "list:<v>,<v>,..."),
+        ("err:delta=const:0,eta=const:0,eps=list:", "does not match the form "
+                                                    "list:<v>,<v>,..."),
+    ])
+    def test_bad_error_numbers_are_usage_errors(self, tmp_path, capsys, errors,
+                                                problem):
+        out = tmp_path / "a.csv"
+        rc = main(["run", "--algo", "awcga", "--space", "lp:p=2,n=8",
+                   "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=3", "--errors", errors,
+                   "--iters", "3", "--out", str(out)])
+        assert rc == 2
         assert problem in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,10 +1,13 @@
-"""The package's public names: each resolves, and none appears twice."""
+"""The package's public names and signatures: each name resolves, none
+appears twice, and removed names and parameters stay removed."""
 
 import importlib
+import inspect
 
 import pytest
 
 import lpgreedy
+from lpgreedy.harness import ExperimentConfig
 
 
 def test_every_exported_name_resolves():
@@ -26,3 +29,26 @@ def test_functional_wrappers_are_gone(name, module):
     assert not hasattr(lpgreedy, name)
     assert not hasattr(importlib.import_module("lpgreedy." + module), name)
 
+
+
+@pytest.mark.parametrize("function,removed", [
+    ("algorithms.run_greedy", "cfg"), ("perturbation.run_awbga", "cfg"),
+    ("diagnostics.verify_rates", "slack"), ("solvers.dense_line_min", "n_grid"),
+    ("dictionary.TargetSpec", "a_eps")])
+def test_removed_parameter_is_gone(function, removed):
+    mod, name = function.split(".")
+    obj = getattr(importlib.import_module("lpgreedy." + mod), name)
+    assert removed not in inspect.signature(obj).parameters
+
+
+@pytest.mark.parametrize("name", ["serialize", "parse"])
+def test_experiment_config_has_no_text_form(name):
+    assert not hasattr(ExperimentConfig, name)
+
+
+@pytest.mark.parametrize("driver", [lpgreedy.run_greedy, lpgreedy.run_awbga])
+def test_driver_options_are_keyword_only(driver):
+    # a stale positional solver config raises instead of binding to max_m
+    params = list(inspect.signature(driver).parameters.values())
+    first = [p.name for p in params].index("max_m")
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[first:])

@@ -6,8 +6,8 @@ from lpgreedy import (Element, SolverConfig, TargetSpec, WeaknessSchedule,
                       chebyshev_project, line_search, lp_space, make_target,
                       minimize_2d, norming_functional, run_greedy)
 from lpgreedy import solvers
-from lpgreedy.solvers import (_WEIGHT_FLOOR, _lstsq, dense_line_min,
-                              min_along_ray)
+from lpgreedy.solvers import (_WEIGHT_FLOOR, _lstsq, _psi_scaled,
+                              dense_line_min, min_along_ray)
 from lpgreedy.space import pnorm, pnorm_rows
 
 
@@ -211,6 +211,35 @@ class TestMinAlongRay:
             a = min_along_ray(p, r0, v)
             ref = self._bisection_reference(p, r0, v)
             assert abs(a - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("top", [0.05, 0.39, 3.0])
+    def test_p_800_matches_dense_grid(self, top):
+        # with max|r| = 0.39 every plain |r|^799 is below 1e-326 and psi
+        # reads 0; with max|r| = 3 the plain powers overflow
+        p = 800.0
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            r0 = rng.standard_normal(16)
+            r0 *= top / np.max(np.abs(r0))
+            v = rng.standard_normal(16)
+            v /= pnorm(p, v)
+            a = min_along_ray(p, r0, v)
+            r = pnorm(p, r0)
+            _, best = dense_line_min(lambda ls: pnorm_rows(
+                p, r0[None, :] - ls[:, None] * v[None, :]), -2.0 * r, 2.0 * r)
+            assert pnorm(p, r0 - a * v) <= best * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    def test_scaled_psi_keeps_signs_and_newton_ratio(self, p):
+        rng = np.random.default_rng(12)
+        R, V = rng.standard_normal((5, 9)), rng.standard_normal((5, 9))
+        W = np.abs(R) ** (p - 2.0)
+        psi = -np.einsum("ij,ij->i", R * W, V)
+        dpsi = (p - 1.0) * np.einsum("ij,ij->i", W, V * V)
+        f, d = _psi_scaled(p, R, V)
+        assert np.array_equal(np.sign(f), np.sign(psi))
+        assert np.allclose(f / d, psi / dpsi, rtol=1e-12, atol=0.0)
+        assert np.array_equal(_psi_scaled(p, np.zeros((1, 9)), V[:1])[0], [0.0])
 
     def test_gg_run_below_two_passes_audit(self):
         # the rescale solves of this run pass near zero residual coordinates
