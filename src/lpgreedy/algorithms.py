@@ -424,7 +424,7 @@ def _wcga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     Phi = st.basis.T
     proj = chebyshev_project(space, f, st.basis)
     c, _ = relaxed_minimize(
-        lambda c: pnorm(space.p, f - Phi @ c), eta,
+        space.p, lambda c: f - Phi @ c, eta,
         lambda: (proj.coeffs, pnorm(space.p, proj.residual)),
         seed=seed + 1)
     # f_m = f - Phi c is bitwise the projection's residual when c is exact
@@ -439,16 +439,16 @@ def _wgafr(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     two-atom Chebyshev projection of ``_two_dir_solve``."""
     p, f, G_prev = st.space.p, st.f, st.G_m
     x, _ = relaxed_minimize(
-        lambda x: pnorm(p, f - ((1.0 - x[0]) * G_prev + x[1] * phi)), eta,
+        p, lambda x: f - ((1.0 - x[0]) * G_prev + x[1] * phi), eta,
         lambda: _two_dir_solve(st.space, f, G_prev, phi), seed=seed + 1,
-        project=lambda x: np.array([x[0], max(0.0, x[1])]))
+        nonneg=(False, True))
     st.update((1.0 - x[0]) * G_prev + x[1] * phi)
     return {"lam": float(x[1]), "omega": float(x[0])}
 
 
 def _rescaled(st: GreedyState, v: np.ndarray, eta: float, seed: int) -> float:
     """Set the approximant to mu v, mu from ``_rescale``; returns mu."""
-    mu, _ = relaxed_minimize(lambda mu: pnorm(st.space.p, st.f - mu * v), eta,
+    mu, _ = relaxed_minimize(st.space.p, lambda mu: st.f - mu * v, eta,
                              lambda: _rescale(st.space, st.f, v), seed=seed)
     st.update(mu * v)
     return float(mu)
@@ -459,12 +459,13 @@ def _wdga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     """Line search along the atom: G_prev + lam phi with lam >= 0."""
     p, f_prev = st.space.p, st.f_m
 
-    def along(lam: float) -> float:
-        return pnorm(p, f_prev - lam * phi)
+    def along(lam: float) -> np.ndarray:
+        return f_prev - lam * phi
 
     lam0 = min_along_ray(p, f_prev, phi, nonneg=True)
-    lam, _ = relaxed_minimize(along, eta, lambda: (lam0, along(lam0)),
-                              seed=seed + 1, project=lambda x: max(0.0, x))
+    lam, _ = relaxed_minimize(p, along, eta,
+                              lambda: (lam0, pnorm(p, along(lam0))),
+                              seed=seed + 1, nonneg=True)
     st.update(st.G_m + lam * phi)
     return {"lam": float(lam)}
 

@@ -83,15 +83,22 @@ def _kv(fields: list, spec: str, keys: tuple) -> dict:
     return d
 
 
-# accepted fields of each target mode
+# accepted fields of each target mode, and the form of its spec
 _TARGET_KEYS = {"a1": ("k", "seed"), "a1dense": ("seed",),
                 "noisy": ("k", "eps", "seed")}
+_TARGET_FORMS = {"a1": "target:a1,k=<int>,seed=<int>",
+                 "a1dense": "target:a1dense,seed=<int>",
+                 "noisy": "target:noisy,k=<int>,eps=<real>,seed=<int>"}
+_SPACE_FORM = "lp:p=<real>,n=<int>"
+_DICT_FORM = "dict:<kind>,N=<int>,seed=<int>"
+_ERRORS_FORM = "err:delta=<spec>,eta=<spec>,eps=derived|list:<...>[,seed=<int>]"
 
 
 def parse_space(spec: str) -> LpSpace:
     kv = _kv(_fields(_strip_tag(spec, "lp:")), spec, ("p", "n"))
     try:
-        return lp_space(p=float(kv["p"]), n=int(kv["n"]))
+        return lp_space(p=float(kv["p"]),
+                        n=_integer(kv["n"], spec, _SPACE_FORM))
     except KeyError as e:
         raise ValueError(f"space spec {spec!r} missing field {e}") from e
 
@@ -101,10 +108,10 @@ def parse_dict_spec(spec: str) -> tuple:
     body = _fields(_strip_tag(spec, "dict:"))
     kind = body[0]
     kv = _kv(body[1:], spec, ("N", "seed"))
-    size = int(kv["N"]) if "N" in kv else None
+    size = _integer(kv["N"], spec, _DICT_FORM) if "N" in kv else None
     if size is not None and size < 1:
         raise ValueError(f"dictionary size N must be positive, got {size}")
-    return kind, size, int(kv.get("seed", 0))
+    return kind, size, _integer(kv.get("seed", "0"), spec, _DICT_FORM)
 
 
 def parse_target_spec(spec: str) -> TargetSpec:
@@ -113,13 +120,16 @@ def parse_target_spec(spec: str) -> TargetSpec:
     if mode not in _TARGET_KEYS:
         raise ValueError(f"unknown target mode {mode!r}")
     kv = _kv(body[1:], spec, _TARGET_KEYS[mode])
-    seed = int(kv.get("seed", 0))
+    form = _TARGET_FORMS[mode]
+    seed = _integer(kv.get("seed", "0"), spec, form)
     try:
         if mode == "a1":
-            return TargetSpec(mode="a1_sparse", k=int(kv["k"]), seed=seed)
+            return TargetSpec(mode="a1_sparse", k=_integer(kv["k"], spec, form),
+                              seed=seed)
         if mode == "a1dense":
             return TargetSpec(mode="a1_dense", seed=seed)
-        return TargetSpec(mode="general_plus_noise", k=int(kv["k"]),
+        return TargetSpec(mode="general_plus_noise",
+                          k=_integer(kv["k"], spec, form),
                           eps=float(kv["eps"]), seed=seed)
     except KeyError as e:
         raise ValueError(f"target spec {spec!r} missing field {e}") from e
@@ -128,17 +138,25 @@ def parse_target_spec(spec: str) -> TargetSpec:
 _LIST_FORM = "list:<v>,<v>,..."
 
 
-def _numbers(text: str, spec: str, form: str, count: int = 0) -> tuple:
-    """The comma-separated numbers of ``text``: exactly ``count`` of them,
-    or at least one when ``count`` is 0.  Anything else is a usage error
-    naming the ``spec`` and the ``form`` it should take."""
+def _numbers(text: str, spec: str, form: str, count: int = 0,
+             kind: type = float) -> tuple:
+    """The comma-separated numbers of ``text``, each read by ``kind``
+    (float or int): exactly ``count`` of them, or at least one when
+    ``count`` is 0.  Anything else is a usage error naming the ``spec`` and
+    the ``form`` it should take."""
     try:
-        vals = tuple(float(v) for v in text.split(","))
+        vals = tuple(kind(v) for v in text.split(","))
     except ValueError:
         vals = ()
     if not vals or (count and len(vals) != count):
         raise ValueError(f"spec {spec!r} does not match the form {form}")
     return vals
+
+
+def _integer(text: str, spec: str, form: str) -> int:
+    """One integer field of ``spec``, a usage error naming ``form`` if it
+    is not one."""
+    return _numbers(text, spec, form, 1, int)[0]
 
 
 def parse_weakness(spec: str) -> WeaknessSchedule:
@@ -188,7 +206,7 @@ def parse_errors(spec: str) -> ErrorSchedule:
         raise ValueError(f"error spec {spec!r} missing field {e}") from e
     return ErrorSchedule(delta=_parse_sequence(delta), eta=_parse_sequence(eta),
                          eps_mode=eps_mode, eps_values=eps_values,
-                         seed=int(kv.get("seed", 0)))
+                         seed=_integer(kv.get("seed", "0"), spec, _ERRORS_FORM))
 
 
 @dataclass
@@ -327,8 +345,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     algos = args.algos.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
-    base_target = parse_target_spec(args.target)
+    seeds = _numbers(args.seeds, args.seeds, "--seeds <int>,<int>,...", 0, int)
+    parse_target_spec(args.target)  # a usage error before any run
     body = _fields(_strip_tag(args.target, "target:"))
     kv = _kv(body[1:], args.target, _TARGET_KEYS[body[0]])
     reports = []
@@ -339,7 +357,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             tspec = "target:" + ",".join([body[0]] + [f"{k}={v}"
                                                       for k, v in kv.items()])
             report = execute(_config(args, algo, tspec))
-            stem = out_dir / f"{algo}_k{base_target.k}_s{seed}"
+            # k: the number of atoms the target is built on (N for a1dense)
+            k = len(report.target_meta["certificate"])
+            stem = out_dir / f"{algo}_k{k}_s{seed}"
             emit_csv(report, stem.with_suffix(".csv"))
             stem.with_suffix(".json").write_text(report.to_json())
             reports.append(report)

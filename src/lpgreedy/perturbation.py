@@ -10,9 +10,15 @@ mixing with a random dual vector pushed as far as the delta budget allows,
 so the theory gets exercised near its stated boundary instead of with benign
 rounding noise.
 
-Both perturbations end at a level crossing (``_level_crossing``): the
-largest admissible mixing weight for delta, and the farthest admissible step
-from the argmin for eta.
+Both perturbations end at a level crossing of a convex function on a ray
+(``_ray_crossing``): the largest admissible mixing weight for delta, and
+the farthest admissible step from the argmin for eta.  One power of |c| at
+the ray point c gives the value and its closed-form slope, so each step
+takes the root of a quadratic model from the admissible end, kept between
+the secant point (admissible, by convexity) and the tangent roots (not
+admissible), with bisection where two steps have not halved the bracket.
+A point counts as admissible only as the caller computes it: the achieved
+delta from the returned functional, the value from the caller's residual.
 """
 
 from __future__ import annotations
@@ -24,58 +30,135 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .dictionary import Dictionary, Target
-from .space import (Element, LpSpace, dual_norm, functional_coords,
-                    in_dual_ball, pnorm)
+from .space import (_NORMAL_MIN, _PLAIN_P, Element, LpSpace, dual_norm,
+                    functional_coords, in_dual_ball, pnorm)
 
 if TYPE_CHECKING:
     from .algorithms import RunReport, WeaknessSchedule
 
 AWBGA_IDS = ("awcga", "awgafr", "arwrga")
 
-# Stop tests of the level crossings: the bracket is as narrow as a 60-step
-# (delta) or 50-step (eta) bisection would leave it, or an admissible point
-# is within 4e-16 relative of the level (of ||f_m|| for delta, of the budget
-# for eta).  The second test matters where the level sits inside the
-# rounding band of ||.||, as under small online thresholds: there secant
-# steps stall and the width test alone would spend its whole count.
+# Stop tests of the level crossings.  A point admissible in its own
+# arithmetic whose g lies within tol of the level ends the search, with tol
+# 2^-48 of the level (of ||f_m|| for delta, of the budget for eta; for eta
+# widened to the rounding measured in the caller's objective).  Otherwise
+# the bracket stops once it is _DELTA_REL (delta) or _ETA_REL (eta) times
+# its first width, or once no float lies between its ends; the halving
+# safeguard makes either come within about twice as many evaluations as a
+# bisection would take.
 _DELTA_REL = 2.0 ** -60
 _ETA_REL = 2.0 ** -50
-_ULP_REL = 4e-16
+_LEVEL_REL = 2.0 ** -48
+# A backstop for a g that is not convex, where neither test need end it.
+_MAX_EVALS = 150
 
 
-def _level_crossing(g: Callable, lo: float, hi: float, g_lo: float,
-                    g_hi: float, rel: float, g_tol: float) -> float:
-    """Last point seen with g <= 0, on a bracket with g(lo) <= 0 < g(hi).
+def _norm_slope(p: float, c: np.ndarray, u: np.ndarray) -> tuple:
+    """(||c||_p, d/dt ||c + t u||_p at t = 0) for c != 0, both from one
+    power of |c|; formed over max|c| where the plain power sum is not a
+    normal float, as in ``pnorm``."""
+    a = np.abs(c)
+    if p <= _PLAIN_P:
+        w = a ** (p - 1.0)
+    else:
+        with np.errstate(over="ignore"):
+            w = a ** (p - 1.0)
+    s = float(np.dot(w, a))
+    m = 1.0
+    if not _NORMAL_MIN <= s < math.inf:
+        m = float(np.max(a))
+        if m == 0.0:
+            return 0.0, pnorm(p, u)
+        w = (a / m) ** (p - 1.0)
+        s = float(np.dot(w, a)) / m
+    slope = float(np.dot(np.copysign(w, c), u)) / s ** (1.0 - 1.0 / p)
+    return m * s ** (1.0 / p), slope
 
-    Illinois regula falsi: each step takes the secant point of the bracket
-    and keeps the side it lands on; when the same end is kept twice running,
-    the other end's g is halved so that a one-sided secant cannot stall.
-    Stops once the bracket is ``rel`` times its first width, once a point
-    with -g_tol <= g <= 0 has been seen, or once no float lies between the
-    ends (far from 0, floats are coarser than 2^-60).
+
+def _model_root(g: float, d: float, k: float) -> float:
+    """First t > 0 where g + d t + k t^2 / 2 reaches 0, for g < 0 (inf if
+    it never does)."""
+    disc = d * d - 2.0 * k * g
+    den = d + math.sqrt(disc) if disc >= 0.0 else -1.0
+    return -2.0 * g / den if den > 0.0 else math.inf
+
+
+def _ray_crossing(ev: Callable, ok: Callable, lo: float, g_lo: float,
+                  d_lo: float, hi: float, g_hi: Optional[float],
+                  x: Optional[float], tol: float, rel: float) -> tuple:
+    """Admissible point at the level crossing of a convex g on [lo, hi].
+
+    g(lo) = g_lo < -tol with slope d_lo there; g_hi = g(hi) > 0, or None
+    while hi (possibly inf) is not known to lie past the crossing.
+    ``ev(x)`` returns (g(x), g'(x)); ``ok(x)`` judges a point with
+    -tol <= g(x) <= 0 in its own arithmetic, and a point it rejects counts
+    as past the level.  ``x`` is the first point to evaluate, or None.
+
+    Each step aims at g = -tol/2.  Its point is the root of the quadratic
+    model at lo: value and slope there, curvature from g(hi), or from the
+    slope at the previous lo while g(hi) is unknown (then at least twice
+    as far from that lo).  Convexity keeps the root between the secant
+    point of the bracket, which is admissible, and the tangent roots from
+    either end, which are not.  Where two evaluations have not halved the
+    bracket, the next one bisects it.  Returns (x, g(x), accepted): the
+    first accepted point; else lo, or hi where it was reached below the
+    level.
     """
-    width = rel * (hi - lo)
-    kept = 0  # +1: lo moved last, -1: hi moved last
-    while hi - lo > width:
-        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:  # the ends are adjacent floats
+    aim = 0.5 * tol
+    d_hi = prev = stop = None
+    widths = [math.inf, math.inf, math.inf]
+    rejected = 0
+    if g_hi is not None:
+        stop = rel * (hi - lo)
+    for _ in range(_MAX_EVALS):
+        if x is None:
+            glo = g_lo + aim
+            if g_hi is None:  # extrapolate: at least double the last step
+                t = _model_root(glo, d_lo, (d_lo - prev[1]) / (lo - prev[0]))
+                x = max(lo + t, 2.0 * lo - prev[0]) if t < math.inf \
+                    else 2.0 * lo - prev[0]
+                if d_lo > 0.0:
+                    x = min(x, lo - glo / d_lo)
+                x = min(x, hi)
+            elif widths[2] > 0.5 * widths[0]:
+                x = 0.5 * (lo + hi)
+            else:
+                ghi, w = g_hi + aim, hi - lo
+                upper = hi
+                if d_lo > 0.0:
+                    upper = min(upper, lo - glo / d_lo)
+                if d_hi is not None and d_hi > 0.0:
+                    upper = min(upper, hi - ghi / d_hi)
+                x = lo + _model_root(glo, d_lo,
+                                     2.0 * (ghi - glo - d_lo * w) / (w * w))
+                x = min(max(x, lo - glo * w / (ghi - glo)), upper)
+            if not lo < x < hi and not (g_hi is None and lo < x == hi):
+                x = 0.5 * (lo + hi)
+                if not lo < x < hi:  # the ends are adjacent floats
+                    break
+        g, d = ev(x)
+        if -tol <= g <= 0.0:
+            if ok(x):
+                return x, g, True
+            rejected += 1
+            if rejected > 2:
                 break
-        gx = g(x)
-        if gx <= 0.0:
-            lo, g_lo = x, gx
-            if gx >= -g_tol:
-                break
-            if kept == 1:
-                g_hi *= 0.5
-            kept = 1
+            g = 0.0
+        if g < -tol:
+            if x == hi:  # reached the end of the ray below the level
+                return x, g, False
+            prev = (lo, d_lo)
+            lo, g_lo, d_lo = x, g, d
         else:
-            hi, g_hi = x, gx
-            if kept == -1:
-                g_lo *= 0.5
-            kept = -1
-    return lo
+            if stop is None:
+                stop = rel * (x - lo)
+            hi, g_hi, d_hi = x, g, d
+        x = None
+        if g_hi is not None:
+            widths = [widths[1], widths[2], hi - lo]
+            if hi - lo <= stop:
+                break
+    return lo, g_lo, False
 
 
 @dataclass(frozen=True)
@@ -202,13 +285,16 @@ def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
     """Adversarial admissible functional: ||F|| <= 1, F(f_m) >= (1-delta)||f_m||.
 
     ``f_m`` is the residual as an ``(n,)`` array; returns (F, achieved
-    delta) with F an ``(n,)`` array.  Mixes the exact peak functional with
-    a random unit dual vector and takes the largest mixing weight s in
-    [0, 1] that keeps the defining inequality.  value(s) = F_s(f_m) has a
-    numerator linear in s over a convex dual norm, so {value >= target} is
-    an interval starting at 0, and its right end is found by regula falsi
-    on target - value(s) (stop tests at ``_DELTA_REL``).  delta = 0 returns
-    the exact functional.
+    delta) with F an ``(n,)`` array.  Mixes the exact peak functional F_0
+    with a random unit dual vector R, c(s) = F_0 + s (R - F_0), and takes
+    F = c(s) / ||c(s)|| for the largest s in [0, 1] that keeps the defining
+    inequality: the crossing of the convex
+    g(s) = (1-delta)||f_m|| ||c(s)|| - c(s)(f_m), whose slope at 0 is
+    delta (||f_m|| - R(f_m)) (``_ray_crossing``).  The achieved delta is
+    1 - F(f_m)/||f_m|| as computed from the returned F, and never exceeds
+    delta: where no admissible mixture is found, or delta lies within the
+    rounding of the level, F_0 is returned with achieved delta 0, as for
+    delta = 0.
     """
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
@@ -220,45 +306,63 @@ def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
     if fn == 0.0:
         raise ValueError("norming functional of zero undefined")
     exact = functional_coords(p, f_m, fn)
-    if delta <= 0.0:
+    tol = _LEVEL_REL * fn
+    if delta * fn <= tol:
         return exact, 0.0
 
     rng = np.random.default_rng(seed)
     R = rng.standard_normal(space.n)
     R = R / dual_norm(p, R)
-    if float(np.dot(R, f_m)) < 0.0:
-        R = -R
-    target = (1.0 - delta) * fn
+    Rf = float(np.dot(R, f_m))
+    if Rf < 0.0:
+        R, Rf = -R, -Rf
+    if 1.0 - Rf / fn <= delta:
+        return in_dual_ball(p, R), max(0.0, 1.0 - Rf / fn)
 
-    def mixed(s: float) -> np.ndarray:
-        c = (1.0 - s) * exact + s * R
-        dn = dual_norm(p, c)
-        return c / dn if dn > 1e-300 else exact
+    q, target = p / (p - 1.0), (1.0 - delta) * fn
+    D, Df = R - exact, Rf - fn
+    seen = [None, None, 0.0]  # the last evaluated point: s, F, achieved delta
 
-    def value(s: float) -> float:
-        return float(np.dot(mixed(s), f_m))
+    def ev(s: float) -> tuple:
+        c = exact + s * D
+        dn, slope = _norm_slope(q, c, D)
+        seen[0], seen[1] = s, c / dn
+        return target * dn - (fn + s * Df), target * slope - Df
 
-    g1 = target - value(1.0)
-    if g1 <= 0.0:
-        s_feasible = 1.0
-    else:  # value(0) = ||f_m||, so g(0) = -delta ||f_m||
-        s_feasible = _level_crossing(lambda s: target - value(s), 0.0, 1.0,
-                                     -delta * fn, g1, _DELTA_REL, _ULP_REL * fn)
-    F = in_dual_ball(p, mixed(s_feasible))
-    return F, max(0.0, 1.0 - float(np.dot(F, f_m)) / fn)
+    def ok(s: float) -> bool:
+        if seen[0] != s:
+            ev(s)
+        seen[2] = max(0.0, 1.0 - float(np.dot(seen[1], f_m)) / fn)
+        return seen[2] <= delta
+
+    # g(1) = target ||R|| - R(f_m) > 0, as ||R|| = 1 and R alone is not admissible
+    s, _, accepted = _ray_crossing(ev, ok, 0.0, -delta * fn,
+                                   delta * (fn - Rf), 1.0,
+                                   max(target - Rf, 0.0), None, tol,
+                                   _DELTA_REL)
+    if not (accepted or (s > 0.0 and ok(s))):
+        return exact, 0.0
+    return in_dual_ball(p, seen[1]), seen[2]
 
 
-def relaxed_minimize(objective: Callable, eta: float, exact: Callable,
-                     seed: int = 0, project: Callable = None) -> tuple:
+def relaxed_minimize(p: float, residual: Callable, eta: float,
+                     exact: Callable, seed: int = 0, nonneg=False) -> tuple:
     """Solve exactly, then walk away from the argmin until half the relative
     value budget (1 + eta) is consumed.  eta = 0 degenerates to the exact
     solver; an exact minimum of 0 leaves no budget and is returned as-is.
 
-    The step along a random direction doubles from 1e-6 until the objective
-    exceeds the budget v* (1 + eta/2); the crossing inside that last
-    doubling is found by regula falsi on objective - budget (stop tests at
-    ``_DELTA_REL``), so the returned value is within the budget and, up to
-    rounding, uses all of it.
+    The objective is ||residual(x)||_p for an affine ``residual``; x is a
+    float or an array, and ``nonneg`` (a bool, or one per coordinate of x)
+    marks the coordinates held at >= 0.  ``exact()`` returns (x*, v*).  The
+    walk goes from x* along a random direction, each held coordinate
+    stopping at 0, so it is a few rays.  On each, the residual is r + b u
+    and g(b) = ||r + b u||^2 - level^2 is convex; ``_ray_crossing`` finds
+    the crossing, starting at the b where g would cross at p = 2
+    (slope 0 at x*), at a level 2^-48 of the budget below v* (1 + eta/2),
+    or lower by twice the rounding measured in ``residual`` at that first
+    point.  The returned point's value, computed by ``residual``, lies in
+    [v*, v* (1 + eta/2)]: where no such point is found, as when the budget
+    lies within that rounding of v*, x* itself is returned.
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
@@ -266,38 +370,80 @@ def relaxed_minimize(objective: Callable, eta: float, exact: Callable,
     if eta == 0.0 or v_star <= 1e-300:
         return x_star, v_star
     rng = np.random.default_rng(seed)
-    proj = project if project is not None else (lambda x: x)
-    if np.isscalar(x_star):
-        base, d = float(x_star), float(rng.integers(0, 2) * 2 - 1)
+    scalar = np.isscalar(x_star)
+    if scalar:
+        start = np.array([float(x_star)])
+        d = np.array([float(rng.integers(0, 2) * 2 - 1)])
     else:
-        base = np.asarray(x_star, dtype=float)
-        d = rng.standard_normal(base.shape)
+        start = np.asarray(x_star, dtype=float)
+        d = rng.standard_normal(start.shape)
         nd = float(np.linalg.norm(d))
-        d = d / nd if nd > 0 else np.ones_like(base)
+        d = d / nd if nd > 0 else np.ones_like(start)
+    held = np.asarray(nonneg, dtype=bool)
+    any_held = bool(held.any())
+    if any_held:  # a held coordinate at 0 stays there
+        d = np.where(held & (start <= 0.0), np.maximum(d, 0.0), d)
+        hits = np.flatnonzero(held & (d < 0.0))
 
-    def candidate(beta: float):
-        return proj(base + beta * d)
+    def caller(x: np.ndarray):
+        return float(x[0]) if scalar else x
+
+    def point(b: float) -> np.ndarray:
+        x = start + b * d
+        return np.where(held, np.maximum(x, 0.0), x) if any_held else x
+
+    def ev(b: float) -> tuple:
+        h, slope = _norm_slope(p, r + b * u, u)
+        return h * h - level * level, 2.0 * h * slope
+
+    seen = [None, 0.0]  # the last point judged, and its value
+
+    def ok(b: float) -> bool:
+        seen[0] = point(b)
+        seen[1] = pnorm(p, residual(caller(seen[0])))
+        return v_star <= seen[1] <= budget
 
     budget = v_star * (1.0 + 0.5 * eta)
-    scale = max(1.0, float(np.max(np.abs(base))))
-    beta_ok, beta = 0.0, 1e-6 * scale
-    v_ok = v_star
-    for _ in range(200):
-        v = objective(candidate(beta))
-        if v > budget:
-            beta_ok = _level_crossing(
-                lambda b: objective(candidate(b)) - budget, beta_ok, beta,
-                v_ok - budget, v - budget, _ETA_REL, _ULP_REL * budget)
+    r = residual(caller(start))
+    u = residual(caller(start + d)) - r
+    h, level, b = v_star, None, 0.0
+    while True:  # one ray per pass, up to where a held coordinate reaches 0
+        ends = start[hits] / -d[hits] if any_held else ()
+        end = float(np.min(ends)) if len(ends) else math.inf
+        uu = float(np.dot(u, u))
+        if uu > 0.0:
+            top = budget if level is None else level
+            b = min(end, math.sqrt((top * top - h * h) / ((p - 1.0) * uu)))
+            if not b > 0.0:
+                b = 0.0
+                break
+            if level is None:
+                noise = pnorm(p, residual(caller(point(b))) - (r + b * u))
+                tol = max(_LEVEL_REL * budget, 2.0 * noise)
+                level = budget - 2.0 * noise
+                if h >= level - tol:  # the budget is within rounding of v*
+                    return x_star, v_star
+            g_tol = tol * (2.0 * level - tol)
+            b, g, accepted = _ray_crossing(ev, ok, 0.0, h * h - level * level,
+                                           0.0, end, None, b, g_tol, _ETA_REL)
+            if accepted:
+                return caller(seen[0]), seen[1]
+            if b < end or g >= -g_tol:
+                break
+            r, h = r + b * u, math.sqrt(g + level * level)
+        elif end == math.inf:
+            b = 0.0
             break
-        beta_ok, v_ok = beta, v
-        beta *= 2.0
-    x = candidate(beta_ok)
-    v = objective(x)
-    # numerical guard: never report below the exact minimum, nor above the
-    # budget when the slack is so small that even the start point exceeds it
-    if not v_star <= v <= budget:
-        return x_star, v_star
-    return x, v
+        else:
+            b = end
+        start = start + b * d
+        start[hits[ends <= b]] = 0.0
+        d = np.where(held & (start <= 0.0), np.maximum(d, 0.0), d)
+        hits = np.flatnonzero(held & (d < 0.0))
+        u = residual(caller(start + d)) - residual(caller(start))
+    if ok(b):
+        return caller(seen[0]), seen[1]
+    return x_star, v_star
 
 
 def derived_eps_bound(space: LpSpace, delta: float, eta: float,

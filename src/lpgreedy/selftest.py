@@ -281,11 +281,12 @@ def run_all() -> list:
     for i in range(200):
         c = rng.uniform(-2, 2, size=3)
 
-        def obj(x):
-            return float(np.sum((np.asarray(x) - c) ** 2)) + 1.0
+        def residual(x):  # ||residual(x)||_2^2 = |x - c|^2 + 1
+            return np.append(x - c, 1.0)
 
         eta = float(rng.uniform(0, 0.5))
-        _, v = relaxed_minimize(obj, eta, lambda: (c.copy(), obj(c)), seed=i)
+        _, v = relaxed_minimize(2.0, residual, eta, lambda: (c.copy(), 1.0),
+                                seed=i)
         ok = ok and (1.0 <= v <= (1.0 + eta) * 1.0 + 1e-12)
     checks.append(_check("relaxed minimization stays inside its budget", ok))
 

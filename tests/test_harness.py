@@ -306,6 +306,52 @@ class TestCli:
         assert problem in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,spec,form", [
+        ("--space", "lp:p=3,n=8x", "lp:p=<real>,n=<int>"),
+        ("--dict", "random_gauss,N=1x,seed=7", "dict:<kind>,N=<int>,seed=<int>"),
+        ("--dict", "random_gauss,N=24,seed=7.5",
+         "dict:<kind>,N=<int>,seed=<int>"),
+        ("--target", "a1,k=3,seed=x", "target:a1,k=<int>,seed=<int>"),
+        ("--target", "a1,k=three,seed=3", "target:a1,k=<int>,seed=<int>"),
+        ("--target", "noisy,k=2.5,eps=0.1,seed=3",
+         "target:noisy,k=<int>,eps=<real>,seed=<int>"),
+    ])
+    def test_integer_fields_name_their_form(self, tmp_path, capsys, option,
+                                            spec, form):
+        args = list(RUN_ARGS)
+        args[args.index(option) + 1] = spec
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec!r} does not match the form {form}" in err
+
+    def test_error_seed_names_its_form(self, tmp_path, capsys):
+        args = [a if a != "wcga" else "awcga" for a in RUN_ARGS]
+        args += ["--errors", "err:delta=const:0,eta=const:0,seed=1x",
+                 "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 2
+        assert "[,seed=<int>]" in capsys.readouterr().err
+
+    def test_sweep_seeds_name_their_form(self, tmp_path, capsys):
+        rc = main(["sweep", "--algos", "wcga", "--seeds", "1,x",
+                   "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1,k=3,seed=0", "--iters", "4",
+                   "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'1,x' does not match the form --seeds <int>,<int>,..." in err
+        assert not (tmp_path / "sweep").exists() or \
+            not any((tmp_path / "sweep").iterdir())
+
+    def test_sweep_names_dense_targets_by_their_atoms(self, tmp_path):
+        # an a1dense target is built on all N atoms: k = N in the file name
+        rc = main(["sweep", "--algos", "wcga", "--seeds", "1",
+                   "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+                   "--target", "a1dense,seed=0", "--iters", "4",
+                   "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 0
+        files = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+        assert files == ["wcga_k24_s1.csv", "wcga_k24_s1.json"]
+
     @pytest.mark.parametrize("errors,problem", [
         ("err:delta=pow:0.1,eta=const:0", "'pow:0.1' does not match the form "
                                           "pow:<c>,<a>"),

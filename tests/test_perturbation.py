@@ -94,24 +94,27 @@ class TestPerturbedFunctional:
 
 class TestRelaxedMinimize:
     def test_zero_eta_exact(self):
-        x, v = relaxed_minimize(lambda t: (t - 2.0) ** 2 + 1.0, 0.0,
+        x, v = relaxed_minimize(2.0, lambda t: np.array([t - 2.0, 1.0]), 0.0,
                                 lambda: (2.0, 1.0), seed=1)
         assert x == 2.0 and v == 1.0
 
     def test_budget_respected_on_quadratic(self):
+        # at p = 2 the squared value |x - c|^2 + 1/2 is a quadratic
         rng = np.random.default_rng(4)
         for i in range(300):
             c = rng.uniform(-3, 3, size=2)
 
-            def obj(x):
-                return float(np.sum((np.asarray(x) - c) ** 2)) + 0.5
+            def residual(x, c=c):
+                return np.append(x - c, np.sqrt(0.5))
 
             eta = float(rng.uniform(0, 1))
-            _, v = relaxed_minimize(obj, eta, lambda: (c.copy(), 0.5), seed=i)
-            assert 0.5 <= v <= 0.5 * (1.0 + eta) + 1e-12
+            _, v = relaxed_minimize(2.0, residual, eta,
+                                    lambda: (c.copy(), np.sqrt(0.5)), seed=i)
+            assert np.sqrt(0.5) <= v <= np.sqrt(0.5) * (1.0 + eta) + 1e-12
 
     def test_zero_minimum_collapses_budget(self):
-        x, v = relaxed_minimize(lambda t: abs(t), 0.5, lambda: (0.0, 0.0), seed=2)
+        x, v = relaxed_minimize(3.0, lambda t: np.array([t]), 0.5,
+                                lambda: (0.0, 0.0), seed=2)
         assert x == 0.0 and v == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -123,15 +126,15 @@ class TestRelaxedMinimize:
             r, u = rng.standard_normal(24), rng.standard_normal(24)
             eta = float(10.0 ** rng.uniform(-8, 0))
 
-            def obj(b, r=r, u=u):
-                return pnorm(p, r - b * u)
+            def residual(b, r=r, u=u):
+                return r - b * u
 
-            def exact(r=r, u=u, obj=obj):
+            def exact(r=r, u=u):
                 b = min_along_ray(p, r, u)
-                return b, obj(b)
+                return b, pnorm(p, r - b * u)
 
             _, v_star = exact()
-            _, v = relaxed_minimize(obj, eta, exact, seed=i)
+            _, v = relaxed_minimize(p, residual, eta, exact, seed=i)
             budget = v_star * (1.0 + 0.5 * eta)
             assert budget * (1.0 - 1e-12) <= v <= budget
 
@@ -145,24 +148,53 @@ class TestRelaxedMinimize:
             f = rng.standard_normal(24)
             proj = chebyshev_project(s, f, basis)
             eta = float(10.0 ** rng.uniform(-8, 0))
-
-            def obj(c, f=f, Phi=Phi):
-                return pnorm(p, f - Phi @ c)
-
             v_star = pnorm(p, proj.residual)
-            _, v = relaxed_minimize(obj, eta, lambda: (proj.coeffs, v_star),
-                                    seed=i)
+            _, v = relaxed_minimize(p, lambda c, f=f, Phi=Phi: f - Phi @ c,
+                                    eta, lambda: (proj.coeffs, v_star), seed=i)
             budget = v_star * (1.0 + 0.5 * eta)
             assert budget * (1.0 - 1e-12) <= v <= budget
 
     def test_projection_respected(self):
-        def obj(t):
-            return (t + 1.0) ** 2 + 1.0
+        # ||(t + 1, 1)||_2 is least over t >= 0 at t = 0
+        def residual(t):
+            return np.array([t + 1.0, 1.0])
 
-        x, v = relaxed_minimize(obj, 0.4, lambda: (0.0, obj(0.0)), seed=3,
-                                project=lambda t: max(0.0, t))
-        assert x >= 0.0
-        assert v <= obj(0.0) * 1.4 + 1e-12
+        v0 = float(np.sqrt(2.0))
+        for seed in range(8):
+            x, v = relaxed_minimize(2.0, residual, 0.4, lambda: (0.0, v0),
+                                    seed=seed, nonneg=True)
+            assert x >= 0.0
+            assert v0 <= v <= v0 * 1.2
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 13.0, 100.0])
+    def test_clamped_walks_stay_admissible(self, p):
+        # wdga's walk (lam >= 0) and wgafr's (w free, lam >= 0) from
+        # minimizers on and off the bound, for eta from 0.5 down to the
+        # rounding band: values within [v*, v* (1 + eta/2)], held
+        # coordinates never negative
+        rng = np.random.default_rng(10)
+        for i in range(30):
+            f, phi, G = (rng.standard_normal(16) for _ in range(3))
+            lam0 = min_along_ray(p, f, phi, nonneg=True)
+            x0 = algorithms._two_dir_solve(lp_space(p, 16), f, G, phi)
+            for eta in (0.5, 1e-3, 1e-8, 1e-14, 1e-17):
+                lam, v = relaxed_minimize(
+                    p, lambda t: f - t * phi, eta,
+                    lambda: (lam0, pnorm(p, f - lam0 * phi)), seed=i,
+                    nonneg=True)
+                v_star = pnorm(p, f - lam0 * phi)
+                assert lam >= 0.0
+                assert v == pnorm(p, f - lam * phi)
+                assert v_star <= v <= v_star * (1.0 + 0.5 * eta)
+
+                def residual(x):
+                    return f - ((1.0 - x[0]) * G + x[1] * phi)
+
+                x, v = relaxed_minimize(p, residual, eta, lambda: x0, seed=i,
+                                        nonneg=(False, True))
+                assert x[1] >= 0.0
+                assert x is x0[0] or v == pnorm(p, residual(x))
+                assert x0[1] <= v <= x0[1] * (1.0 + 0.5 * eta)
 
 
 class TestDerivedEpsBound:
@@ -386,13 +418,15 @@ class TestTwoAtomProjection:
 
 class TestLevelCrossing:
     def test_lands_on_the_level_from_below(self):
-        # g(x) = x^3 + x - 1: one crossing near 0.6823
-        def g(x):
-            return x ** 3 + x - 1.0
+        # g(x) = x^3 + x - 1, convex on [0, 1]: one crossing near 0.6823
+        def ev(x):
+            return x ** 3 + x - 1.0, 3.0 * x * x + 1.0
 
-        x = perturbation._level_crossing(g, 0.0, 1.0, -1.0, 1.0, 2.0 ** -60,
-                                         4e-16)
-        assert -4e-16 <= g(x) <= 0.0
+        x, g, accepted = perturbation._ray_crossing(
+            ev, lambda x: True, 0.0, -1.0, 1.0, 1.0, 1.0, None, 4e-16,
+            2.0 ** -60)
+        assert accepted and g == ev(x)[0]
+        assert -4e-16 <= g <= 0.0
 
     @pytest.mark.parametrize("step", [0.3, 1e-5])
     def test_width_and_adjacent_float_stops(self, step):
@@ -401,19 +435,123 @@ class TestLevelCrossing:
         # floats are farther apart than 2^-60) can end the search
         calls = []
 
-        def g(x):
+        def ev(x):
             calls.append(x)
-            return -1.0 if x <= step else 1.0
+            return (-1.0 if x <= step else 1.0), 0.0
 
-        x = perturbation._level_crossing(g, 0.0, 1.0, -1.0, 1.0, 2.0 ** -60,
-                                         0.0)
+        x, _, accepted = perturbation._ray_crossing(
+            ev, lambda x: True, 0.0, -1.0, 0.0, 1.0, 1.0, None, 0.0,
+            2.0 ** -60)
+        assert not accepted
         assert step - 2.0 ** -60 <= x <= step
         assert len(calls) < 200
 
     def test_start_returned_when_nothing_admissible_seen(self):
-        x = perturbation._level_crossing(lambda x: 1.0, 0.0, 1.0, -1.0, 1.0,
-                                         2.0 ** -50, 0.0)
-        assert x == 0.0
+        x, _, accepted = perturbation._ray_crossing(
+            lambda x: (1.0, 0.0), lambda x: True, 0.0, -1.0, 0.0, 1.0, 1.0,
+            None, 0.0, 2.0 ** -50)
+        assert x == 0.0 and not accepted
+
+    def test_points_rejected_in_their_own_arithmetic_count_as_past(self):
+        # a convex g whose points near the level all fail ``ok``: the
+        # search ends at the last point below the window, not past it
+        def ev(x):
+            return x * x - 0.25, 2.0 * x
+
+        x, g, accepted = perturbation._ray_crossing(
+            ev, lambda x: False, 0.0, -0.25, 0.0, 1.0, 0.75, None, 1e-6,
+            2.0 ** -60)
+        assert not accepted
+        assert x < 0.5 and g < -1e-6
+
+    def test_ray_end_reached_below_the_level(self):
+        # while g(hi) is unknown the search extrapolates, and returns hi
+        # itself where g is still below the window there
+        x, g, accepted = perturbation._ray_crossing(
+            lambda x: (x * x - 4.0, 2.0 * x), lambda x: True, 0.0, -4.0,
+            0.0, 1.5, None, 0.1, 1e-3, 2.0 ** -50)
+        assert x == 1.5 and g == 1.5 ** 2 - 4.0 and not accepted
+
+
+def _count_evaluations(monkeypatch):
+    """Per-crossing evaluation counts, split by delta and eta."""
+    counts = {"delta": [], "eta": []}
+    crossing = perturbation._ray_crossing
+
+    def counted(ev, *args):
+        n = [0]
+
+        def ev_counted(x):
+            n[0] += 1
+            return ev(x)
+
+        out = crossing(ev_counted, *args)
+        kind = "delta" if args[-1] == perturbation._DELTA_REL else "eta"
+        counts[kind].append(n[0])
+        return out
+
+    monkeypatch.setattr(perturbation, "_ray_crossing", counted)
+    return counts
+
+
+class TestCrossingCost:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", ["pow", "prop72auto"])
+    def test_evaluations_per_crossing(self, monkeypatch, p, kind):
+        # the approx-cli shape: n = 32, random_gauss N = 128, a1 k = 8
+        counts = _count_evaluations(monkeypatch)
+        s = lp_space(p, 32)
+        D = build_dictionary(s, "random_gauss", 128, seed=31)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=32))
+        seq = (SequenceSpec(kind="pow", c=0.1, a=1.1) if kind == "pow"
+               else SequenceSpec(kind="prop72auto"))
+        errs = ErrorSchedule(delta=seq, eta=seq)
+        for algo in AWBGA_IDS:
+            run_awbga(algo, t.f, D, T1, errs, max_m=100, target=t)
+        every = counts["delta"] + counts["eta"]
+        assert len(every) > 50
+        assert np.mean(every) <= 6.0
+        assert max(every) <= 20
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 13.0, 100.0])
+    def test_achieved_delta_never_exceeds_the_request(self, p):
+        # achieved delta as ``_functional`` records it, and as recomputed
+        # from the returned F, for delta from 0.5 down to the rounding band
+        s = lp_space(p, 32)
+        rng = np.random.default_rng(12)
+        for i in range(20):
+            f = rng.standard_normal(32) * 10.0 ** rng.uniform(-6, 2)
+            fn = pnorm(p, f)
+            for delta in (0.5, 0.1, 1e-3, 1e-6, 1e-10, 1e-14, 4e-16, 1e-20):
+                F, achieved = algorithms._functional(
+                    s, ErrorSchedule(delta=SequenceSpec(kind="const", c=delta),
+                                     eta=SequenceSpec(kind="const")),
+                    i, f, fn, 1.0)[::2]
+                assert dual_norm(p, F) <= 1.0 + 1e-12
+                assert 0.0 <= achieved <= delta
+                if achieved > 0.0:
+                    assert achieved == max(0.0, 1.0 - float(F @ f) / fn)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 13.0, 100.0])
+    def test_relaxation_never_exceeds_its_budget(self, p):
+        # projection walks, as awcga takes them, for eta from 0.5 down to
+        # the rounding band, on residuals far smaller than the target
+        s = lp_space(p, 32)
+        rng = np.random.default_rng(13)
+        for i in range(12):
+            basis = rng.standard_normal((6, 32))
+            f = basis.T @ rng.standard_normal(6) + 10.0 ** -(i % 6) * \
+                rng.standard_normal(32)
+            proj = chebyshev_project(s, f, basis)
+            v_star = pnorm(p, proj.residual)
+            Phi = basis.T
+            for eta in (0.5, 1e-2, 1e-6, 1e-10, 1e-14, 1e-17):
+                c, v = relaxed_minimize(p, lambda c: f - Phi @ c, eta,
+                                        lambda: (proj.coeffs, v_star), seed=i)
+                assert v_star <= v <= v_star * (1.0 + 0.5 * eta)
+                assert c is proj.coeffs or v == pnorm(p, f - Phi @ c)
 
 
 class TestSequenceSpecValidation:
