@@ -1,22 +1,21 @@
 """Greedy sparse approximation in finite-dimensional lp spaces.
 
 Public surface: space geometry (lp_space, norming functionals, modulus
-estimates), dictionary construction and target generation, the greedy run
-drivers (exact and approximate), diagnostics over run reports, and the CLI
-entry point in :mod:`lpgreedy.harness`.
+estimates), dictionary construction and target generation, greedy runs
+(exact, or approximate under an error schedule), diagnostics over run
+reports, and the CLI entry point in :mod:`lpgreedy.harness`.
 """
 
-from .algorithms import (ALGORITHM_IDS, IterationRecord, RunReport,
-                         WeaknessSchedule, run_greedy)
+from .algorithms import (ALGORITHM_IDS, AWBGA_IDS, IterationRecord,
+                         RunReport, WeaknessSchedule, run_greedy)
 from .diagnostics import (BOUND_IDS, AuditReport, BoundSpec, audit_conditions,
                           bound_curve, error_reduction_margins, rate_bound,
                           verify_rates)
 from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
                          greedy_select, make_target, perturb_target,
                          sample_a1_target)
-from .perturbation import (AWBGA_IDS, ErrorSchedule, SequenceSpec,
-                           derived_eps_bound, perturbed_functional,
-                           relaxed_minimize, run_awbga)
+from .perturbation import (ErrorSchedule, SequenceSpec, derived_eps_bound,
+                           perturbed_functional, relaxed_minimize, run_awbga)
 from .solvers import (ProjectionResult, SolverConfig, bracket_minimum,
                       chebyshev_project, line_search, minimize_2d)
 from .space import (Element, LpSpace, dict_dual_norm, empirical_modulus,

@@ -1,20 +1,25 @@
 """The greedy loop of the WBGA class and the update rules of its members.
 
-One private loop, ``_run``, drives every algorithm id.  Each iteration
+One function, ``run_greedy``, runs every algorithm id.  Each iteration
 takes the norming functional of the residual f_{m-1} (perturbed by delta
-for the approximate ids), selects an atom by the weak greedy rule (or by
+for a run with errors), selects an atom by the weak greedy rule (or by
 the norm scan, for rrxga) and applies the id's update rule from
 ``_RULES``.  A rule wraps its exact solve in
 ``relaxed_minimize``, which with eta = 0 returns that solve unchanged, so
-the exact ids are the zero-error case of the approximate ones.  The
+an exact run is the zero-error case of the approximate one.  The
 functional of the new residual is computed once per step: it measures the
 residual-approximant pairing and then drives the next selection.
 
-Update rules: wcga/awcga (projection onto all selected atoms, kept as the
+Approximation is a run option: each WBGA member (every id but wrga and
+wdga) runs under an ``ErrorSchedule`` as "a" + id.  rrxga's norm scan reads
+no functional, so delta shows only in its ``gs_lhs`` and pairing; gg's step
+is F(phi), so delta also sets it.  Both take eta in the rescale.
+
+Update rules: wcga (projection onto all selected atoms, kept as the
 rows of a growing ``(m, n)`` array, the layout of ``Dictionary.matrix``),
-wgafr/awgafr (free relaxation: the same projection onto the previous
+wgafr (free relaxation: the same projection onto the previous
 approximant and the new atom, with a nonnegative atom coefficient),
-rwrga/arwrga (line search along the atom, then rescale), rrxga (norm-scan
+rwrga (line search along the atom, then rescale), rrxga (norm-scan
 selection, then rescale; no weakness parameter), wrga (convex relaxation),
 wdga (plain one-dimensional update), gg (explicit step size from the
 space's smoothness constants, then rescale).
@@ -22,10 +27,10 @@ space's smoothness constants, then rescale).
 Every iteration records the measured quantities the diagnostics layer
 audits: selection threshold values, an independently measured single-atom
 error-reduction reference, the residual-approximant pairing, the error
-budgets, and (exact ids) grid margins for the orthogonality-style
+budgets, and (exact runs) grid margins for the orthogonality-style
 inequalities.  The reference and the grid margins never feed the next
 step, so the loop only keeps what they need (the residuals, atoms, norms
-and, for the exact ids, approximants) and ``_measure`` computes them after
+and, for the exact runs, approximants) and ``_measure`` computes them after
 it: a few steps at a time, each batch one call of the nested grid scans
 and two row-norm calls.
 """
@@ -49,6 +54,9 @@ from .space import (_NORMAL_MIN, Element, LpSpace, _max, _min, dict_dual_norm,
                     lp_space, pnorm, pnorm_rows)
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
+# The names of the approximate runs, "a" + the id of a WBGA member: every id
+# but wrga and wdga, whose steps promise no biorthogonality.
+AWBGA_IDS = tuple("a" + a for a in ALGORITHM_IDS if a not in ("wrga", "wdga"))
 
 _BJ_GRID = np.array([-1.0, -0.5, 0.1, 0.5, 1.0])
 _NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
@@ -214,6 +222,11 @@ class RunReport:
         WeaknessSchedule.from_dict(d["weakness"])
         if d.get("errors") is not None:
             ErrorSchedule.from_dict(d["errors"])
+        # an approximate name with its schedule, an exact one without
+        approximate = run_id(d.get("algorithm"))[1]
+        if approximate != (d.get("errors") is not None):
+            raise ValueError(f"report of {d['algorithm']!r} "
+                             f"{'lacks' if approximate else 'has'} errors")
         try:
             records = [IterationRecord(**r) for r in d.pop("records")]
             report = RunReport(records=records, **d)
@@ -507,35 +520,39 @@ def _gg(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
 # rule replaces f_m and G_m; hint is F(phi) for a weak selection and the
 # scan's step for rrxga; seed derives the random directions of the eta walk.
 _RULES = {"wcga": _wcga, "wgafr": _wgafr, "rwrga": _rwrga, "rrxga": _rrxga,
-          "wrga": _wrga, "wdga": _wdga, "gg": _gg,
-          "awcga": _wcga, "awgafr": _wgafr, "arwrga": _rwrga}
+          "wrga": _wrga, "wdga": _wdga, "gg": _gg}
+
+
+def run_id(name: str) -> tuple:
+    """(id, approximate) of a run name in ``ALGORITHM_IDS + AWBGA_IDS``."""
+    if name in ALGORITHM_IDS:
+        return name, False
+    if name in AWBGA_IDS:
+        return name[1:], True
+    raise ValueError(f"unknown algorithm {name!r}")
 
 
 def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
-               *, max_m: int = 100, stop_tol: float = 1e-12,
-               rule: str = "exact_argmax",
+               *, errors: Optional[ErrorSchedule] = None, max_m: int = 100,
+               stop_tol: float = 1e-12, rule: str = "exact_argmax",
                target: Optional[Target] = None) -> RunReport:
-    """Iterate one exact algorithm until max_m, exact arrival, or a stall.
+    """Iterate one algorithm until max_m, exact arrival, or a stall.
 
-    Deterministic given the dictionary/target seeds; every record is fully
-    populated with the measured per-iteration quantities.
+    ``errors`` (WBGA members only) perturbs the functionals by delta and
+    relaxes the steps by eta, and names the report "a" + id; an exact run
+    also records the grid margins.  Deterministic given the seeds.
     """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _run(algorithm, f, D, tau, None, max_m, stop_tol, rule, target)
-
-
-def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
-         errs: Optional[ErrorSchedule], max_m: int, stop_tol: float, rule: str,
-         target: Optional[Target]) -> RunReport:
-    """The WBGA loop for every id; ``errs`` is None for the exact ids, which
-    run with zero errors and also record the grid margins."""
+    exact = errors is None
+    name = algorithm if exact else "a" + algorithm
+    if not exact and name not in AWBGA_IDS:
+        raise ValueError(f"{algorithm} is no WBGA member: it takes no errors")
     space = f.space
     if D.space != space:
         raise ValueError("target and dictionary live in different spaces")
-    exact = errs is None
-    errs = errs or ZERO_ERRORS
+    errs = errors or ZERO_ERRORS
     p = space.p
     update = _RULES[algorithm]
 
@@ -550,7 +567,7 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     termination = "max_m"
     r = r0 = pnorm(p, st.f_m)
     # what the measurement pass after the loop reads: f_0..f_M, phi_1..phi_M,
-    # r_0..r_M and (exact ids) G_1..G_M
+    # r_0..r_M and (exact runs) G_1..G_M
     f_traj, phis, norms = [st.f_m], [], [r0]
     G_traj = [] if exact else None
     delta0 = delta0_achieved = 0.0
@@ -615,7 +632,7 @@ def _run(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     for rec, er_ref, bj, neg in zip(records, *measured):
         rec.er_reference, rec.bj_margin, rec.neg_line_margin = er_ref, bj, neg
     return RunReport(
-        algorithm=algorithm,
+        algorithm=name,
         space_spec=space.spec_string(),
         space_meta={"n": space.n, "p": space.p, "q": space.q,
                     "gamma": space.gamma, "p_conj": space.p_conj},
@@ -635,6 +652,7 @@ def _target_meta(target: Optional[Target]) -> dict:
         return {"in_hull": False, "eps": 0.0, "a_eps": 1.0, "certificate": None,
                 "mode": "custom", "k": 0, "seed": 0}
     cert = [[i, w] for i, w in target.certificate] if target.certificate else None
+    # k: the number of atoms the target is built on (N for a1_dense)
     return {"in_hull": target.in_hull, "eps": target.eps, "a_eps": target.a_eps,
-            "certificate": cert, "mode": target.spec.mode, "k": target.spec.k,
-            "seed": target.spec.seed}
+            "certificate": cert, "mode": target.spec.mode,
+            "k": len(cert) if cert else target.spec.k, "seed": target.spec.seed}

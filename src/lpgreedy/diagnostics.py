@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithms import RunReport
+from .algorithms import RunReport, run_id
 
 BOUND_IDS = ("cor21", "thm52", "cor52", "thm72", "cor72", "prop72", "thm91")
 
@@ -32,9 +32,10 @@ _RATE_SLACK = 1e-6
 # Which per-iteration properties each algorithm actually promises.  wdga
 # never satisfies biorthogonality (no projection step) and is excluded from
 # it by design; gg's explicit step size does not guarantee single-atom error
-# reduction; wrga only promises monotonicity on hull targets; the
-# approximate class replaces the exact inequalities with slack versions and
-# its perturbed functionals void the grid checks.
+# reduction; wrga only promises monotonicity on hull targets.  An
+# approximate run ("a" + id) has its id's checks less the grid checks
+# neg_line and bj, which its perturbed functionals void; its other
+# inequalities are checked in slack form.
 _ALL = frozenset({"greedy_selection", "error_reduction", "biorthogonality",
                   "monotone", "neg_line", "bj"})
 APPLICABLE_CHECKS = {
@@ -47,12 +48,6 @@ APPLICABLE_CHECKS = {
     "wdga": frozenset({"greedy_selection", "error_reduction", "monotone",
                        "neg_line"}),
     "gg": frozenset({"greedy_selection", "biorthogonality", "neg_line", "bj"}),
-    "awcga": frozenset({"greedy_selection", "error_reduction",
-                        "biorthogonality", "monotone"}),
-    "awgafr": frozenset({"greedy_selection", "error_reduction",
-                         "biorthogonality", "monotone"}),
-    "arwrga": frozenset({"greedy_selection", "error_reduction",
-                         "biorthogonality", "monotone"}),
 }
 
 _SKIP_REASONS = {
@@ -98,16 +93,17 @@ def audit_conditions(report: RunReport,
     """Per-iteration verification of the defining greedy-step properties."""
     if any(r.m != i + 1 for i, r in enumerate(report.records)):
         raise ValueError("incomplete report: records must be contiguous from m=1")
-    if report.algorithm not in APPLICABLE_CHECKS:
-        raise ValueError(f"unknown algorithm {report.algorithm!r}")
+    algorithm, approximate = run_id(report.algorithm)
     tol_gs, tol_er, tol_bo = tol_set
-    applicable = APPLICABLE_CHECKS[report.algorithm]
+    applicable = APPLICABLE_CHECKS[algorithm]
+    if approximate:
+        applicable -= {"neg_line", "bj"}
     recs = report.records
     checks = []
 
     def add(name: str, margins: list, tol: float):
         if name not in applicable:
-            reason = _SKIP_REASONS.get((report.algorithm, name),
+            reason = _SKIP_REASONS.get((algorithm, name),
                                        "not promised by this algorithm")
             checks.append(CheckResult(name=name, applicable=False, passed=True,
                                       worst_margin=float("nan"), reason=reason))
@@ -125,7 +121,7 @@ def audit_conditions(report: RunReport,
 
     prev = [report.initial_residual] + [r.residual_norm for r in recs[:-1]]
     mono = "monotone" in applicable
-    if report.algorithm == "wrga" and not report.target_meta.get("in_hull"):
+    if algorithm == "wrga" and not report.target_meta.get("in_hull"):
         mono = False
     if mono:
         add("monotone",

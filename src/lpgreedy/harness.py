@@ -28,11 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithms import ALGORITHM_IDS, RunReport, WeaknessSchedule, run_greedy
+from .algorithms import (AWBGA_IDS, RunReport, WeaknessSchedule, run_greedy,
+                         run_id)
 from .diagnostics import (BOUND_IDS, BoundSpec, audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
 from .dictionary import TargetSpec, build_dictionary, make_target
-from .perturbation import (AWBGA_IDS, ErrorSchedule, SequenceSpec, run_awbga)
+from .perturbation import ErrorSchedule, SequenceSpec
 from .space import LpSpace, lp_space
 
 CSV_HEADER = ("m,algo,residual_norm,gs_lhs,gs_rhs,bo_abs,er_reference,"
@@ -97,8 +98,8 @@ _ERRORS_FORM = "err:delta=<spec>,eta=<spec>,eps=derived|list:<...>[,seed=<int>]"
 def parse_space(spec: str) -> LpSpace:
     kv = _kv(_fields(_strip_tag(spec, "lp:")), spec, ("p", "n"))
     try:
-        return lp_space(p=float(kv["p"]),
-                        n=_integer(kv["n"], spec, _SPACE_FORM))
+        return lp_space(p=_number(kv["p"], spec, _SPACE_FORM),
+                        n=_number(kv["n"], spec, _SPACE_FORM, int))
     except KeyError as e:
         raise ValueError(f"space spec {spec!r} missing field {e}") from e
 
@@ -108,10 +109,10 @@ def parse_dict_spec(spec: str) -> tuple:
     body = _fields(_strip_tag(spec, "dict:"))
     kind = body[0]
     kv = _kv(body[1:], spec, ("N", "seed"))
-    size = _integer(kv["N"], spec, _DICT_FORM) if "N" in kv else None
+    size = _number(kv["N"], spec, _DICT_FORM, int) if "N" in kv else None
     if size is not None and size < 1:
         raise ValueError(f"dictionary size N must be positive, got {size}")
-    return kind, size, _integer(kv.get("seed", "0"), spec, _DICT_FORM)
+    return kind, size, _number(kv.get("seed", "0"), spec, _DICT_FORM, int)
 
 
 def parse_target_spec(spec: str) -> TargetSpec:
@@ -121,16 +122,16 @@ def parse_target_spec(spec: str) -> TargetSpec:
         raise ValueError(f"unknown target mode {mode!r}")
     kv = _kv(body[1:], spec, _TARGET_KEYS[mode])
     form = _TARGET_FORMS[mode]
-    seed = _integer(kv.get("seed", "0"), spec, form)
+    seed = _number(kv.get("seed", "0"), spec, form, int)
     try:
         if mode == "a1":
-            return TargetSpec(mode="a1_sparse", k=_integer(kv["k"], spec, form),
-                              seed=seed)
+            return TargetSpec(mode="a1_sparse",
+                              k=_number(kv["k"], spec, form, int), seed=seed)
         if mode == "a1dense":
             return TargetSpec(mode="a1_dense", seed=seed)
         return TargetSpec(mode="general_plus_noise",
-                          k=_integer(kv["k"], spec, form),
-                          eps=float(kv["eps"]), seed=seed)
+                          k=_number(kv["k"], spec, form, int),
+                          eps=_number(kv["eps"], spec, form), seed=seed)
     except KeyError as e:
         raise ValueError(f"target spec {spec!r} missing field {e}") from e
 
@@ -153,10 +154,9 @@ def _numbers(text: str, spec: str, form: str, count: int = 0,
     return vals
 
 
-def _integer(text: str, spec: str, form: str) -> int:
-    """One integer field of ``spec``, a usage error naming ``form`` if it
-    is not one."""
-    return _numbers(text, spec, form, 1, int)[0]
+def _number(text: str, spec: str, form: str, kind: type = float):
+    """One number field of ``spec``, read by ``kind``, or a usage error."""
+    return _numbers(text, spec, form, 1, kind)[0]
 
 
 def parse_weakness(spec: str) -> WeaknessSchedule:
@@ -206,7 +206,8 @@ def parse_errors(spec: str) -> ErrorSchedule:
         raise ValueError(f"error spec {spec!r} missing field {e}") from e
     return ErrorSchedule(delta=_parse_sequence(delta), eta=_parse_sequence(eta),
                          eps_mode=eps_mode, eps_values=eps_values,
-                         seed=_integer(kv.get("seed", "0"), spec, _ERRORS_FORM))
+                         seed=_number(kv.get("seed", "0"), spec, _ERRORS_FORM,
+                                      int))
 
 
 @dataclass
@@ -227,12 +228,10 @@ class ExperimentConfig:
         """Check every field; returns what the specs parse to: (space,
         (kind, N, seed), TargetSpec, WeaknessSchedule, ErrorSchedule or
         None)."""
-        algo = self.algorithm.lower()
-        if algo not in ALGORITHM_IDS + AWBGA_IDS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.errors and algo not in AWBGA_IDS:
-            raise ValueError("error schedules apply to awcga/awgafr/arwrga only")
-        if algo in AWBGA_IDS and not self.errors:
+        approximate = run_id(self.algorithm.lower())[1]
+        if self.errors and not approximate:
+            raise ValueError(f"error schedules apply to {'/'.join(AWBGA_IDS)} only")
+        if approximate and not self.errors:
             raise ValueError("approximate algorithms need an --errors schedule")
         parsed = (parse_space(self.space), parse_dict_spec(self.dict_spec),
                   parse_target_spec(self.target), parse_weakness(self.weakness),
@@ -252,12 +251,9 @@ def execute(config: ExperimentConfig) -> RunReport:
     space, (kind, size, dseed), tspec, tau, errs = config.validate()
     D = build_dictionary(space, kind, space.n if size is None else size, dseed)
     target = make_target(D, tspec)
-    algo = config.algorithm.lower()
-    opts = dict(max_m=config.max_m, stop_tol=config.stop_tol, rule=config.rule,
-                target=target)
-    if algo in AWBGA_IDS:
-        return run_awbga(algo, target.f, D, tau, errs, **opts)
-    return run_greedy(algo, target.f, D, tau, **opts)
+    return run_greedy(run_id(config.algorithm.lower())[0], target.f, D, tau,
+                      errors=errs, max_m=config.max_m,
+                      stop_tol=config.stop_tol, rule=config.rule, target=target)
 
 
 def emit_csv(report: RunReport, path: str, timings: bool = False) -> None:
@@ -357,9 +353,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             tspec = "target:" + ",".join([body[0]] + [f"{k}={v}"
                                                       for k, v in kv.items()])
             report = execute(_config(args, algo, tspec))
-            # k: the number of atoms the target is built on (N for a1dense)
-            k = len(report.target_meta["certificate"])
-            stem = out_dir / f"{algo}_k{k}_s{seed}"
+            stem = out_dir / f"{algo}_k{report.target_meta['k']}_s{seed}"
             emit_csv(report, stem.with_suffix(".csv"))
             stem.with_suffix(".json").write_text(report.to_json())
             reports.append(report)

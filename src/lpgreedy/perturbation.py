@@ -1,14 +1,14 @@
-"""Controlled-inaccuracy machinery for the approximate WBGA ids.
+"""Controlled-inaccuracy machinery for the approximate WBGA runs.
 
 Three error channels: delta (inexact norming functionals), eta (relative
 slack in the per-step minimizations), and the biorthogonality slack eps they
 induce.  ``ErrorSchedule`` resolves delta_k, eta_m and eps_m for each step,
 and ``perturbed_functional`` and ``relaxed_minimize`` apply the first two.
-The greedy loop that uses them is in ``algorithms``; the exact ids run it
-with ``ZERO_ERRORS``.  Functionals are perturbed adversarially, by convex
-mixing with a random dual vector pushed as far as the delta budget allows,
-so the theory gets exercised near its stated boundary instead of with benign
-rounding noise.
+The greedy loop that uses them is ``algorithms.run_greedy``: every WBGA
+member takes a schedule there, and an exact run uses ``ZERO_ERRORS``.
+Functionals are perturbed adversarially, by convex mixing with a random
+dual vector pushed as far as the delta budget allows, so the theory gets
+exercised near its stated boundary instead of with benign rounding noise.
 
 Both perturbations end at a level crossing of a convex function on a ray
 (``_ray_crossing``): the largest admissible mixing weight for delta, and
@@ -35,8 +35,6 @@ from .space import (_NORMAL_MIN, _PLAIN_P, Element, LpSpace, dual_norm,
 
 if TYPE_CHECKING:
     from .algorithms import RunReport, WeaknessSchedule
-
-AWBGA_IDS = ("awcga", "awgafr", "arwrga")
 
 # Stop tests of the level crossings.  A point admissible in its own
 # arithmetic whose g lies within tol of the level ends the search, with tol
@@ -471,11 +469,10 @@ def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
               errs: ErrorSchedule, *, max_m: int = 100,
               stop_tol: float = 1e-12, rule: str = "exact_argmax",
               target: Optional[Target] = None) -> RunReport:
-    """Drive an approximate greedy run with perturbed functionals, relaxed
-    minimizations, and per-iteration biorthogonality-slack accounting: the
-    WBGA loop of ``algorithms`` with errors drawn from ``errs``."""
-    from .algorithms import _run  # algorithms imports this module
+    """Alias: ``run_greedy`` of the exact id of ``algorithm``, errors=errs."""
+    from .algorithms import AWBGA_IDS, run_greedy, run_id  # import cycle
     algorithm = algorithm.lower()
     if algorithm not in AWBGA_IDS:
         raise ValueError(f"unknown approximate algorithm {algorithm!r}")
-    return _run(algorithm, f, D, tau, errs, max_m, stop_tol, rule, target)
+    return run_greedy(run_id(algorithm)[0], f, D, tau, errors=errs,
+                      max_m=max_m, stop_tol=stop_tol, rule=rule, target=target)

@@ -13,7 +13,7 @@ from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Element,
                       run_awbga, run_greedy, verify_rates)
 from lpgreedy import algorithms
 from lpgreedy.algorithms import (_RULES, _chunk_steps, _grid_margins, _measure,
-                                 _xgreedy_scan)
+                                 _xgreedy_scan, run_id)
 from lpgreedy.diagnostics import APPLICABLE_CHECKS
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
 from lpgreedy.solvers import min_along_ray
@@ -565,9 +565,29 @@ def test_pinned_exact_selections(algo, p):
 
 
 def test_one_rule_table():
-    # every id, exact or approximate, is one entry of the loop's rule table,
-    # and the audit knows exactly these ids
-    assert tuple(_RULES) == ALGORITHM_IDS + AWBGA_IDS
-    assert set(_RULES) == set(APPLICABLE_CHECKS)
-    for exact_id, approx_id in zip(ALGORITHM_IDS, AWBGA_IDS):
-        assert _RULES[exact_id] is _RULES[approx_id]
+    # every id is one entry of the loop's rule table and of the audit's
+    # check table; the approximate names are those of the WBGA members, the
+    # ids whose checks include biorthogonality
+    assert tuple(_RULES) == ALGORITHM_IDS
+    assert tuple(APPLICABLE_CHECKS) == ALGORITHM_IDS
+    members = [a for a in ALGORITHM_IDS
+               if "biorthogonality" in APPLICABLE_CHECKS[a]]
+    assert AWBGA_IDS == tuple("a" + a for a in members)
+    assert AWBGA_IDS == ("awcga", "awgafr", "arwrga", "arrxga", "agg")
+    for algorithm in ALGORITHM_IDS:
+        assert run_id(algorithm) == (algorithm, False)
+    for algorithm in members:
+        assert run_id("a" + algorithm) == (algorithm, True)
+    for name in ("awrga", "awdga", "omp", "AWCGA"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run_id(name)
+
+
+@pytest.mark.parametrize("name", ["awcga", "arrxga", "agg"])
+def test_approximate_checks_drop_the_grid_checks(name):
+    s, D, t = hilbert_setup(n=8, N=24, k=3)
+    errs = ErrorSchedule(delta=SequenceSpec(kind="pow", c=0.1, a=1.1),
+                         eta=SequenceSpec(kind="pow", c=0.1, a=1.1))
+    rep = run_greedy(name[1:], t.f, D, T1, errors=errs, max_m=5, target=t)
+    applicable = {c.name for c in audit_conditions(rep).checks if c.applicable}
+    assert applicable == APPLICABLE_CHECKS[name[1:]] - {"neg_line", "bj"}

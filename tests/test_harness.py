@@ -7,6 +7,7 @@ from lpgreedy import RunReport, SolverConfig, harness
 from lpgreedy.harness import (CSV_HEADER, ExperimentConfig, emit_csv, execute,
                               main, parse_dict_spec, parse_errors, parse_space,
                               parse_target_spec, parse_weakness, summarize)
+from lpgreedy.perturbation import ZERO_ERRORS
 
 RUN_ARGS = ["run", "--algo", "wcga", "--space", "lp:p=2,n=8",
             "--dict", "random_gauss,N=24,seed=7", "--target", "a1,k=3,seed=3",
@@ -249,6 +250,10 @@ class TestCli:
         (lambda b: b.update(errors="x"), "malformed error schedule"),
         (lambda b: b.update(errors={"delta": {"kind": "const"}}),
          "malformed error schedule"),
+        # a name and errors that disagree would audit under the wrong checks
+        (lambda b: b.update(errors=ZERO_ERRORS.as_dict()),
+         "report of 'wcga' has errors"),
+        (lambda b: b.update(algorithm="awcga"), "report of 'awcga' lacks errors"),
     ])
     def test_audit_malformed_nested_field_is_usage_error(self, tmp_path, capsys,
                                                          edit, problem):
@@ -296,6 +301,11 @@ class TestCli:
         ("--weakness", "const:", "does not match the form const:<t>"),
         ("--weakness", "list:", "does not match the form list:<v>,<v>,..."),
         ("--weakness", "list:0.5,,1", "does not match the form list:"),
+        ("--space", "lp:p=x,n=8",
+         "'lp:p=x,n=8' does not match the form lp:p=<real>,n=<int>"),
+        ("--target", "noisy,k=3,eps=abc,seed=3",
+         "'noisy,k=3,eps=abc,seed=3' does not match the form "
+         "target:noisy,k=<int>,eps=<real>,seed=<int>"),
     ])
     def test_bad_spec_number_is_usage_error(self, tmp_path, capsys, option,
                                             spec, problem):
@@ -351,6 +361,8 @@ class TestCli:
         assert rc == 0
         files = sorted(p.name for p in (tmp_path / "sweep").iterdir())
         assert files == ["wcga_k24_s1.csv", "wcga_k24_s1.json"]
+        report = json.loads((tmp_path / "sweep" / files[1]).read_text())
+        assert report["target_meta"]["k"] == 24
 
     @pytest.mark.parametrize("errors,problem", [
         ("err:delta=pow:0.1,eta=const:0", "'pow:0.1' does not match the form "
@@ -449,6 +461,23 @@ class TestCli:
         rep = RunReport.from_json(out.with_suffix(".json").read_text())
         assert rep.errors is not None
         assert rep.records[0].delta_m > 0
+
+    def test_agg_run_and_audit_via_cli(self, tmp_path, capsys):
+        # agg is gg under an error schedule; wdga is no WBGA member
+        args = ["--space", "lp:p=3,n=8", "--dict", "random_gauss,N=24,seed=7",
+                "--target", "a1,k=3,seed=3",
+                "--errors", "err:delta=pow:0.1,1.1,eta=pow:0.1,1.1",
+                "--iters", "10"]
+        out = tmp_path / "agg.csv"
+        assert main(["run", "--algo", "agg", *args, "--out", str(out)]) == 0
+        rep = RunReport.from_json(out.with_suffix(".json").read_text())
+        assert rep.algorithm == "agg" and rep.records[0].delta_m > 0
+        assert main(["audit", str(out.with_suffix(".json")),
+                     "--bound", "prop72", "--bound", "thm72"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--algo", "awdga", *args,
+                     "--out", str(tmp_path / "awdga.csv")]) == 2
+        assert "unknown algorithm 'awdga'" in capsys.readouterr().err
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LPGREEDY_OUT_DIR", str(tmp_path / "rooted"))

@@ -235,20 +235,28 @@ class TestRunAwbga:
         return s, D, t
 
     @pytest.mark.parametrize("pair", [("awcga", "wcga"), ("awgafr", "wgafr"),
-                                      ("arwrga", "rwrga")])
+                                      ("arwrga", "rwrga"), ("arrxga", "rrxga"),
+                                      ("agg", "gg")])
     def test_zero_schedules_reproduce_exact_runs(self, pair):
-        # the exact ids are the zero-error case of the approximate ones:
-        # same atoms and bitwise the same residual norms
+        # the exact runs are the zero-error case of the approximate ones:
+        # same atoms and bitwise the same residuals, steps and pairings
         approx_id, exact_id = pair
         for p in (1.5, 2.0, 3.0):
             s, D, t = self.setup_env(p=p)
-            rep_a = run_awbga(approx_id, t.f, D, T1, ZERO_ERRORS, max_m=12,
-                              target=t)
+            rep_a = run_greedy(exact_id, t.f, D, T1, errors=ZERO_ERRORS,
+                               max_m=12, target=t)
             rep_e = run_greedy(exact_id, t.f, D, T1, max_m=12, target=t)
-            assert ([r.selected_index for r in rep_a.records]
-                    == [r.selected_index for r in rep_e.records])
-            assert ([r.residual_norm for r in rep_a.records]
-                    == [r.residual_norm for r in rep_e.records])
+            assert rep_a.algorithm == approx_id
+            for name in ("selected_index", "residual_norm", "lam", "mu",
+                         "bo_abs"):
+                assert ([getattr(r, name) for r in rep_a.records]
+                        == [getattr(r, name) for r in rep_e.records]), name
+
+    @pytest.mark.parametrize("algo", ["wrga", "wdga"])
+    def test_non_members_take_no_errors(self, algo):
+        s, D, t = self.setup_env()
+        with pytest.raises(ValueError, match="no WBGA member"):
+            run_greedy(algo, t.f, D, T1, errors=ZERO_ERRORS)
 
     def test_functional_is_fresh_below_the_zero_residual(self):
         # with stop_tol below the zero-residual floor the run goes on past
@@ -572,8 +580,9 @@ class TestSequenceSpecValidation:
 
 
 # Selected indices of one pow-schedule run per approximate algorithm, as the
-# fixed-count bisections chose them: a faster level crossing must not change
-# which atoms the approximate runs pick.
+# fixed-count bisections chose them (arrxga and agg: as the ray crossings
+# chose them when those ids took errors): a faster level crossing must not
+# change which atoms the approximate runs pick.
 PINNED_SELECTIONS = {
     "awcga": [-45, 94, -82, 34, 119, 25, -12, -84],
     "awgafr": [-45, 94, 34, -82, 119, 25, -12, -84, 6, 99, 65, -16, -38,
@@ -583,6 +592,12 @@ PINNED_SELECTIONS = {
                -62, -51, -59, -22, 30, 21, 127, 17, 105, -78, -66, 39, 57,
                -13, -73, -56, 16, -68, -20, 21, 76, -60, 33, 93, -46, 21,
                -65],
+    "arrxga": [94, -45, 119, 34, 25, -82, -12, 2, -84, 19, 28, 7, -65, 21,
+               -59, -23, 33, 80, 101, -118, 63, -49, -114, 1, -12, 86, -97,
+               128, 11, -7, -60, 63, -31, 83, -78, 80, 115, -31, 43, 47],
+    "agg": [-45, 94, 119, 119, 119, 94, -124, 119, -82, 34, 25, 119, 25, -82,
+            -96, 16, -68, 94, 45, 45, -68, 16, 34, 45, 25, 45, 19, -82, 25, 34,
+            45, 45, 45, 45, 34, 25, -96, 45, 34, -31],
 }
 
 

@@ -48,7 +48,9 @@ def test_experiment_config_has_no_text_form(name):
 
 @pytest.mark.parametrize("driver", [lpgreedy.run_greedy, lpgreedy.run_awbga])
 def test_driver_options_are_keyword_only(driver):
-    # a stale positional solver config raises instead of binding to max_m
+    # a stale positional solver config or error schedule raises instead of
+    # binding to an option; run_greedy's options start at its errors
     params = list(inspect.signature(driver).parameters.values())
-    first = [p.name for p in params].index("max_m")
+    first = [p.name for p in params].index(
+        "errors" if driver is lpgreedy.run_greedy else "max_m")
     assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[first:])
