@@ -16,8 +16,8 @@ from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
                          sample_a1_target)
 from .perturbation import (ErrorSchedule, SequenceSpec, derived_eps_bound,
                            perturbed_functional, relaxed_minimize, run_awbga)
-from .solvers import (ProjectionResult, SolverConfig, bracket_minimum,
-                      chebyshev_project, line_search, minimize_2d)
+from .solvers import (ProjectionResult, bracket_minimum, chebyshev_project,
+                      line_search, minimize_2d)
 from .space import (Element, LpSpace, dict_dual_norm, empirical_modulus,
                     lp_space, norm, norming_functional, smoothness_bound,
                     xi_root)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHM_IDS", "AWBGA_IDS", "BOUND_IDS", "AuditReport", "BoundSpec",
     "Dictionary", "Element", "ErrorSchedule", "IterationRecord", "LpSpace",
-    "ProjectionResult", "RunReport", "SequenceSpec", "SolverConfig", "Target",
+    "ProjectionResult", "RunReport", "SequenceSpec", "Target",
     "TargetSpec", "WeaknessSchedule",
     "audit_conditions", "bound_curve",
     "bracket_minimum", "build_dictionary", "chebyshev_project",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -48,8 +48,9 @@ import numpy as np
 from .dictionary import Dictionary, Target, greedy_select
 from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
                            relaxed_minimize)
-from .solvers import (_TINY, DEFAULT_SOLVER, N_GRID, SolverConfig, _psi_scaled,
-                      chebyshev_project, dense_line_min, min_along_ray)
+from .solvers import (_TINY, BRACKET_GROWTH, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
+                      _psi_scaled, chebyshev_project, dense_line_min,
+                      min_along_ray)
 from .space import (_NORMAL_MIN, Element, LpSpace, _max, _min, dict_dual_norm,
                     lp_space, pnorm, pnorm_rows)
 
@@ -60,11 +61,6 @@ AWBGA_IDS = tuple("a" + a for a in ALGORITHM_IDS if a not in ("wrga", "wdga"))
 
 _BJ_GRID = np.array([-1.0, -0.5, 0.1, 0.5, 1.0])
 _NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
-# Iteration cap of the two-atom projection in ``_two_dir_solve``.  Solves
-# that converge take at most about a dozen iterations; where the stationarity
-# test is out of floating-point reach (near-optimal at p = 1.5 under
-# prop72auto) the default cap of 500 would be spent in full.
-_TWO_DIR_SOLVER = SolverConfig(max_iters=20)
 # Below this residual norm a remainder counts as exactly 0.
 _ZERO_RESIDUAL = 1e-12
 # Largest temporary of the measurement pass, in float64 values (128 KB):
@@ -415,8 +411,11 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     if not G_prev.any():
         lam = min_along_ray(p, f, phi, nonneg=True)
         return np.array([0.0, lam]), pnorm(p, f - lam * phi)
-    proj = chebyshev_project(space, f, np.array([G_prev, phi]),
-                             _TWO_DIR_SOLVER)
+    # A cap of 20 iterations: solves that converge take at most about a
+    # dozen; where the stationarity test is out of floating-point reach
+    # (near-optimal at p = 1.5 under prop72auto) the default cap of 500
+    # would be spent in full.
+    proj = chebyshev_project(space, f, np.array([G_prev, phi]), 20)
     a, b = (float(c) for c in proj.coeffs)
     r = proj.residual
     if b < 0.0:
@@ -640,7 +639,8 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
         target_spec=target.spec.mode if target else "custom",
         target_meta=_target_meta(target),
         weakness=tau.as_dict(),
-        solver=asdict(DEFAULT_SOLVER),
+        solver={"tol": TOL, "grad_tol": GRAD_TOL, "max_iters": MAX_ITERS,
+                "bracket_growth": BRACKET_GROWTH},
         max_m=max_m, stop_tol=stop_tol, rule=rule,
         termination=termination, records=records, initial_residual=r0,
         warnings=warnings, errors=None if exact else errs.as_dict(),

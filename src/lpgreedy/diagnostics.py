@@ -88,13 +88,12 @@ class AuditReport:
                           indent=1, sort_keys=True)
 
 
-def audit_conditions(report: RunReport,
-                     tol_set: tuple = DEFAULT_COND_TOLS) -> AuditReport:
+def audit_conditions(report: RunReport) -> AuditReport:
     """Per-iteration verification of the defining greedy-step properties."""
     if any(r.m != i + 1 for i, r in enumerate(report.records)):
         raise ValueError("incomplete report: records must be contiguous from m=1")
     algorithm, approximate = run_id(report.algorithm)
-    tol_gs, tol_er, tol_bo = tol_set
+    tol_gs, tol_er, tol_bo = DEFAULT_COND_TOLS
     applicable = APPLICABLE_CHECKS[algorithm]
     if approximate:
         applicable -= {"neg_line", "bj"}
@@ -155,23 +154,21 @@ def _reduction_rhs_factor(q: float, gamma: float, coef_a: float, c0: float,
     return 1.0 + c0 - coef_a * lam_star * (1.0 - 1.0 / q)
 
 
-def error_reduction_margins(report: RunReport, a_eps: float = None,
-                            eps: float = None) -> list:
+def error_reduction_margins(report: RunReport) -> list:
     """Per-iteration slack of the error-reduction inequality.
 
     Returns [rhs_m - ||f_m||] for every m; nonnegative margins (up to the
-    optimizer tolerance) certify the inequality.  Requires the target's
-    (eps, A(eps)) certificate with A(eps) >= eps; raises when missing.
+    optimizer tolerance) certify the inequality.  Reads the target's
+    (eps, A(eps)) certificate from ``report.target_meta``; raises
+    ``ValueError`` when it is missing or A(eps) < eps.
     Approximate runs are checked in the slack form with the achieved
     functional errors and measured biorthogonality defects.
     """
     meta = report.target_meta
-    if a_eps is None or eps is None:
-        if not meta.get("certificate"):
-            raise ValueError("missing certificate: error reduction check "
-                             "needs the target's (eps, A(eps)) metadata")
-        a_eps = meta["a_eps"]
-        eps = meta["eps"]
+    if not meta.get("certificate"):
+        raise ValueError("missing certificate: error reduction check "
+                         "needs the target's (eps, A(eps)) metadata")
+    a_eps, eps = meta["a_eps"], meta["eps"]
     if a_eps < eps:
         raise ValueError("certificate requires A(eps) >= eps")
     q = report.space_meta["q"]

@@ -262,10 +262,8 @@ def emit_csv(report: RunReport, path: str, timings: bool = False) -> None:
     The wall-clock column is written as 0 unless ``timings`` is requested;
     true timings always remain in the JSON report.
     """
-    sm = report.space_meta
-    spec = BoundSpec(bound_id="cor52", q=sm["q"], gamma=sm["gamma"],
-                     p_conj=sm["p_conj"])
-    bounds = bound_curve(spec, report) if report.records else np.array([])
+    bounds = (bound_curve(BoundSpec.from_report("cor52", report), report)
+              if report.records else np.array([]))
     lines = [CSV_HEADER]
     for i, r in enumerate(report.records):
         vals = [f"{r.m}", report.algorithm]
@@ -338,25 +336,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = _out_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    algos = args.algos.split(",")
     seeds = _numbers(args.seeds, args.seeds, "--seeds <int>,<int>,...", 0, int)
-    parse_target_spec(args.target)  # a usage error before any run
+    parse_target_spec(args.target)  # a bad mode raises before _TARGET_KEYS
     body = _fields(_strip_tag(args.target, "target:"))
     kv = _kv(body[1:], args.target, _TARGET_KEYS[body[0]])
-    reports = []
-    for algo in algos:
+    runs = []
+    for algo in args.algos.split(","):
         for seed in seeds:
             # the target spec with this sweep instance's seed
             kv["seed"] = str(seed)
             tspec = "target:" + ",".join([body[0]] + [f"{k}={v}"
                                                       for k, v in kv.items()])
-            report = execute(_config(args, algo, tspec))
-            stem = out_dir / f"{algo}_k{report.target_meta['k']}_s{seed}"
-            emit_csv(report, stem.with_suffix(".csv"))
-            stem.with_suffix(".json").write_text(report.to_json())
-            reports.append(report)
+            config = _config(args, algo, tspec)
+            config.validate()  # every usage error before the first run
+            runs.append((algo, seed, config))
+    out_dir = _out_path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports = []
+    for algo, seed, config in runs:
+        report = execute(config)
+        stem = out_dir / f"{algo}_k{report.target_meta['k']}_s{seed}"
+        emit_csv(report, stem.with_suffix(".csv"))
+        stem.with_suffix(".json").write_text(report.to_json())
+        reports.append(report)
     print(summarize(reports))
     return 0
 

@@ -17,8 +17,7 @@ from .diagnostics import BoundSpec, _reduction_rhs_factor, rate_bound
 from .dictionary import TargetSpec, build_dictionary, greedy_select, make_target
 from .perturbation import (derived_eps_bound, perturbed_functional,
                            relaxed_minimize)
-from .solvers import (SolverConfig, chebyshev_project, dense_line_min,
-                      min_along_ray)
+from .solvers import chebyshev_project, dense_line_min, min_along_ray
 from .space import (Element, dict_dual_norm, dual_norm, empirical_modulus,
                     lp_space, norm, norming_functional, pnorm, xi_root)
 
@@ -71,7 +70,7 @@ def numeric_reduction_factor(q: float, gamma: float, coef_a: float, c0: float,
 
     lam_star = (coef_a * r_prev ** q / (2.0 * gamma * q)) ** (1.0 / (q - 1.0))
     return dense_line_min(obj, 0.0, max(2.0 * r_prev, 2.0 * lam_star),
-                          cfg=SolverConfig(tol=1e-12))[1]
+                          tol=1e-12)[1]
 
 
 def run_all() -> list:

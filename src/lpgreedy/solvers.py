@@ -19,14 +19,19 @@ The measured error-reduction reference takes an independent route that
 shares no code with the ray minimiser: ``dense_line_min`` scans a grid of
 the interval, keeps the bracket around the best point, and scans that
 again, each pass one vectorised evaluation of the objective, until the
-bracket is within the argument tolerance ``SolverConfig.tol``.  It takes
+bracket is within its argument tolerance ``tol``.  It takes
 one interval or an array of them: a batch of line problems shares each
 pass, so the measurements of many greedy steps cost one call.
 
 Derivative-free golden section (``line_search``, ``bracket_minimum``,
-``minimize_2d``) serves no step, no measurement and no oracle check.  It is
-kept only because the benchmark's layer trace still names these three
-functions.
+``minimize_2d``) serves no greedy step and no measurement.  It is kept
+because the benchmark's layer trace still names these three functions, and
+the tests use it as an independent oracle for the ray minimiser.
+
+Each setting lives where it is read: the projection's iteration cap is
+``chebyshev_project``'s ``max_iters`` and the grid scans' argument tolerance
+is ``dense_line_min``'s ``tol``.  Their defaults and the other settings are
+the module constants below; a run report records the four as ``solver``.
 """
 
 from __future__ import annotations
@@ -59,24 +64,16 @@ N_GRID = 33
 # solves use the QR factor.  Below it the basis is numerically rank
 # deficient (a repeated atom), and lstsq's minimum-norm answer is kept.
 _QR_RCOND = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8         # argument tolerance of dense_line_min's nested grids
-                              # and of the golden-section searches
-    grad_tol: float = 1e-10   # stopping gradient size for the projection
-    max_iters: int = 500
-    bracket_growth: float = 2.0
-
-    def __post_init__(self):
-        if not (0 < self.tol < 1) or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive and tol < 1")
-        if self.max_iters <= 0 or self.bracket_growth <= 1:
-            raise ValueError("max_iters must be positive, bracket_growth > 1")
-
-
-DEFAULT_SOLVER = SolverConfig()
+# Default argument tolerance of dense_line_min's nested grids and of
+# line_search, relative to max(1, hi - lo); minimize_2d stops on a cycle
+# that lowers the value by less.
+TOL = 1e-8
+# Default iteration cap of chebyshev_project, and minimize_2d's cycle cap.
+MAX_ITERS = 500
+# Stopping size max_k |F_r(phi_k)| of the projection's gradient.
+GRAD_TOL = 1e-10
+# Factor by which bracket_minimum grows its interval.
+BRACKET_GROWTH = 2.0
 
 
 @dataclass
@@ -103,7 +100,7 @@ class _BestTracker:
 
 
 def line_search(objective: Callable[[float], float], lo: float, hi: float,
-                cfg: SolverConfig = DEFAULT_SOLVER) -> tuple:
+                tol: float = TOL) -> tuple:
     """Golden-section minimum of a convex objective on [lo, hi].
 
     Returns the best point ever evaluated, so the value never exceeds the
@@ -115,7 +112,7 @@ def line_search(objective: Callable[[float], float], lo: float, hi: float,
     f(lo)
     f(hi)
     a, b = lo, hi
-    tol = cfg.tol * max(1.0, hi - lo)
+    tol *= max(1.0, hi - lo)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -133,7 +130,6 @@ def line_search(objective: Callable[[float], float], lo: float, hi: float,
 
 
 def bracket_minimum(objective: Callable[[float], float], start: float,
-                    cfg: SolverConfig = DEFAULT_SOLVER,
                     two_sided: bool = False) -> tuple:
     """Find [lo, hi] containing a minimizer of a convex objective.
 
@@ -152,7 +148,7 @@ def bracket_minimum(objective: Callable[[float], float], start: float,
             if vlo >= interior_best - tie and vhi >= interior_best - tie:
                 return lo, hi
             interior_best = min(interior_best, vlo, vhi)
-            s *= cfg.bracket_growth
+            s *= BRACKET_GROWTH
             if s > _BRACKET_CAP:
                 raise RuntimeError("no bracket found")
 
@@ -167,48 +163,45 @@ def bracket_minimum(objective: Callable[[float], float], start: float,
         if rises >= 2:
             return start, x
         v_prev = v
-        step *= cfg.bracket_growth
+        step *= BRACKET_GROWTH
         if step > _BRACKET_CAP:
             raise RuntimeError("no bracket found")
 
 
-def minimize_2d(objective: Callable[[float, float], float],
-                cfg: SolverConfig = DEFAULT_SOLVER) -> tuple:
+def minimize_2d(objective: Callable[[float, float], float]) -> tuple:
     """Cyclic coordinate descent for min over (w in R, lam >= 0).
 
     Each coordinate is solved by bracket + golden section; stops when a full
-    cycle improves the value by less than cfg.tol.  The start (0, 0) is kept
+    cycle improves the value by less than TOL.  The start (0, 0) is kept
     as a feasible fallback, so the returned value never exceeds it.
     """
     w, lam = 0.0, 0.0
     best_w, best_lam = w, lam
     best_v = objective(w, lam)
     v_prev = best_v
-    for _ in range(cfg.max_iters):
-        blo, bhi = bracket_minimum(lambda x: objective(x, lam), w, cfg,
-                                   two_sided=True)
-        w, _ = line_search(lambda x: objective(x, lam), blo, bhi, cfg)
+    for _ in range(MAX_ITERS):
+        blo, bhi = bracket_minimum(lambda x: objective(x, lam), w, two_sided=True)
+        w, _ = line_search(lambda x: objective(x, lam), blo, bhi)
 
-        blo, bhi = bracket_minimum(lambda x: objective(w, x), lam, cfg,
-                                   two_sided=True)
-        lam, v = line_search(lambda x: objective(w, x), max(0.0, blo), bhi, cfg)
+        blo, bhi = bracket_minimum(lambda x: objective(w, x), lam, two_sided=True)
+        lam, v = line_search(lambda x: objective(w, x), max(0.0, blo), bhi)
 
         if v < best_v:
             best_v, best_w, best_lam = v, w, lam
-        if v_prev - v < cfg.tol:
+        if v_prev - v < TOL:
             break
         v_prev = v
     return (best_w, best_lam), best_v
 
 
 def dense_line_min(objective_vec: Callable, lo, hi,
-                   cfg: SolverConfig = DEFAULT_SOLVER) -> tuple:
+                   tol: float = TOL) -> tuple:
     """Nested grid scans; the independent line-search oracle.
 
     Scans ``N_GRID`` evenly spaced points of [lo, hi], keeps the bracket
     [x_(i-1), x_(i+1)] around the best one (which holds the minimiser of a
     convex objective) and scans it again, until the bracket is within
-    ``cfg.tol * max(1, hi - lo)`` or stops narrowing.  Returns the best
+    ``tol * max(1, hi - lo)`` or stops narrowing.  Returns the best
     point ever evaluated and its value.
 
     With float ``lo`` and ``hi`` there is one problem, and
@@ -229,7 +222,7 @@ def dense_line_min(objective_vec: Callable, lo, hi,
     b = np.array(hi, dtype=float, ndmin=1)
     if (a > b).any():
         raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
-    tol = cfg.tol * np.maximum(1.0, b - a)
+    tol = tol * np.maximum(1.0, b - a)
     best_x, best_v = a.copy(), np.full(a.shape, np.inf)
     steps = np.arange(N_GRID, dtype=float)
     rows = np.arange(a.size)
@@ -403,7 +396,7 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def chebyshev_project(space: LpSpace, f: np.ndarray, basis: np.ndarray,
-                      cfg: SolverConfig = DEFAULT_SOLVER) -> ProjectionResult:
+                      max_iters: int = MAX_ITERS) -> ProjectionResult:
     """Best approximation of f from the span of the basis rows, lp norm.
 
     ``f`` is an ``(n,)`` array and ``basis`` an ``(m, n)`` array of atoms as
@@ -417,7 +410,7 @@ def chebyshev_project(space: LpSpace, f: np.ndarray, basis: np.ndarray,
     np.linalg.lstsq's minimum-norm answer when the basis has more atoms
     than coordinates or is numerically rank deficient.  The gradient
     of ||f - sum lam_k phi_k|| in lam_k is -F_residual(phi_k), so the
-    stopping rule max_k |F_r(phi_k)| <= grad_tol is precisely
+    stopping rule max_k |F_r(phi_k)| <= GRAD_TOL is precisely
     residual-approximant biorthogonality.  A zero residual (exact
     representation) stops immediately, since the norm is not differentiable
     there.
@@ -438,13 +431,13 @@ def chebyshev_project(space: LpSpace, f: np.ndarray, basis: np.ndarray,
     r = f - Phi @ lam
     converged = False
     iters = 0
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, max_iters + 1):
         rn = pnorm(p, r)
         if rn <= 1e-12:
             converged = True
             break
         g = functional_coords(p, r, rn) @ Phi
-        if float(np.max(np.abs(g))) <= cfg.grad_tol:
+        if float(np.max(np.abs(g))) <= GRAD_TOL:
             converged = True
             break
         a = np.abs(r) / float(np.max(np.abs(r)))

@@ -12,6 +12,7 @@ from lpgreedy import (ErrorSchedule, SequenceSpec, TargetSpec,
                       empirical_modulus, error_reduction_margins, lp_space,
                       make_target, run_awbga, run_greedy, smoothness_bound,
                       verify_rates, xi_root)
+from lpgreedy.diagnostics import DEFAULT_COND_TOLS
 from lpgreedy.harness import main
 from lpgreedy.selftest import omp_oracle_residuals
 
@@ -110,8 +111,9 @@ def test_criterion_03_constant_weakness_bound(c3_runs):
 def test_criterion_04_condition_audit(c1_runs, c2_runs, c3_runs):
     reports = list(c1_runs[0].values()) + list(c2_runs[0].values()) \
         + list(c3_runs.values())
+    assert DEFAULT_COND_TOLS == COND_TOLS
     for rep in reports:
-        audit = audit_conditions(rep, COND_TOLS)
+        audit = audit_conditions(rep)
         assert audit.passed, audit.to_json()
         for name in ("greedy_selection", "error_reduction", "biorthogonality",
                      "neg_line", "bj"):

@@ -115,8 +115,10 @@ class TestErrorReductionInequality:
             error_reduction_margins(rep)
 
     def test_invalid_certificate_combination(self, hull_run):
+        meta = dict(hull_run.target_meta, a_eps=0.01, eps=0.5)
+        bad = dataclasses.replace(hull_run, target_meta=meta)
         with pytest.raises(ValueError, match="A\\(eps\\)"):
-            error_reduction_margins(hull_run, a_eps=0.01, eps=0.5)
+            error_reduction_margins(bad)
 
 
 class TestHullFunctionalBound:

@@ -1,9 +1,8 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
-from lpgreedy import RunReport, SolverConfig, harness
+from lpgreedy import RunReport, harness, solvers
 from lpgreedy.harness import (CSV_HEADER, ExperimentConfig, emit_csv, execute,
                               main, parse_dict_spec, parse_errors, parse_space,
                               parse_target_spec, parse_weakness, summarize)
@@ -65,7 +64,13 @@ class TestSpecParsing:
         assert errs.eps_mode == "list" and errs.eps_values == (0.5, 0.1)
 
     def test_report_records_the_default_solver(self):
-        assert execute(small_config()).solver == asdict(SolverConfig())
+        solver = execute(small_config()).solver
+        assert solver == {"tol": solvers.TOL, "grad_tol": solvers.GRAD_TOL,
+                          "max_iters": solvers.MAX_ITERS,
+                          "bracket_growth": solvers.BRACKET_GROWTH}
+        assert json.dumps(solver, sort_keys=True) == (
+            '{"bracket_growth": 2.0, "grad_tol": 1e-10, "max_iters": 500, '
+            '"tol": 1e-08}')
 
     @pytest.mark.parametrize("config", [
         small_config(),
@@ -349,8 +354,24 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'1,x' does not match the form --seeds <int>,<int>,..." in err
-        assert not (tmp_path / "sweep").exists() or \
-            not any((tmp_path / "sweep").iterdir())
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("algos,errors,problem", [
+        ("agg,wcga", "err:delta=const:0.01,eta=const:0.01",
+         "error schedules apply to"),
+        ("wcga,zzz", None, "unknown algorithm 'zzz'")])
+    def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys,
+                                                     algos, errors, problem):
+        # a usage error in a later algorithm writes no file of an earlier one
+        args = ["sweep", "--algos", algos, "--seeds", "1,2",
+                "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+                "--target", "a1,k=3,seed=0", "--iters", "4",
+                "--out-dir", str(tmp_path / "sweep")]
+        if errors:
+            args += ["--errors", errors]
+        assert main(args) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_names_dense_targets_by_their_atoms(self, tmp_path):
         # an a1dense target is built on all N atoms: k = N in the file name

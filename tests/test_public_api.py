@@ -31,10 +31,23 @@ def test_functional_wrappers_are_gone(name, module):
 
 
 
+def test_solver_config_is_gone():
+    # each solver setting is a keyword of the function that reads it or a
+    # constant of lpgreedy.solvers
+    assert "SolverConfig" not in lpgreedy.__all__
+    assert not hasattr(lpgreedy, "SolverConfig")
+    assert not hasattr(lpgreedy.solvers, "SolverConfig")
+
+
 @pytest.mark.parametrize("function,removed", [
     ("algorithms.run_greedy", "cfg"), ("perturbation.run_awbga", "cfg"),
     ("diagnostics.verify_rates", "slack"), ("solvers.dense_line_min", "n_grid"),
-    ("dictionary.TargetSpec", "a_eps")])
+    ("dictionary.TargetSpec", "a_eps"), ("solvers.chebyshev_project", "cfg"),
+    ("solvers.dense_line_min", "cfg"), ("solvers.line_search", "cfg"),
+    ("solvers.bracket_minimum", "cfg"), ("solvers.minimize_2d", "cfg"),
+    ("diagnostics.audit_conditions", "tol_set"),
+    ("diagnostics.error_reduction_margins", "a_eps"),
+    ("diagnostics.error_reduction_margins", "eps")])
 def test_removed_parameter_is_gone(function, removed):
     mod, name = function.split(".")
     obj = getattr(importlib.import_module("lpgreedy." + mod), name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpgreedy import (Element, SolverConfig, TargetSpec, WeaknessSchedule,
+from lpgreedy import (Element, TargetSpec, WeaknessSchedule,
                       audit_conditions, bracket_minimum, build_dictionary,
                       chebyshev_project, line_search, lp_space, make_target,
                       minimize_2d, norming_functional, run_greedy)
@@ -164,7 +164,7 @@ class TestMinAlongRay:
             a = min_along_ray(p, r, v)
             lo, hi = a - 1.0, a + 1.0
             arg, _ = line_search(lambda t: pnorm(p, r - t * v), lo, hi,
-                                 SolverConfig(tol=1e-10))
+                                 tol=1e-10)
             assert a == pytest.approx(arg, abs=1e-6)
 
     def test_nonnegative_clamp(self):
@@ -316,12 +316,11 @@ class TestChebyshevProject:
         A = rng.standard_normal((12, 6))
         basis = np.array([A[:, j] / pnorm(p, A[:, j]) for j in range(6)])
         f = rng.standard_normal(12)
-        cfg = SolverConfig()
-        res = chebyshev_project(s, f, basis, cfg)
+        res = chebyshev_project(s, f, basis)
         assert res.converged
         F = norming_functional(s, Element(coords=res.residual, space=s))
         for b in basis:
-            assert abs(float(np.dot(F, b))) <= cfg.grad_tol * 1.01
+            assert abs(float(np.dot(F, b))) <= solvers.GRAD_TOL * 1.01
 
     def test_rank_deficient_basis_converges_in_value(self):
         s = lp_space(2.0, 4)
@@ -349,12 +348,11 @@ class TestChebyshevProject:
     @pytest.mark.parametrize("p,n,m,seed", [(4.0, 64, 63, 1), (32.0, 32, 28, 0)])
     def test_nearly_full_span_converges_quickly(self, p, n, m, seed):
         s, A, f, basis = self._random_problem(p, n, m, seed)
-        cfg = SolverConfig()
-        res = chebyshev_project(s, f, basis, cfg)
+        res = chebyshev_project(s, f, basis)
         assert res.converged
         assert res.iterations <= 50
         F = norming_functional(s, Element(coords=res.residual, space=s))
-        assert float(np.max(np.abs(F @ A))) <= cfg.grad_tol
+        assert float(np.max(np.abs(F @ A))) <= solvers.GRAD_TOL
 
     def test_wcga_run_below_two_never_caps(self):
         # at p = 1.5 some optimal residuals of this run have a coordinate
