@@ -4,7 +4,7 @@ One function, ``run_greedy``, runs every algorithm id.  Each iteration
 takes the norming functional of the residual f_{m-1} (perturbed by delta
 for a run with errors), selects an atom by the weak greedy rule (or by
 the norm scan, for rrxga) and applies the id's update rule from
-``_RULES``.  A rule wraps its exact solve in
+``_RULES``.  A rule hands its exact solve to
 ``relaxed_minimize``, which with eta = 0 returns that solve unchanged, so
 an exact run is the zero-error case of the approximate one.  The
 functional of the new residual is computed once per step: it measures the
@@ -437,7 +437,7 @@ def _wcga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     proj = chebyshev_project(space, f, st.basis)
     c, _ = relaxed_minimize(
         space.p, lambda c: f - Phi @ c, eta,
-        lambda: (proj.coeffs, pnorm(space.p, proj.residual)),
+        (proj.coeffs, pnorm(space.p, proj.residual)),
         seed=seed + 1)
     # f_m = f - Phi c is bitwise the projection's residual when c is exact
     st.f_m = f - Phi @ c
@@ -452,7 +452,7 @@ def _wgafr(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     p, f, G_prev = st.space.p, st.f, st.G_m
     x, _ = relaxed_minimize(
         p, lambda x: f - ((1.0 - x[0]) * G_prev + x[1] * phi), eta,
-        lambda: _two_dir_solve(st.space, f, G_prev, phi), seed=seed + 1,
+        _two_dir_solve(st.space, f, G_prev, phi), seed=seed + 1,
         nonneg=(False, True))
     st.update((1.0 - x[0]) * G_prev + x[1] * phi)
     return {"lam": float(x[1]), "omega": float(x[0])}
@@ -461,7 +461,7 @@ def _wgafr(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
 def _rescaled(st: GreedyState, v: np.ndarray, eta: float, seed: int) -> float:
     """Set the approximant to mu v, mu from ``_rescale``; returns mu."""
     mu, _ = relaxed_minimize(st.space.p, lambda mu: st.f - mu * v, eta,
-                             lambda: _rescale(st.space, st.f, v), seed=seed)
+                             _rescale(st.space, st.f, v), seed=seed)
     st.update(mu * v)
     return float(mu)
 
@@ -476,7 +476,7 @@ def _wdga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
 
     lam0 = min_along_ray(p, f_prev, phi, nonneg=True)
     lam, _ = relaxed_minimize(p, along, eta,
-                              lambda: (lam0, pnorm(p, along(lam0))),
+                              (lam0, pnorm(p, along(lam0))),
                               seed=seed + 1, nonneg=True)
     st.update(st.G_m + lam * phi)
     return {"lam": float(lam)}

@@ -30,7 +30,8 @@ import numpy as np
 
 from .algorithms import (AWBGA_IDS, RunReport, WeaknessSchedule, run_greedy,
                          run_id)
-from .diagnostics import (BOUND_IDS, BoundSpec, audit_conditions, bound_curve,
+from .diagnostics import (BOUND_IDS, DEFAULT_COND_TOLS, BoundSpec,
+                          audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
 from .dictionary import TargetSpec, build_dictionary, make_target
 from .perturbation import ErrorSchedule, SequenceSpec
@@ -112,7 +113,10 @@ def parse_dict_spec(spec: str) -> tuple:
     size = _number(kv["N"], spec, _DICT_FORM, int) if "N" in kv else None
     if size is not None and size < 1:
         raise ValueError(f"dictionary size N must be positive, got {size}")
-    return kind, size, _number(kv.get("seed", "0"), spec, _DICT_FORM, int)
+    seed = _number(kv.get("seed", "0"), spec, _DICT_FORM, int)
+    if seed < 0:
+        raise ValueError(f"dictionary seed must be nonnegative, got {seed}")
+    return kind, size, seed
 
 
 def parse_target_spec(spec: str) -> TargetSpec:
@@ -379,7 +383,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         if report.target_meta.get("certificate"):
             margins = error_reduction_margins(report)
             worst = min(margins) if margins else 0.0
-            passed = worst >= -1e-6
+            passed = worst >= -DEFAULT_COND_TOLS[1]
             ok = ok and passed
             print(f"  error_reduction_rhs {'PASS' if passed else 'FAIL'} "
                   f"worst margin {worst:+.3e}")

@@ -12,7 +12,8 @@ exercised near its stated boundary instead of with benign rounding noise.
 
 Both perturbations end at a level crossing of a convex function on a ray
 (``_ray_crossing``): the largest admissible mixing weight for delta, and
-the farthest admissible step from the argmin for eta.  One power of |c| at
+the farthest admissible step from the argmin for eta, along one ray that
+ends where a coordinate held at >= 0 reaches 0.  One power of |c| at
 the ray point c gives the value and its closed-form slope, so each step
 takes the root of a quadratic model from the admissible end, kept between
 the secant point (admissible, by convexity) and the tangent roots (not
@@ -222,6 +223,9 @@ class ErrorSchedule:
             raise ValueError("list eps mode needs values")
         if not all(math.isfinite(v) and v >= 0.0 for v in self.eps_values or ()):
             raise ValueError("eps list values must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"error schedule seed must be nonnegative, "
+                             f"got {self.seed}")
 
     def as_dict(self) -> dict:
         return {"delta": self.delta.as_dict(), "eta": self.eta.as_dict(),
@@ -344,27 +348,27 @@ def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
 
 
 def relaxed_minimize(p: float, residual: Callable, eta: float,
-                     exact: Callable, seed: int = 0, nonneg=False) -> tuple:
-    """Solve exactly, then walk away from the argmin until half the relative
-    value budget (1 + eta) is consumed.  eta = 0 degenerates to the exact
-    solver; an exact minimum of 0 leaves no budget and is returned as-is.
+                     exact: tuple, seed: int = 0, nonneg=False) -> tuple:
+    """Walk away from the exact argmin until half the relative value budget
+    (1 + eta) is consumed.  eta = 0 returns the exact solve; an exact
+    minimum of 0 leaves no budget and is returned as-is.
 
     The objective is ||residual(x)||_p for an affine ``residual``; x is a
-    float or an array, and ``nonneg`` (a bool, or one per coordinate of x)
-    marks the coordinates held at >= 0.  ``exact()`` returns (x*, v*).  The
-    walk goes from x* along a random direction, each held coordinate
-    stopping at 0, so it is a few rays.  On each, the residual is r + b u
-    and g(b) = ||r + b u||^2 - level^2 is convex; ``_ray_crossing`` finds
-    the crossing, starting at the b where g would cross at p = 2
-    (slope 0 at x*), at a level 2^-48 of the budget below v* (1 + eta/2),
-    or lower by twice the rounding measured in ``residual`` at that first
-    point.  The returned point's value, computed by ``residual``, lies in
-    [v*, v* (1 + eta/2)]: where no such point is found, as when the budget
-    lies within that rounding of v*, x* itself is returned.
+    float or an array, ``exact`` is the exact solve (x*, v*), and ``nonneg``
+    (a bool, or one per coordinate of x) marks the coordinates held at >= 0.
+    The walk is one ray from x* in a random direction, up to where the
+    first held coordinate reaches 0.  There the residual is r + b u, and
+    ``_ray_crossing`` finds where g(b) = ||r + b u||^2 - level^2 crosses 0,
+    starting at the b where g would at p = 2 (slope 0 at x*), at a level
+    2^-48 of the budget below v* (1 + eta/2), or lower by twice the rounding
+    measured in ``residual`` at that first point; a ray that ends below the
+    level gives its end.  The returned value, computed by ``residual``,
+    lies in [v*, v* (1 + eta/2)]: where no such point is found, as when the
+    budget lies within that rounding of v*, x* itself is returned.
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    x_star, v_star = exact()
+    x_star, v_star = exact
     if eta == 0.0 or v_star <= 1e-300:
         return x_star, v_star
     rng = np.random.default_rng(seed)
@@ -379,9 +383,11 @@ def relaxed_minimize(p: float, residual: Callable, eta: float,
         d = d / nd if nd > 0 else np.ones_like(start)
     held = np.asarray(nonneg, dtype=bool)
     any_held = bool(held.any())
+    end = math.inf
     if any_held:  # a held coordinate at 0 stays there
         d = np.where(held & (start <= 0.0), np.maximum(d, 0.0), d)
-        hits = np.flatnonzero(held & (d < 0.0))
+        hit = held & (d < 0.0)
+        end = float(np.min(start[hit] / -d[hit], initial=math.inf))
 
     def caller(x: np.ndarray):
         return float(x[0]) if scalar else x
@@ -404,42 +410,21 @@ def relaxed_minimize(p: float, residual: Callable, eta: float,
     budget = v_star * (1.0 + 0.5 * eta)
     r = residual(caller(start))
     u = residual(caller(start + d)) - r
-    h, level, b = v_star, None, 0.0
-    while True:  # one ray per pass, up to where a held coordinate reaches 0
-        ends = start[hits] / -d[hits] if any_held else ()
-        end = float(np.min(ends)) if len(ends) else math.inf
-        uu = float(np.dot(u, u))
-        if uu > 0.0:
-            top = budget if level is None else level
-            b = min(end, math.sqrt((top * top - h * h) / ((p - 1.0) * uu)))
-            if not b > 0.0:
-                b = 0.0
-                break
-            if level is None:
-                noise = pnorm(p, residual(caller(point(b))) - (r + b * u))
-                tol = max(_LEVEL_REL * budget, 2.0 * noise)
-                level = budget - 2.0 * noise
-                if h >= level - tol:  # the budget is within rounding of v*
-                    return x_star, v_star
-            g_tol = tol * (2.0 * level - tol)
-            b, g, accepted = _ray_crossing(ev, ok, 0.0, h * h - level * level,
-                                           0.0, end, None, b, g_tol, _ETA_REL)
-            if accepted:
-                return caller(seen[0]), seen[1]
-            if b < end or g >= -g_tol:
-                break
-            r, h = r + b * u, math.sqrt(g + level * level)
-        elif end == math.inf:
-            b = 0.0
-            break
-        else:
-            b = end
-        start = start + b * d
-        start[hits[ends <= b]] = 0.0
-        d = np.where(held & (start <= 0.0), np.maximum(d, 0.0), d)
-        hits = np.flatnonzero(held & (d < 0.0))
-        u = residual(caller(start + d)) - residual(caller(start))
-    if ok(b):
+    uu = float(np.dot(u, u))
+    b = min(end, math.sqrt((budget * budget - v_star * v_star)
+                           / ((p - 1.0) * uu))) if uu > 0.0 else 0.0
+    accepted = False
+    if b > 0.0:
+        noise = pnorm(p, residual(caller(point(b))) - (r + b * u))
+        tol = max(_LEVEL_REL * budget, 2.0 * noise)
+        level = budget - 2.0 * noise
+        if v_star >= level - tol:  # the budget is within rounding of v*
+            return x_star, v_star
+        g_tol = tol * (2.0 * level - tol)
+        b, _, accepted = _ray_crossing(ev, ok, 0.0,
+                                       v_star * v_star - level * level, 0.0,
+                                       end, None, b, g_tol, _ETA_REL)
+    if accepted or ok(b if b > 0.0 else 0.0):  # b is NaN where budget^2 is inf
         return caller(seen[0]), seen[1]
     return x_star, v_star
 

@@ -284,7 +284,7 @@ def run_all() -> list:
             return np.append(x - c, 1.0)
 
         eta = float(rng.uniform(0, 0.5))
-        _, v = relaxed_minimize(2.0, residual, eta, lambda: (c.copy(), 1.0),
+        _, v = relaxed_minimize(2.0, residual, eta, (c.copy(), 1.0),
                                 seed=i)
         ok = ok and (1.0 <= v <= (1.0 + eta) * 1.0 + 1e-12)
     checks.append(_check("relaxed minimization stays inside its budget", ok))

@@ -2,7 +2,8 @@
 
 A one-dimensional greedy step minimises an lp norm along a ray,
 a -> ||r - a v||, and ``min_along_ray`` solves it exactly: safeguarded
-Newton on the sign of its derivative, certified by the width of a bracket.
+Newton on the sign of its derivative, in a bracket doubled on the side
+where the norm falls and certified by its width.
 The Chebyshev projection is the one multi-dimensional solve.  It serves the
 WCGA over all selected atoms and the free-relaxation step over two atoms,
 the previous approximant and the new one.  Like ``Dictionary.matrix``, its
@@ -274,16 +275,17 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     The derivative sign of the convex map a -> ||r0 - a v|| is the sign of
     psi(a) = -sum sign(r) |r|^(p-1) v with r = r0 - a v, which increases
     with psi'(a) = (p-1) sum |r|^(p-2) v^2; p = 2 has the closed form
-    (r0 . v)/(v . v).  A sign change of psi is bracketed by doubling and
-    closed by safeguarded Newton: a Newton point outside the bracket, or one
-    that does not halve the previous step, is replaced by the bisection
-    point.  Only the bracket width certifies convergence.  For p < 2, psi'
-    blows up where a residual coordinate crosses zero, so a tiny Newton step
-    says nothing about the distance to the root; such a step is pushed out
-    to half the tolerance so that the far side gets evaluated, and a push
-    that fails to cross the root is followed by a bisection.  Where the
-    plain psi' is not a normal float, psi and psi' come from
-    ``_psi_scaled``.
+    (r0 . v)/(v . v).  Where psi(0) >= 0 the solve runs along -v, whose psi
+    is -psi(-a) with the same psi', and negates its answer.  The sign
+    change of psi is bracketed by doubling toward a > 0 and closed by
+    safeguarded Newton: a Newton point outside the bracket, or one that
+    does not halve the previous step, is replaced by the bisection point.
+    Only the bracket width certifies convergence.  For p < 2, psi' blows up
+    where a residual coordinate crosses zero, so a tiny Newton step says
+    nothing about the distance to the root; such a step is pushed out to
+    half the tolerance so that the far side gets evaluated, and a push that
+    fails to cross the root is followed by a bisection.  Where the plain
+    psi' is not a normal float, psi and psi' come from ``_psi_scaled``.
     """
     if p > _PLAIN_P:  # an overflowing plain sum falls back to _psi_scaled
         with np.errstate(over="ignore", invalid="ignore"):
@@ -321,28 +323,22 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     f0, d0 = psi(0.0)
     if nonneg and f0 >= 0.0:
         return 0.0
+    # psi reads v when called, so after the flip it evaluates the ray
+    # along -v
+    sign = 1.0
+    if f0 >= 0.0:
+        v, f0, sign = -v, -f0, -1.0
 
-    # bracket a sign change of psi
-    if f0 < 0.0:
-        lo, flo, dlo = 0.0, f0, d0
-        hi = scale
+    # bracket the sign change of psi by doubling toward a > 0
+    lo, flo, dlo = 0.0, f0, d0
+    hi = scale
+    fhi, dhi = psi(hi)
+    while fhi < 0.0:
+        lo, flo, dlo = hi, fhi, dhi
+        hi *= 2.0
         fhi, dhi = psi(hi)
-        while fhi < 0.0:
-            lo, flo, dlo = hi, fhi, dhi
-            hi *= 2.0
-            fhi, dhi = psi(hi)
-            if hi > 1e9 * max(scale, 1.0):
-                return hi
-    else:
-        hi, fhi, dhi = 0.0, f0, d0
-        lo = -scale
-        flo, dlo = psi(lo)
-        while flo > 0.0:
-            hi, fhi, dhi = lo, flo, dlo
-            lo *= 2.0
-            flo, dlo = psi(lo)
-            if -lo > 1e9 * max(scale, 1.0):
-                return lo
+        if hi > 1e9 * max(scale, 1.0):
+            return sign * hi
 
     # safeguarded Newton from the end nearer the root in psi
     x, fx, dx = (lo, flo, dlo) if -flo < fhi else (hi, fhi, dhi)
@@ -368,14 +364,14 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
         last = abs(step)
         fn, dn = psi(xn)
         if fn == 0.0:
-            return xn
+            return sign * xn
         bisect = pushed and (fn < 0.0) == (fx < 0.0)
         if fn < 0.0:
             lo = xn
         else:
             hi = xn
         x, fx, dx = xn, fn, dn
-    return 0.5 * (lo + hi)
+    return sign * (0.5 * (lo + hi))
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:

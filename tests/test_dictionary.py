@@ -183,6 +183,16 @@ class TestTargets:
         with pytest.raises(ValueError, match="out of range"):
             sample_a1_target(D, TargetSpec(mode="a1_sparse", k=7, seed=1))
 
+    @pytest.mark.parametrize("kw,problem", [
+        (dict(mode="a1_sparse", k=3, seed=-1), "target seed must be"),
+        (dict(mode="general_plus_noise", k=3, eps=1.5),
+         "noisy target eps must be at most 1")])
+    def test_invalid_spec_rejected(self, kw, problem):
+        # a negative seed would reach np.random.default_rng; eps > 1 would
+        # exceed the certificate's A(eps) = 1
+        with pytest.raises(ValueError, match=problem):
+            TargetSpec(**kw)
+
 
 class TestPerturbTarget:
     def test_zero_eps_is_identity(self):

@@ -356,6 +356,48 @@ class TestCli:
         assert "'1,x' does not match the form --seeds <int>,<int>,..." in err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("option,spec,problem", [
+        ("--seeds", "1,-1", "target seed must be nonnegative, got -1"),
+        ("--dict", "random_gauss,N=24,seed=-5",
+         "dictionary seed must be nonnegative, got -5"),
+        ("--errors", "err:delta=const:0,eta=const:0,seed=-3",
+         "error schedule seed must be nonnegative, got -3")])
+    def test_sweep_rejects_negative_seeds(self, tmp_path, capsys, option,
+                                          spec, problem):
+        # rejected while each spec is parsed, before the output directory
+        args = ["sweep", "--algos", "awcga", "--seeds", "1",
+                "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+                "--target", "a1,k=3,seed=0", "--iters", "4",
+                "--errors", "err:delta=const:0,eta=const:0",
+                "--out-dir", str(tmp_path / "sweep")]
+        args[args.index(option) + 1] = spec
+        assert main(args) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_run_rejects_negative_target_seed(self, tmp_path, capsys):
+        args = list(RUN_ARGS)
+        args[args.index("--target") + 1] = "a1,k=3,seed=-2"
+        out = tmp_path / "run" / "r.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert ("target seed must be nonnegative, got -2"
+                in capsys.readouterr().err)
+        assert not out.parent.exists()
+
+    def test_noisy_eps_above_one_is_usage_error(self, tmp_path, capsys):
+        # the certificate's A(eps) is 1: a report with eps > 1 would fail
+        # audit's "certificate requires A(eps) >= eps"; eps = 1 audits
+        args, out = list(RUN_ARGS), tmp_path / "r.csv"
+        args[args.index("--target") + 1] = "noisy,k=3,eps=2,seed=2"
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "noisy target eps must be at most 1" in err
+        assert "A(eps) >= eps" in err
+        assert not out.exists()
+        args[args.index("--target") + 1] = "noisy,k=3,eps=1,seed=2"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(["audit", str(out.with_suffix(".json"))]) in (0, 1)
+
     @pytest.mark.parametrize("algos,errors,problem", [
         ("agg,wcga", "err:delta=const:0.01,eta=const:0.01",
          "error schedules apply to"),

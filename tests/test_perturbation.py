@@ -95,7 +95,7 @@ class TestPerturbedFunctional:
 class TestRelaxedMinimize:
     def test_zero_eta_exact(self):
         x, v = relaxed_minimize(2.0, lambda t: np.array([t - 2.0, 1.0]), 0.0,
-                                lambda: (2.0, 1.0), seed=1)
+                                (2.0, 1.0), seed=1)
         assert x == 2.0 and v == 1.0
 
     def test_budget_respected_on_quadratic(self):
@@ -109,12 +109,12 @@ class TestRelaxedMinimize:
 
             eta = float(rng.uniform(0, 1))
             _, v = relaxed_minimize(2.0, residual, eta,
-                                    lambda: (c.copy(), np.sqrt(0.5)), seed=i)
+                                    (c.copy(), np.sqrt(0.5)), seed=i)
             assert np.sqrt(0.5) <= v <= np.sqrt(0.5) * (1.0 + eta) + 1e-12
 
     def test_zero_minimum_collapses_budget(self):
         x, v = relaxed_minimize(3.0, lambda t: np.array([t]), 0.5,
-                                lambda: (0.0, 0.0), seed=2)
+                                (0.0, 0.0), seed=2)
         assert x == 0.0 and v == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -134,7 +134,7 @@ class TestRelaxedMinimize:
                 return b, pnorm(p, r - b * u)
 
             _, v_star = exact()
-            _, v = relaxed_minimize(p, residual, eta, exact, seed=i)
+            _, v = relaxed_minimize(p, residual, eta, exact(), seed=i)
             budget = v_star * (1.0 + 0.5 * eta)
             assert budget * (1.0 - 1e-12) <= v <= budget
 
@@ -150,7 +150,7 @@ class TestRelaxedMinimize:
             eta = float(10.0 ** rng.uniform(-8, 0))
             v_star = pnorm(p, proj.residual)
             _, v = relaxed_minimize(p, lambda c, f=f, Phi=Phi: f - Phi @ c,
-                                    eta, lambda: (proj.coeffs, v_star), seed=i)
+                                    eta, (proj.coeffs, v_star), seed=i)
             budget = v_star * (1.0 + 0.5 * eta)
             assert budget * (1.0 - 1e-12) <= v <= budget
 
@@ -161,10 +161,33 @@ class TestRelaxedMinimize:
 
         v0 = float(np.sqrt(2.0))
         for seed in range(8):
-            x, v = relaxed_minimize(2.0, residual, 0.4, lambda: (0.0, v0),
+            x, v = relaxed_minimize(2.0, residual, 0.4, (0.0, v0),
                                     seed=seed, nonneg=True)
             assert x >= 0.0
             assert v0 <= v <= v0 * 1.2
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_walk_stops_where_the_held_coordinate_reaches_zero(self, p):
+        # ||(w, lam - a, 1)||_p over lam >= 0 is least at (0, a), value 1.
+        # A ray that meets lam = 0 reaches it far below the level, and the
+        # walk returns that end point instead of turning along w.
+        a, eta = 1e-4, 0.01
+        budget = 1.0 + 0.5 * eta
+
+        def residual(x):
+            return np.array([x[0], x[1] - a, 1.0])
+
+        ends = 0
+        for seed in range(16):
+            x, v = relaxed_minimize(p, residual, eta, (np.array([0.0, a]), 1.0),
+                                    seed=seed, nonneg=(False, True))
+            assert x[1] >= 0.0 and v == pnorm(p, residual(x))
+            if x[1] <= 1e-15:
+                ends += 1
+                assert 1.0 <= v < 1.0 + 0.01 * (budget - 1.0)
+            else:
+                assert budget * (1.0 - 1e-12) <= v <= budget
+        assert ends >= 4
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 13.0, 100.0])
     def test_clamped_walks_stay_admissible(self, p):
@@ -180,7 +203,7 @@ class TestRelaxedMinimize:
             for eta in (0.5, 1e-3, 1e-8, 1e-14, 1e-17):
                 lam, v = relaxed_minimize(
                     p, lambda t: f - t * phi, eta,
-                    lambda: (lam0, pnorm(p, f - lam0 * phi)), seed=i,
+                    (lam0, pnorm(p, f - lam0 * phi)), seed=i,
                     nonneg=True)
                 v_star = pnorm(p, f - lam0 * phi)
                 assert lam >= 0.0
@@ -190,7 +213,7 @@ class TestRelaxedMinimize:
                 def residual(x):
                     return f - ((1.0 - x[0]) * G + x[1] * phi)
 
-                x, v = relaxed_minimize(p, residual, eta, lambda: x0, seed=i,
+                x, v = relaxed_minimize(p, residual, eta, x0, seed=i,
                                         nonneg=(False, True))
                 assert x[1] >= 0.0
                 assert x is x0[0] or v == pnorm(p, residual(x))
@@ -557,7 +580,7 @@ class TestAdmissibility:
             Phi = basis.T
             for eta in (0.5, 1e-2, 1e-6, 1e-10, 1e-14, 1e-17):
                 c, v = relaxed_minimize(p, lambda c: f - Phi @ c, eta,
-                                        lambda: (proj.coeffs, v_star), seed=i)
+                                        (proj.coeffs, v_star), seed=i)
                 assert v_star <= v <= v_star * (1.0 + 0.5 * eta)
                 assert c is proj.coeffs or v == pnorm(p, f - Phi @ c)
 
@@ -577,6 +600,15 @@ class TestSequenceSpecValidation:
         assert SequenceSpec(kind="const", c=1.0).value(3) == 1.0
         assert SequenceSpec(kind="pow", c=5.0, a=1.0).value(2) == 1.0
         assert SequenceSpec(kind="list", values=(0.0, 0.5)).value(1, pos=1) == 0.5
+
+
+def test_negative_schedule_seed_rejected():
+    seq = SequenceSpec(kind="const", c=0.1)
+    with pytest.raises(ValueError, match="error schedule seed must be"):
+        ErrorSchedule(delta=seq, eta=seq, seed=-1)
+    with pytest.raises(ValueError, match="malformed error schedule"):
+        ErrorSchedule.from_dict(dict(ErrorSchedule(delta=seq, eta=seq)
+                                     .as_dict(), seed=-1))
 
 
 # Selected indices of one pow-schedule run per approximate algorithm, as the

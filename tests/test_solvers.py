@@ -212,6 +212,21 @@ class TestMinAlongRay:
             ref = self._bisection_reference(p, r0, v)
             assert abs(a - ref) <= 1e-14 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0, 8.0, 32.0, 200.0])
+    def test_reversed_ray_is_the_mirror_image(self, p):
+        # psi(0) >= 0 is solved as the ray along -v: reversing v negates
+        # the answer bit for bit, whichever sign psi(0) has; the scales
+        # reach the scaled psi at large p
+        rng = np.random.default_rng(14)
+        signs = set()
+        for _ in range(40):
+            r0 = rng.standard_normal(12) * 10.0 ** rng.uniform(-2.0, 1.0)
+            v = rng.standard_normal(12)
+            a = np.abs(r0) / np.max(np.abs(r0))
+            signs.add(float(np.dot(np.sign(r0) * a ** (p - 1.0), v)) > 0.0)
+            assert min_along_ray(p, r0, -v) == -min_along_ray(p, r0, v)
+        assert signs == {False, True}
+
     @pytest.mark.parametrize("top", [0.05, 0.39, 3.0])
     def test_p_800_matches_dense_grid(self, top):
         # with max|r| = 0.39 every plain |r|^799 is below 1e-326 and psi
