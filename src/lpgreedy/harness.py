@@ -22,7 +22,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +33,8 @@ from .algorithms import (AWBGA_IDS, RunReport, WeaknessSchedule, run_greedy,
 from .diagnostics import (BOUND_IDS, DEFAULT_COND_TOLS, BoundSpec,
                           audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
-from .dictionary import TargetSpec, build_dictionary, make_target
+from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
+                         make_target)
 from .perturbation import ErrorSchedule, SequenceSpec
 from .space import LpSpace, lp_space
 
@@ -107,9 +108,8 @@ def parse_space(spec: str) -> LpSpace:
 
 def parse_dict_spec(spec: str) -> tuple:
     """(kind, N, seed); N is None when omitted, which means N = n."""
-    body = _fields(_strip_tag(spec, "dict:"))
-    kind = body[0]
-    kv = _kv(body[1:], spec, ("N", "seed"))
+    kind, *fields = _fields(_strip_tag(spec, "dict:"))
+    kv = _kv(fields, spec, ("N", "seed"))
     size = _number(kv["N"], spec, _DICT_FORM, int) if "N" in kv else None
     if size is not None and size < 1:
         raise ValueError(f"dictionary size N must be positive, got {size}")
@@ -120,11 +120,10 @@ def parse_dict_spec(spec: str) -> tuple:
 
 
 def parse_target_spec(spec: str) -> TargetSpec:
-    body = _fields(_strip_tag(spec, "target:"))
-    mode = body[0]
+    mode, *fields = _fields(_strip_tag(spec, "target:"))
     if mode not in _TARGET_KEYS:
         raise ValueError(f"unknown target mode {mode!r}")
-    kv = _kv(body[1:], spec, _TARGET_KEYS[mode])
+    kv = _kv(fields, spec, _TARGET_KEYS[mode])
     form = _TARGET_FORMS[mode]
     seed = _number(kv.get("seed", "0"), spec, form, int)
     try:
@@ -250,14 +249,26 @@ class ExperimentConfig:
         return parsed
 
 
+def _dictionary(parsed: tuple) -> Dictionary:
+    """The dictionary of what ``ExperimentConfig.validate`` returned."""
+    space, (kind, size, seed) = parsed[:2]
+    return build_dictionary(space, kind, space.n if size is None else size, seed)
+
+
+def _greedy(config: ExperimentConfig, parsed: tuple, D: Dictionary,
+            target: Target) -> RunReport:
+    """The run of ``config`` on a built dictionary and target; ``parsed`` is
+    what ``config.validate()`` returned."""
+    return run_greedy(run_id(config.algorithm.lower())[0], target.f, D,
+                      parsed[3], errors=parsed[4], max_m=config.max_m,
+                      stop_tol=config.stop_tol, rule=config.rule, target=target)
+
+
 def execute(config: ExperimentConfig) -> RunReport:
     """Run one experiment described by a config, deterministically."""
-    space, (kind, size, dseed), tspec, tau, errs = config.validate()
-    D = build_dictionary(space, kind, space.n if size is None else size, dseed)
-    target = make_target(D, tspec)
-    return run_greedy(run_id(config.algorithm.lower())[0], target.f, D, tau,
-                      errors=errs, max_m=config.max_m,
-                      stop_tol=config.stop_tol, rule=config.rule, target=target)
+    parsed = config.validate()
+    D = _dictionary(parsed)
+    return _greedy(config, parsed, D, make_target(D, parsed[2]))
 
 
 def emit_csv(report: RunReport, path: str, timings: bool = False) -> None:
@@ -295,40 +306,32 @@ def summarize(reports: list) -> str:
         reps = by_algo[algo]
         cols = []
         for c in checkpoints:
-            vals = []
-            for rep in reps:
-                if rep.records:
-                    idx = min(c, len(rep.records)) - 1
-                    vals.append(rep.records[idx].residual_norm)
+            vals = [rep.records[min(c, len(rep.records)) - 1].residual_norm
+                    for rep in reps if rep.records]
             cols.append(f"{np.median(vals):.2e}" if vals else "    -   ")
         tight = []
         for rep in reps:
             if rep.target_meta.get("in_hull") and rep.records:
-                spec = BoundSpec.from_report("cor52", rep)
-                b = bound_curve(spec, rep)
+                b = bound_curve(BoundSpec.from_report("cor52", rep), rep)
                 tight.extend((rep.residual_norms() / b).tolist())
-        if tight:
-            q1, q2, q3 = np.percentile(tight, [25, 50, 75])
-            tcol = f"{q1:.2f}/{q2:.2f}/{q3:.2f}"
-        else:
-            tcol = "      -       "
+        tcol = ("/".join(f"{q:.2f}" for q in np.percentile(tight, [25, 50, 75]))
+                if tight else "      -       ")
         fails = sum(0 if audit_conditions(rep).passed else 1 for rep in reps)
         lines.append(f"{algo:<7s} {len(reps):<4d} " + " ".join(cols)
                      + f"  {tcol}  {fails}")
     return "\n".join(lines)
 
 
-def _config(args: argparse.Namespace, algorithm: str,
-            target: str) -> ExperimentConfig:
+def _config(args: argparse.Namespace, algorithm: str) -> ExperimentConfig:
     """The config of one run from the options ``_add_spec_options`` adds."""
     return ExperimentConfig(
-        space=args.space, dict_spec=args.dict, target=target,
+        space=args.space, dict_spec=args.dict, target=args.target,
         algorithm=algorithm, weakness=args.weakness, errors=args.errors,
         max_m=args.iters, stop_tol=args.stop_tol, rule=args.rule)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = execute(_config(args, args.algo, args.target))
+    report = execute(_config(args, args.algo))
     out = _out_path(args.out)
     emit_csv(report, out, timings=args.timings)
     out.with_suffix(".json").write_text(report.to_json())
@@ -340,37 +343,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # every usage error, the dictionary and each seed's target come before
+    # the output directory; the target spec's seed is replaced by each seed
     seeds = _numbers(args.seeds, args.seeds, "--seeds <int>,<int>,...", 0, int)
-    parse_target_spec(args.target)  # a bad mode raises before _TARGET_KEYS
-    body = _fields(_strip_tag(args.target, "target:"))
-    kv = _kv(body[1:], args.target, _TARGET_KEYS[body[0]])
-    runs = []
-    for algo in args.algos.split(","):
-        for seed in seeds:
-            # the target spec with this sweep instance's seed
-            kv["seed"] = str(seed)
-            tspec = "target:" + ",".join([body[0]] + [f"{k}={v}"
-                                                      for k, v in kv.items()])
-            config = _config(args, algo, tspec)
-            config.validate()  # every usage error before the first run
-            runs.append((algo, seed, config))
+    algos = args.algos.lower().split(",")
+    for option, vals in (("--algos", algos), ("--seeds", seeds)):
+        twice = [v for i, v in enumerate(vals) if v in vals[:i]]
+        if twice:
+            raise ValueError(f"{option} gives {twice[0]!r} twice")
+    configs = [_config(args, algo) for algo in algos]
+    parsed = [config.validate() for config in configs]
+    D = _dictionary(parsed[0])
+    targets = [make_target(D, replace(parsed[0][2], seed=s)) for s in seeds]
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for algo, seed, config in runs:
-        report = execute(config)
-        stem = out_dir / f"{algo}_k{report.target_meta['k']}_s{seed}"
-        emit_csv(report, stem.with_suffix(".csv"))
-        stem.with_suffix(".json").write_text(report.to_json())
-        reports.append(report)
+    for config, specs in zip(configs, parsed):
+        for seed, target in zip(seeds, targets):
+            report = _greedy(config, specs, D, target)
+            k = report.target_meta["k"]
+            stem = out_dir / f"{report.algorithm}_k{k}_s{seed}"
+            emit_csv(report, stem.with_suffix(".csv"))
+            stem.with_suffix(".json").write_text(report.to_json())
+            reports.append(report)
     print(summarize(reports))
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.out and len(args.reports) > 1:
+        raise ValueError(f"audit --out takes one report, got {len(args.reports)}")
+    # every report is read before the first is audited
+    reports = [(p, RunReport.from_json(Path(p).read_text())) for p in args.reports]
     ok = True
-    for path in args.reports:
-        report = RunReport.from_json(Path(path).read_text())
+    for path, report in reports:
         audit = audit_conditions(report)
         print(f"{path}: conditions {audit.verdict}")
         for c in audit.checks:
@@ -381,8 +387,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 print(f"  {c.name:<18s} SKIP ({c.reason})")
         ok = ok and audit.passed
         if report.target_meta.get("certificate"):
-            margins = error_reduction_margins(report)
-            worst = min(margins) if margins else 0.0
+            worst = min(error_reduction_margins(report), default=0.0)
             passed = worst >= -DEFAULT_COND_TOLS[1]
             ok = ok and passed
             print(f"  error_reduction_rhs {'PASS' if passed else 'FAIL'} "

@@ -79,6 +79,17 @@ class TestAuditConditions:
         assert any(c["name"] == "monotone" for c in blob["checks"])
 
 
+    def test_wrga_off_the_hull_promises_no_monotonicity(self):
+        s = lp_space(3.0, 8)
+        D = build_dictionary(s, "random_gauss", 24, seed=7)
+        t = make_target(D, TargetSpec(mode="general_plus_noise", k=3,
+                                      eps=0.1, seed=3))
+        rep = run_greedy("wrga", t.f, D, T1, max_m=8, target=t)
+        mono = audit_conditions(rep).check("monotone")
+        assert not mono.applicable and mono.passed
+        assert mono.reason == "monotonicity not promised for this run"
+
+
 class TestErrorReductionInequality:
     def test_hull_target_margins_nonnegative(self, hull_run):
         margins = error_reduction_margins(hull_run)

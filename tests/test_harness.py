@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lpgreedy import RunReport, harness, solvers
+from lpgreedy import RunReport, harness, selftest, solvers
 from lpgreedy.harness import (CSV_HEADER, ExperimentConfig, emit_csv, execute,
                               main, parse_dict_spec, parse_errors, parse_space,
                               parse_target_spec, parse_weakness, summarize)
@@ -11,6 +15,24 @@ from lpgreedy.perturbation import ZERO_ERRORS
 RUN_ARGS = ["run", "--algo", "wcga", "--space", "lp:p=2,n=8",
             "--dict", "random_gauss,N=24,seed=7", "--target", "a1,k=3,seed=3",
             "--weakness", "const:1.0", "--iters", "10"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def sweep_args(tmp_path, *overrides):
+    """A small sweep's arguments, with ``overrides`` as option, value pairs:
+    each replaces that option's value, or is appended."""
+    args = ["sweep", "--algos", "wcga", "--seeds", "1",
+            "--space", "lp:p=2,n=8", "--dict", "random_gauss,N=24,seed=7",
+            "--target", "a1,k=3,seed=0", "--iters", "4",
+            "--out-dir", str(tmp_path / "sweep")]
+    for option, value in zip(overrides[::2], overrides[1::2]):
+        if option in args:
+            args[args.index(option) + 1] = value
+        else:
+            args += [option, value]
+    return args
 
 
 def small_config(**overrides):
@@ -560,6 +582,168 @@ class TestCli:
                          "wcga_k3_s1.csv", "wcga_k3_s2.csv"]
         text = capsys.readouterr().out
         assert "wcga" in text and "rwrga" in text
+
+
+class TestSweep:
+    """``sweep`` checks each algorithm's specs once, builds the dictionary
+    once and each seed's target once, and only then creates ``--out-dir``."""
+
+    @pytest.mark.parametrize("option,spec,problem", [
+        ("--dict", "nosuch,N=24,seed=1", "unknown dictionary kind 'nosuch'"),
+        ("--dict", "random_gauss,N=4,seed=1",
+         "dictionary does not span: size 4 < dimension 8"),
+        ("--target", "a1,k=30", "sparsity k=30 out of range")])
+    def test_build_errors_leave_no_out_dir(self, tmp_path, capsys, option,
+                                           spec, problem):
+        assert main(sweep_args(tmp_path, option, spec)) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("option,values,problem", [
+        ("--seeds", "1,2,1", "--seeds gives 1 twice"),
+        ("--algos", "wcga,rwrga,WCGA", "--algos gives 'wcga' twice")])
+    def test_repeated_runs_are_usage_errors(self, tmp_path, capsys, option,
+                                            values, problem):
+        assert main(sweep_args(tmp_path, option, values)) == 2
+        out, err = capsys.readouterr()
+        assert problem in err and out == ""
+        assert not (tmp_path / "sweep").exists()
+
+    def test_file_stems_use_the_lower_case_id(self, tmp_path):
+        assert main(sweep_args(tmp_path, "--algos", "WCGA,RWRGA")) == 0
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            "rwrga_k3_s1.csv", "rwrga_k3_s1.json",
+            "wcga_k3_s1.csv", "wcga_k3_s1.json"]
+
+    def test_one_dictionary_and_one_target_per_seed(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        for name in ("parse_space", "parse_dict_spec", "parse_target_spec",
+                     "parse_weakness", "parse_errors", "build_dictionary",
+                     "make_target"):
+            def counted(*args, _name=name, _fn=getattr(harness, name)):
+                calls.append((_name, args[1].seed) if _name == "make_target"
+                             else _name)
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        assert main(sweep_args(tmp_path, "--algos", "awcga,arwrga",
+                               "--seeds", "4,2,9", "--errors",
+                               "err:delta=const:0.1,eta=const:0.1")) == 0
+        assert calls.count("build_dictionary") == 1
+        assert [c[1] for c in calls if c[0] == "make_target"] == [4, 2, 9]
+        for name in ("parse_space", "parse_dict_spec", "parse_target_spec",
+                     "parse_weakness", "parse_errors"):
+            assert calls.count(name) == 2
+
+    def test_writes_what_execute_writes_run_by_run(self, tmp_path, capsys):
+        def zero_clocks(text):
+            blob = json.loads(text)
+            for r in blob["records"]:
+                r["wall_ns"] = 0
+            return blob
+
+        errors = "err:delta=pow:0.1,1.1,eta=pow:0.1,1.1"
+        assert main(sweep_args(tmp_path, "--algos", "awcga,arwrga", "--seeds",
+                               "5,3", "--iters", "6", "--errors", errors)) == 0
+        summary = capsys.readouterr().out
+        reports = []
+        for algo in ("awcga", "arwrga"):
+            for seed in (5, 3):
+                report = execute(small_config(
+                    algorithm=algo, target=f"a1,k=3,seed={seed}", max_m=6,
+                    errors=errors))
+                reports.append(report)
+                stem = tmp_path / "sweep" / f"{algo}_k3_s{seed}"
+                emit_csv(report, tmp_path / "one.csv")
+                assert (stem.with_suffix(".csv").read_bytes()
+                        == (tmp_path / "one.csv").read_bytes())
+                assert (zero_clocks(stem.with_suffix(".json").read_text())
+                        == zero_clocks(report.to_json()))
+        assert summary == summarize(reports) + "\n"
+        assert len(list((tmp_path / "sweep").iterdir())) == 8
+
+
+class TestAuditInputs:
+    """``audit`` reads every report before it prints, and ``--out`` takes
+    one report."""
+
+    @pytest.fixture
+    def report(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(RUN_ARGS + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        return out.with_suffix(".json")
+
+    def test_out_takes_one_report(self, tmp_path, capsys, report):
+        x = tmp_path / "x.json"
+        assert main(["audit", str(report), str(report), "--out", str(x)]) == 2
+        out, err = capsys.readouterr()
+        assert "audit --out takes one report, got 2" in err
+        assert out == "" and not x.exists()
+
+    def test_bad_report_stops_before_the_first_audit(self, tmp_path, capsys,
+                                                     report):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert main(["audit", str(report), str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+        y = tmp_path / "y.json"
+        assert main(["audit", str(report), "--out", str(y)]) == 0
+        assert json.loads(y.read_text())["verdict"] == "PASS"
+
+
+class TestUntracedPaths:
+    @pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
+    def test_selftest_exit_code(self, monkeypatch, capsys, passed, code):
+        monkeypatch.setattr(selftest, "run_all", lambda: [
+            selftest.CheckResult("first", True, "ok"),
+            selftest.CheckResult("second", passed, "detail")])
+        assert main(["selftest"]) == code
+        out = capsys.readouterr().out
+        assert f"{'PASS' if passed else 'FAIL'}  second  detail" in out
+        assert f"{1 + passed}/2 selftest checks passed" in out
+
+    def test_audit_skips_cor21_under_power_weakness(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        args = RUN_ARGS + ["--out", str(out)]
+        args[args.index("--weakness") + 1] = "pow:1.0,0.5"
+        assert main(args) == 0
+        assert main(["audit", str(out.with_suffix(".json")),
+                     "--bound", "cor21"]) == 0
+        assert ("  bound cor21    SKIP (requires a constant weakness sequence)"
+                in capsys.readouterr().out.splitlines())
+
+    def test_summarize_noisy_targets_have_no_tightness(self):
+        reps = [execute(small_config(target=f"noisy,k=3,eps=0.1,seed={s}",
+                                     max_m=6)) for s in (1, 2)]
+        row = summarize(reps).splitlines()[1].split()
+        assert row[:2] == ["wcga", "2"] and row[-2] == "-"
+
+
+class TestEntryPoint:
+    """``python -m lpgreedy.harness`` exits with the code ``main`` returns."""
+
+    @staticmethod
+    def _exit_code(*args) -> int:
+        # the package is not installed: the child finds it on PYTHONPATH
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "lpgreedy.harness", *args],
+                              env=env, capture_output=True,
+                              timeout=120).returncode
+
+    def test_exit_codes(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(RUN_ARGS + ["--out", str(out)]) == 0
+        report = out.with_suffix(".json")
+        assert self._exit_code("audit", str(report)) == 0
+        blob = json.loads(report.read_text())
+        blob["records"][1]["residual_norm"] = 2 * blob["initial_residual"]
+        raised = tmp_path / "raised.json"
+        raised.write_text(json.dumps(blob))
+        assert self._exit_code("audit", str(raised)) == 1
+        assert self._exit_code(*sweep_args(tmp_path, "--seeds", "1,1")) == 2
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestParserReuse:
