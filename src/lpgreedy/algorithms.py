@@ -328,13 +328,14 @@ def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
     """Best (signed atom, lam) minimizing ||f_prev - lam g|| over the scan.
 
     The safeguarded Newton iteration of ``min_along_ray``, run on all atoms
-    at once over [-2 r, 2 r] with r = ||f_prev|| (the minimizer magnitude
-    never exceeds 2 r for unit atoms).  An atom is frozen once its step or
-    its bracket is below 1e-10 r; without the freeze, bisection would move
-    converged atoms away from their root.  Rows whose plain psi' is not a
-    normal float take psi and psi' from ``_psi_scaled``, as the ray solve
-    does.  The smallest value picks the atom, and an exact ray solve
-    refines its step.
+    at once over [-2 r, 2 r] with r = ||f_prev||: the minimiser lam* of a
+    unit atom g obeys |lam*| = ||lam* g|| <= ||f_prev - lam* g|| + r <= 2 r,
+    the bound of ``min_along_ray``, and ``Dictionary`` rejects atoms that
+    are not unit.  An atom is frozen once its step or its bracket is below
+    1e-10 r; without the freeze, bisection would move converged atoms away
+    from their root.  Rows whose plain psi' is not a normal float take psi
+    and psi' from ``_psi_scaled``, as the ray solve does.  The smallest
+    value picks the atom, and an exact ray solve refines its step.
     """
     p = space.p
     M = D.matrix

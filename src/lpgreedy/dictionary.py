@@ -24,8 +24,9 @@ DICTIONARY_KINDS = ("canonical", "random_gauss", "trig_grid", "coherent")
 class Dictionary:
     """Ordered set of unit-norm atoms spanning the whole space.
 
-    ``matrix`` is the ``(N, n)`` array of the atoms, one per row; treat
-    instances as immutable after construction.
+    ``matrix`` is the ``(N, n)`` array of the atoms, one per row; a row
+    whose lp norm is more than 1e-12 from 1 is rejected.  Treat instances
+    as immutable after construction.
     """
 
     space: LpSpace
@@ -40,6 +41,13 @@ class Dictionary:
                              f"{self.space.n}), got {self.matrix.shape}")
         if not np.isfinite(self.matrix).all():
             raise ValueError("dictionary atoms must be finite")
+        # the scan's bracket, the error-reduction reference and the rate
+        # bounds all take ||g|| = 1
+        norms = pnorm_rows(self.space.p, self.matrix)
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        if off.size:
+            raise ValueError(f"dictionary atoms must have unit lp norm: row "
+                             f"{off[0]} has norm {norms[off[0]]:.17g}")
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

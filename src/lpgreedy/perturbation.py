@@ -59,10 +59,11 @@ def _norm_slope(p: float, c: np.ndarray, u: np.ndarray) -> tuple:
     a = np.abs(c)
     if p <= _PLAIN_P:
         w = a ** (p - 1.0)
+        s = float(np.dot(w, a))
     else:
         with np.errstate(over="ignore"):
             w = a ** (p - 1.0)
-    s = float(np.dot(w, a))
+            s = float(np.dot(w, a))
     m = 1.0
     if not _NORMAL_MIN <= s < math.inf:
         m = float(np.max(a))

@@ -2,8 +2,8 @@
 
 A one-dimensional greedy step minimises an lp norm along a ray,
 a -> ||r - a v||, and ``min_along_ray`` solves it exactly: safeguarded
-Newton on the sign of its derivative, in a bracket doubled on the side
-where the norm falls and certified by its width.
+Newton on the sign of its derivative, in the bracket [0, 2 ||r|| / ||v||]
+that the triangle inequality gives, certified by its width.
 The Chebyshev projection is the one multi-dimensional solve.  It serves the
 WCGA over all selected atoms and the free-relaxation step over two atoms,
 the previous approximant and the new one.  Like ``Dictionary.matrix``, its
@@ -57,7 +57,8 @@ _WEIGHT_FLOOR = 1e-14
 # at a zero coordinate, where sign(r) |r|^(p-1) vanishes anyway.
 _TINY = 1e-300
 # Cap on the Newton and bisection steps of one ray solve.  Bisection alone
-# narrows a doubling bracket to the 1e-15 relative tolerance in about 50-60.
+# narrows the bracket [0, 2 ||r0|| / ||v||] to the 1e-15 relative tolerance
+# in about 50.
 _RAY_ITERS = 100
 # Points of each grid scan of ``dense_line_min``.
 N_GRID = 33
@@ -276,16 +277,18 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     psi(a) = -sum sign(r) |r|^(p-1) v with r = r0 - a v, which increases
     with psi'(a) = (p-1) sum |r|^(p-2) v^2; p = 2 has the closed form
     (r0 . v)/(v . v).  Where psi(0) >= 0 the solve runs along -v, whose psi
-    is -psi(-a) with the same psi', and negates its answer.  The sign
-    change of psi is bracketed by doubling toward a > 0 and closed by
-    safeguarded Newton: a Newton point outside the bracket, or one that
-    does not halve the previous step, is replaced by the bisection point.
-    Only the bracket width certifies convergence.  For p < 2, psi' blows up
-    where a residual coordinate crosses zero, so a tiny Newton step says
-    nothing about the distance to the root; such a step is pushed out to
-    half the tolerance so that the far side gets evaluated, and a push that
-    fails to cross the root is followed by a bisection.  Where the plain
-    psi' is not a normal float, psi and psi' come from ``_psi_scaled``.
+    is -psi(-a) with the same psi', and negates its answer.  The minimiser
+    a* then lies in [0, 2 ||r0|| / ||v||], because ||a* v|| <= ||r0 - a* v||
+    + ||r0|| <= 2 ||r0||, and safeguarded Newton from a = 0 closes that
+    bracket: a Newton point outside the bracket, or one that does not halve
+    the previous step, is replaced by the bisection point.  Only the
+    bracket width certifies convergence.  A Newton step below half the
+    tolerance says nothing about the side of the root it lands on: psi is
+    rounding noise there, and for p < 2, psi' blows up where a residual
+    coordinate crosses zero.  Such a step is pushed out to half the
+    tolerance so that the far side gets evaluated, and each push that
+    fails to cross the root doubles the next one.  Where the plain psi' is
+    not a normal float, psi and psi' come from ``_psi_scaled``.
     """
     if p > _PLAIN_P:  # an overflowing plain sum falls back to _psi_scaled
         with np.errstate(over="ignore", invalid="ignore"):
@@ -320,43 +323,31 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
             return float(f[0]), float(d[0])
         return -float(np.dot(r * w, v)), d
 
-    f0, d0 = psi(0.0)
-    if nonneg and f0 >= 0.0:
+    fx, dx = psi(0.0)
+    if nonneg and fx >= 0.0:
         return 0.0
     # psi reads v when called, so after the flip it evaluates the ray
     # along -v
     sign = 1.0
-    if f0 >= 0.0:
-        v, f0, sign = -v, -f0, -1.0
+    if fx >= 0.0:
+        v, fx, sign = -v, -fx, -1.0
 
-    # bracket the sign change of psi by doubling toward a > 0
-    lo, flo, dlo = 0.0, f0, d0
-    hi = scale
-    fhi, dhi = psi(hi)
-    while fhi < 0.0:
-        lo, flo, dlo = hi, fhi, dhi
-        hi *= 2.0
-        fhi, dhi = psi(hi)
-        if hi > 1e9 * max(scale, 1.0):
-            return sign * hi
-
-    # safeguarded Newton from the end nearer the root in psi
-    x, fx, dx = (lo, flo, dlo) if -flo < fhi else (hi, fhi, dhi)
-    last = hi - lo
-    bisect = False
+    # ||a v|| <= ||r0 - a v|| + ||r0|| <= 2 ||r0|| at the minimiser
+    x, lo, hi = 0.0, 0.0, 2.0 * scale
+    last, push = hi, 0.5
     for _ in range(_RAY_ITERS):
-        tol = 1e-15 * max(1.0, abs(lo), abs(hi))
+        tol = 1e-15 * max(1.0, hi)
         if hi - lo <= tol:
             break
-        newton = not bisect and dx > 0.0
+        newton = dx > 0.0
         pushed = False
         if newton:
             step = fx / dx
             pushed = abs(step) < 0.5 * tol
             if pushed:
-                step = math.copysign(0.5 * tol, step)
+                step = math.copysign(push * tol, step)
             xn = x - step
-            newton = lo < xn < hi and abs(step) <= 0.5 * last
+            newton = lo < xn < hi and (pushed or abs(step) <= 0.5 * last)
         if not newton:
             xn = 0.5 * (lo + hi)
             step = 0.5 * (hi - lo)
@@ -365,7 +356,8 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
         fn, dn = psi(xn)
         if fn == 0.0:
             return sign * xn
-        bisect = pushed and (fn < 0.0) == (fx < 0.0)
+        # a push that does not cross the root doubles the next one
+        push = 2.0 * push if pushed and (fn < 0.0) == (fx < 0.0) else 0.5
         if fn < 0.0:
             lo = xn
         else:

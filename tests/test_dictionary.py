@@ -4,6 +4,7 @@ import pytest
 from lpgreedy import (Dictionary, Element, TargetSpec, build_dictionary,
                       dict_dual_norm, greedy_select, lp_space, make_target, norm,
                       norming_functional, perturb_target, sample_a1_target)
+from lpgreedy.space import pnorm_rows
 
 
 @pytest.fixture
@@ -24,6 +25,20 @@ class TestDictionaryMatrix:
     def test_malformed_matrix_rejected(self, s2, matrix):
         with pytest.raises(ValueError):
             Dictionary(space=s2, matrix=matrix, kind_tag="custom", seed=0)
+
+    @pytest.mark.parametrize("norm2", [0.05, 1.0 - 2e-12, 1.0 + 2e-12])
+    def test_atom_off_the_unit_sphere_rejected(self, s2, norm2):
+        # the norm scan's bracket and the rate bounds take ||g|| = 1
+        matrix = [[1.0, 0.0, 0.0], [0.0, 0.6 * norm2, 0.8 * norm2]]
+        with pytest.raises(ValueError, match="unit lp norm: row 1 "):
+            Dictionary(space=s2, matrix=matrix, kind_tag="custom", seed=0)
+
+    def test_unit_custom_dictionary_accepted(self):
+        s = lp_space(3.0, 4)
+        rows = np.random.default_rng(1).standard_normal((6, 4))
+        rows /= pnorm_rows(3.0, rows)[:, None]
+        D = Dictionary(space=s, matrix=rows, kind_tag="custom", seed=0)
+        assert np.array_equal(D.matrix, rows)
 
 
 class TestBuildDictionary:

@@ -331,6 +331,22 @@ class TestRunAwbga:
             assert r.eta_m <= cap * (0.5 * prev) ** pc + 1e-15
             prev = r.residual_norm
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p,seq,seed", [
+        (13.0, "prop72auto", 0), (13.0, "prop72auto", 1),
+        (13.0, "prop72auto", 2), (32.0, "pow", 0), (32.0, "pow", 2)])
+    def test_large_p_relaxation_does_not_overflow(self, p, seq, seed):
+        # the eta walk's power sum overflows here; the scaled route takes
+        # over, and the overflow of the plain sum raises no warning
+        s = lp_space(p, 16)
+        D = build_dictionary(s, "canonical", 48, seed=5)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=3, seed=6))
+        spec = (SequenceSpec(kind="prop72auto") if seq == "prop72auto"
+                else SequenceSpec(kind="pow", c=0.01, a=1.5))
+        errs = ErrorSchedule(delta=spec, eta=spec, seed=seed)
+        rep = run_greedy("rwrga", t.f, D, T1, errors=errs, max_m=40, target=t)
+        assert audit_conditions(rep).passed
+
     def test_explicit_eps_list_mode(self):
         s, D, t = self.setup_env(n=8, N=32)
         errs = ErrorSchedule(delta=SequenceSpec(kind="const", c=0.05),

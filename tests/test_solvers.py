@@ -174,10 +174,15 @@ class TestMinAlongRay:
 
     @staticmethod
     def _bisection_reference(p, r0, v):
-        """Root of psi by plain bisection down to adjacent floats."""
+        """Root of psi by plain bisection down to adjacent floats; psi is
+        formed over max|r|, which keeps its sign and its powers finite."""
         def psi(a):
             r = r0 - a * v
-            return -float(np.dot(np.sign(r) * np.abs(r) ** (p - 1.0), v))
+            top = float(np.max(np.abs(r)))
+            if top == 0.0:
+                return 0.0
+            u = r / top
+            return -float(np.dot(np.sign(u) * np.abs(u) ** (p - 1.0), v))
 
         lo, hi = -1.0, 1.0
         while psi(lo) > 0.0:
@@ -211,6 +216,83 @@ class TestMinAlongRay:
             a = min_along_ray(p, r0, v)
             ref = self._bisection_reference(p, r0, v)
             assert abs(a - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 32.0, 800.0])
+    @pytest.mark.parametrize("kind", ["parallel", "stationary", "generic"])
+    @pytest.mark.parametrize("size", [1e-8, 1.0, 1e8])
+    def test_root_inside_the_a_priori_bracket(self, p, kind, size):
+        # the minimiser a* obeys ||a* v|| <= ||r0 - a* v|| + ||r0|| <= 2 ||r0||
+        # so it lies within 2 scale = 2 ||r0|| / ||v|| of 0, on the side
+        # where psi(0) < 0; the rays are v parallel to r0 (a* = 1/c), v with
+        # psi(0) = 0 (a* = 0) and random v, at ||v|| from 1e-8 to 1e8
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            r0 = rng.standard_normal(12)
+            v = rng.standard_normal(12)
+            u = r0 / np.max(np.abs(r0))
+            J = np.sign(u) * np.abs(u) ** (p - 1.0)  # psi(0) ~ -J . v
+            if kind == "parallel":
+                v = rng.uniform(0.5, 2.0) * r0
+            elif kind == "stationary":
+                v -= (J @ v) / (J @ J) * J
+            v *= size / pnorm(p, v)
+            a = min_along_ray(p, r0, v)
+            ref = self._bisection_reference(p, r0, v)
+            # psi's rounding puts the root of a stationary ray anywhere
+            # within about 1e-16 scale of 0, whatever the solver
+            scale = pnorm(p, r0) / pnorm(p, v)
+            assert abs(a - ref) <= 1e-14 * max(1.0, scale)
+            assert abs(a) <= 2.0 * scale
+            if kind != "stationary":  # there a* = 0 up to rounding
+                assert a * (J @ v) > 0.0
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        """Count psi evaluations: each takes one np.abs in ``solvers``
+        (``_psi_scaled``, which takes another, is not reached at p <= 4
+        on these rays)."""
+        calls = [0]
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, x):
+                calls[0] += 1
+                return np.abs(x)
+
+        monkeypatch.setattr(solvers, "np", CountingNumpy())
+        return calls
+
+    @staticmethod
+    def _scan_rays(p):
+        """The norm scan's rays: 5 targets against 128 unit atoms."""
+        D = build_dictionary(lp_space(p, 32), "random_gauss", 128, seed=5)
+        rng = np.random.default_rng(3)
+        return [rng.standard_normal(32) for _ in range(5)], D.matrix
+
+    def test_one_sided_newton_lands_on_the_root(self, monkeypatch):
+        # Newton reaches 1.2811365002218744 from above, and a push of half
+        # the tolerance does not cross the root; bisecting the bracket from
+        # its far end would take about 50 more evaluations
+        fs, atoms = self._scan_rays(3.0)
+        calls = self._count_evaluations(monkeypatch)
+        a = min_along_ray(3.0, fs[1], atoms[26])
+        assert calls[0] <= 12
+        ref = self._bisection_reference(3.0, fs[1], atoms[26])
+        assert abs(a - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+    def test_scan_rays_close_within_25_evaluations(self, p, monkeypatch):
+        fs, atoms = self._scan_rays(p)
+        calls = self._count_evaluations(monkeypatch)
+        worst = 0
+        for f in fs:
+            for g in atoms:
+                before = calls[0]
+                min_along_ray(p, f, g)
+                worst = max(worst, calls[0] - before)
+        assert 3 <= worst <= 25
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0, 8.0, 32.0, 200.0])
     def test_reversed_ray_is_the_mirror_image(self, p):
