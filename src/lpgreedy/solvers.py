@@ -3,7 +3,9 @@
 A one-dimensional greedy step minimises an lp norm along a ray,
 a -> ||r - a v||, and ``min_along_ray`` solves it exactly: safeguarded
 Newton on the sign of its derivative, in the bracket [0, 2 ||r|| / ||v||]
-that the triangle inequality gives, certified by its width.
+that the triangle inequality gives.  It stops when the bracket is narrower
+than 1e-15 of max(1, its upper end), or where the derivative is within its
+own rounding bound, so that no float point can be told nearer the root.
 The Chebyshev projection is the one multi-dimensional solve.  It serves the
 WCGA over all selected atoms and the free-relaxation step over two atoms,
 the previous approximant and the new one.  Like ``Dictionary.matrix``, its
@@ -58,7 +60,9 @@ _WEIGHT_FLOOR = 1e-14
 _TINY = 1e-300
 # Cap on the Newton and bisection steps of one ray solve.  Bisection alone
 # narrows the bracket [0, 2 ||r0|| / ||v||] to the 1e-15 relative tolerance
-# in about 50.
+# in about 50, but where psi is rounding noise the solve stops on its
+# rounding bound first: no solve of the benchmark's workloads or of the
+# tests' scan rays takes more than 40 evaluations.
 _RAY_ITERS = 100
 # Points of each grid scan of ``dense_line_min``.
 N_GRID = 33
@@ -269,6 +273,26 @@ def _psi_scaled(p: float, R: np.ndarray, V: np.ndarray) -> tuple:
             (p - 1.0) * np.einsum("ij,ij->i", W, V * V) / s)
 
 
+def _psi_in_noise(p: float, r0: np.ndarray, v: np.ndarray, x: float) -> bool:
+    """Whether psi(x) of the ray solve is within its rounding bound, about
+    2^-53 [(p-1) sum |r|^(p-2) |v| (|r0| + |x v|) + n sum |r|^(p-1) |v|]
+    with r = r0 - x v: the rounding of r carried through |r|^(p-1), plus
+    that of the sum.  Both are formed over s = max|r|, as in
+    ``_psi_scaled``, so no power overflows at large p.  A bound that is not
+    finite (a zero coordinate for p < 2) certifies nothing."""
+    r = r0 - x * v
+    a = np.abs(r)
+    s = float(a.max())
+    a /= s
+    av = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = a ** (p - 2.0)
+        psi = float(np.dot(r * w, v)) / s
+        bound = (p - 1.0) * float(np.dot(w * av, np.abs(r0) + x * av)) / s
+        bound = 2.0 ** -53 * (bound + len(r) * float(np.dot(w * a, av)))
+    return math.isfinite(bound) and abs(psi) <= bound
+
+
 def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
                   nonneg: bool = False) -> float:
     """argmin over a of ||r0 - a v||_p (over a >= 0 with ``nonneg``).
@@ -281,14 +305,22 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     a* then lies in [0, 2 ||r0|| / ||v||], because ||a* v|| <= ||r0 - a* v||
     + ||r0|| <= 2 ||r0||, and safeguarded Newton from a = 0 closes that
     bracket: a Newton point outside the bracket, or one that does not halve
-    the previous step, is replaced by the bisection point.  Only the
-    bracket width certifies convergence.  A Newton step below half the
-    tolerance says nothing about the side of the root it lands on: psi is
-    rounding noise there, and for p < 2, psi' blows up where a residual
-    coordinate crosses zero.  Such a step is pushed out to half the
-    tolerance so that the far side gets evaluated, and each push that
-    fails to cross the root doubles the next one.  Where the plain psi' is
-    not a normal float, psi and psi' come from ``_psi_scaled``.
+    the previous step, is replaced by the bisection point.  The solve stops
+    when the bracket is within 1e-15 max(1, hi), or where the safeguard
+    rejects a Newton step no longer than a few times the first such width,
+    1e-15 max(1, 2 ||r0|| / ||v||), taken from a point x whose psi is
+    within its rounding bound b (``_psi_in_noise``).  The sign of psi is
+    not known there, so bisection cannot find a nearer point, and x is
+    returned: the exact psi(x) is within 2 b of 0, so x is within about
+    2 b / psi'(x) of the root, of order 2^-53 (1 + n / (p-1)) ||r0|| / ||v||.
+    A Newton step below half the tolerance says nothing about the side of
+    the root it lands on: psi is rounding noise there, and for p < 2, psi'
+    blows up where a residual coordinate crosses zero.  Such a step is
+    pushed out to half the tolerance so that the far side gets evaluated,
+    and each push that fails to cross the root doubles the next one.  A
+    rejected push never stops the solve on the rounding bound.  Where the
+    plain psi' is not a normal float, psi and psi' come from
+    ``_psi_scaled``.
     """
     if p > _PLAIN_P:  # an overflowing plain sum falls back to _psi_scaled
         with np.errstate(over="ignore", invalid="ignore"):
@@ -335,6 +367,7 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     # ||a v|| <= ||r0 - a v|| + ||r0|| <= 2 ||r0|| at the minimiser
     x, lo, hi = 0.0, 0.0, 2.0 * scale
     last, push = hi, 0.5
+    tol0 = 1e-15 * max(1.0, hi)
     for _ in range(_RAY_ITERS):
         tol = 1e-15 * max(1.0, hi)
         if hi - lo <= tol:
@@ -349,6 +382,12 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
             xn = x - step
             newton = lo < xn < hi and (pushed or abs(step) <= 0.5 * last)
         if not newton:
+            # a rejected Newton step about as short as the width stop, from
+            # a psi that is rounding noise: no bisection point can be told
+            # nearer the root than x
+            if (dx > 0.0 and not pushed and abs(step) <= 4.0 * tol0
+                    and _psi_in_noise(p, r0, v, x)):
+                return sign * x
             xn = 0.5 * (lo + hi)
             step = 0.5 * (hi - lo)
             pushed = False
