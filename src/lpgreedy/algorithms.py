@@ -48,7 +48,7 @@ import numpy as np
 from .dictionary import Dictionary, Target, greedy_select
 from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
                            relaxed_minimize)
-from .solvers import (_TINY, BRACKET_GROWTH, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
+from .solvers import (_TINY, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
                       _psi_scaled, chebyshev_project, dense_line_min,
                       min_along_ray)
 from .space import (_NORMAL_MIN, Element, LpSpace, _max, _min, dict_dual_norm,
@@ -640,8 +640,7 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
         target_spec=target.spec.mode if target else "custom",
         target_meta=_target_meta(target),
         weakness=tau.as_dict(),
-        solver={"tol": TOL, "grad_tol": GRAD_TOL, "max_iters": MAX_ITERS,
-                "bracket_growth": BRACKET_GROWTH},
+        solver={"tol": TOL, "grad_tol": GRAD_TOL, "max_iters": MAX_ITERS},
         max_m=max_m, stop_tol=stop_tol, rule=rule,
         termination=termination, records=records, initial_residual=r0,
         warnings=warnings, errors=None if exact else errs.as_dict(),

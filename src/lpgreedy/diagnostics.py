@@ -15,6 +15,7 @@ gamma * u^q, never the sampled estimate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -88,6 +89,15 @@ class AuditReport:
                           indent=1, sort_keys=True)
 
 
+def _worst_margin(margins: list) -> float:
+    """The smallest of ``margins``, 0.0 when there is none.  A NaN margin
+    makes it NaN wherever the NaN sits, so that its check fails; Python's
+    ``min`` keeps a NaN only when it comes first."""
+    if any(map(math.isnan, margins)):
+        return math.nan
+    return min(margins, default=0.0)
+
+
 def audit_conditions(report: RunReport) -> AuditReport:
     """Per-iteration verification of the defining greedy-step properties."""
     if any(r.m != i + 1 for i, r in enumerate(report.records)):
@@ -107,7 +117,7 @@ def audit_conditions(report: RunReport) -> AuditReport:
             checks.append(CheckResult(name=name, applicable=False, passed=True,
                                       worst_margin=float("nan"), reason=reason))
             return
-        worst = min(margins) if margins else 0.0
+        worst = _worst_margin(margins)
         checks.append(CheckResult(name=name, applicable=True,
                                   passed=worst >= -tol,
                                   worst_margin=worst, margins=margins))
@@ -308,7 +318,7 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
         resid = report.residual_norms()
         margins = (bounds - resid).tolist()
         tight = (resid / np.maximum(bounds, 1e-300)).tolist()
-        worst = min(margins) if margins else 0.0
+        worst = _worst_margin(margins)
         results.append(RateCheck(bound_id=bid, applicable=True,
                                  passed=worst >= -_RATE_SLACK,
                                  worst_margin=worst,

@@ -1,14 +1,15 @@
 """Experiment front end: flat-spec parsing, runs, sweeps, audits, selftest.
 
-Spec grammar (the leading tag is optional on the CLI):
+Specs take two shapes, one reader each.  key=value (leading tag optional):
   space     lp:p=<real>,n=<int>
   dict      dict:<kind>,N=<int>,seed=<int>
-  target    target:a1,k=<int>,seed=<int>
-            target:a1dense,seed=<int>
-            target:noisy,k=<int>,eps=<real>,seed=<int>
+  target    target:a1,k=<int>,seed=<int> | target:a1dense,seed=<int>
+            | target:noisy,k=<int>,eps=<real>,seed=<int>
+  errors    err:delta=<seq>,eta=<seq>,eps=<eps>[,seed=<int>]
+<kind>:<v>,..., with as many values as the kind's form shows:
   weakness  const:<t> | pow:<t0>,<a> | list:<v>,<v>,...
-  errors    err:delta=<spec>,eta=<spec>,eps=derived|list:<...>[,seed=<int>]
-            with <spec> one of const:<v> | pow:<c>,<a> | prop72auto | list:...
+  <seq>     const:<v> | pow:<c>,<a> | prop72auto | list:<v>,<v>,...
+  <eps>     derived | list:<v>,<v>,...
 
 Exit codes: 0 on success / all checks passing, 1 on any audit failure,
 2 on usage errors.  LPGREEDY_OUT_DIR, when set, re-roots relative output
@@ -31,7 +32,7 @@ import numpy as np
 from .algorithms import (AWBGA_IDS, RunReport, WeaknessSchedule, run_greedy,
                          run_id)
 from .diagnostics import (BOUND_IDS, DEFAULT_COND_TOLS, BoundSpec,
-                          audit_conditions, bound_curve,
+                          _worst_margin, audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
 from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
                          make_target)
@@ -40,10 +41,6 @@ from .space import LpSpace, lp_space
 
 CSV_HEADER = ("m,algo,residual_norm,gs_lhs,gs_rhs,bo_abs,er_reference,"
               "t_m,delta_m,eta_m,eps_m,bound_cor52,wall_ns")
-
-
-def _strip_tag(spec: str, tag: str) -> str:
-    return spec[len(tag):] if spec.startswith(tag) else spec
 
 
 def _out_path(path: str) -> Path:
@@ -56,9 +53,10 @@ def _out_path(path: str) -> Path:
     return p
 
 
-def _fields(body: str) -> list:
-    """Split on commas, re-attaching tokens that lack '=' to the previous
-    field (so pow:<c>,<a> and list:... survive the comma split)."""
+def _fields(spec: str, tag: str) -> list:
+    """The comma-separated fields of ``spec`` after its optional ``tag``; a
+    token without '=' rejoins the field before it, as in pow:<c>,<a>."""
+    body = spec[len(tag):] if spec.startswith(tag) else spec
     out = []
     for tok in body.split(","):
         if "=" in tok or not out:
@@ -68,78 +66,38 @@ def _fields(body: str) -> list:
     return out
 
 
-def _kv(fields: list, spec: str, keys: tuple) -> dict:
-    """key=value fields as a dict; a key outside ``keys``, or one given
-    twice, is a usage error naming the ``spec`` it came from."""
-    d = {}
+_REQUIRED = object()  # the default of a field that a spec must give
+
+
+def _read_kv(spec: str, fields: list, what: str, table: dict,
+             form: str) -> dict:
+    """The key=value ``fields`` of the ``what`` spec ``spec``, each read as
+    its ``table`` row (reader, default) says, by int, float or a parser of
+    the text.  An unknown, repeated or missing field, or a number off the
+    spec's ``form``, is a usage error."""
+    given = {}
     for f in fields:
         if "=" not in f:
             raise ValueError(f"malformed field {f!r}: expected key=value")
         k, v = (x.strip() for x in f.split("=", 1))
-        if k in d:
+        if k in given:
             raise ValueError(f"spec {spec!r} gives field {k!r} twice")
-        d[k] = v
-    unknown = [k for k in d if k not in keys]
+        given[k] = v
+    unknown = [k for k in given if k not in table]
     if unknown:
         raise ValueError(f"spec {spec!r} has unknown field(s) {unknown}; "
-                         f"expected {list(keys)}")
-    return d
-
-
-# accepted fields of each target mode, and the form of its spec
-_TARGET_KEYS = {"a1": ("k", "seed"), "a1dense": ("seed",),
-                "noisy": ("k", "eps", "seed")}
-_TARGET_FORMS = {"a1": "target:a1,k=<int>,seed=<int>",
-                 "a1dense": "target:a1dense,seed=<int>",
-                 "noisy": "target:noisy,k=<int>,eps=<real>,seed=<int>"}
-_SPACE_FORM = "lp:p=<real>,n=<int>"
-_DICT_FORM = "dict:<kind>,N=<int>,seed=<int>"
-_ERRORS_FORM = "err:delta=<spec>,eta=<spec>,eps=derived|list:<...>[,seed=<int>]"
-
-
-def parse_space(spec: str) -> LpSpace:
-    kv = _kv(_fields(_strip_tag(spec, "lp:")), spec, ("p", "n"))
-    try:
-        return lp_space(p=_number(kv["p"], spec, _SPACE_FORM),
-                        n=_number(kv["n"], spec, _SPACE_FORM, int))
-    except KeyError as e:
-        raise ValueError(f"space spec {spec!r} missing field {e}") from e
-
-
-def parse_dict_spec(spec: str) -> tuple:
-    """(kind, N, seed); N is None when omitted, which means N = n."""
-    kind, *fields = _fields(_strip_tag(spec, "dict:"))
-    kv = _kv(fields, spec, ("N", "seed"))
-    size = _number(kv["N"], spec, _DICT_FORM, int) if "N" in kv else None
-    if size is not None and size < 1:
-        raise ValueError(f"dictionary size N must be positive, got {size}")
-    seed = _number(kv.get("seed", "0"), spec, _DICT_FORM, int)
-    if seed < 0:
-        raise ValueError(f"dictionary seed must be nonnegative, got {seed}")
-    return kind, size, seed
-
-
-def parse_target_spec(spec: str) -> TargetSpec:
-    mode, *fields = _fields(_strip_tag(spec, "target:"))
-    if mode not in _TARGET_KEYS:
-        raise ValueError(f"unknown target mode {mode!r}")
-    kv = _kv(fields, spec, _TARGET_KEYS[mode])
-    form = _TARGET_FORMS[mode]
-    seed = _number(kv.get("seed", "0"), spec, form, int)
-    try:
-        if mode == "a1":
-            return TargetSpec(mode="a1_sparse",
-                              k=_number(kv["k"], spec, form, int), seed=seed)
-        if mode == "a1dense":
-            return TargetSpec(mode="a1_dense", seed=seed)
-        return TargetSpec(mode="general_plus_noise",
-                          k=_number(kv["k"], spec, form, int),
-                          eps=_number(kv["eps"], spec, form), seed=seed)
-    except KeyError as e:
-        raise ValueError(f"target spec {spec!r} missing field {e}") from e
-
-
-_LIST_FORM = "list:<v>,<v>,..."
+                         f"expected {list(table)}")
+    values = {}
+    for k, (read, default) in table.items():
+        if k not in given:
+            if default is _REQUIRED:
+                raise ValueError(f"{what} spec {spec!r} missing field {k!r}")
+            values[k] = default
+        elif read in (int, float):
+            values[k], = _numbers(given[k], spec, form, 1, read)
+        else:
+            values[k] = read(given[k])
+    return values
 
 
 def _numbers(text: str, spec: str, form: str, count: int = 0,
@@ -157,60 +115,107 @@ def _numbers(text: str, spec: str, form: str, count: int = 0,
     return vals
 
 
-def _number(text: str, spec: str, form: str, kind: type = float):
-    """One number field of ``spec``, read by ``kind``, or a usage error."""
-    return _numbers(text, spec, form, 1, kind)[0]
+def _read_sequence(spec: str, forms: dict, what: str) -> tuple:
+    """(kind, values) of a ``<kind>:<v>,...`` spec, its kind a key of
+    ``forms``.  A kind's form gives its number of values: one per <...>,
+    one or more if it ends in "...", none if it has no ':'."""
+    kind, colon, rest = spec.partition(":")
+    if kind not in forms:
+        raise ValueError(f"unknown {what} {spec!r}")
+    form = forms[kind]
+    if ":" not in form:
+        if colon:
+            raise ValueError(f"spec {spec!r} does not match the form {form}")
+        return kind, ()
+    count = 0 if form.endswith("...") else form.count("<")
+    return kind, _numbers(rest, spec, form, count)
+
+
+# each key=value spec: its name, its fields with their (reader, default),
+# and its form
+_SPACE = ("space", {"p": (float, _REQUIRED), "n": (int, _REQUIRED)},
+          "lp:p=<real>,n=<int>")
+_DICT = ("dict", {"N": (int, None), "seed": (int, 0)},
+         "dict:<kind>,N=<int>,seed=<int>")
+# each target mode: its TargetSpec mode, its fields and its form
+_TARGETS = {
+    "a1": ("a1_sparse", {"k": (int, _REQUIRED), "seed": (int, 0)},
+           "target:a1,k=<int>,seed=<int>"),
+    "a1dense": ("a1_dense", {"seed": (int, 0)}, "target:a1dense,seed=<int>"),
+    "noisy": ("general_plus_noise",
+              {"k": (int, _REQUIRED), "eps": (float, _REQUIRED),
+               "seed": (int, 0)},
+              "target:noisy,k=<int>,eps=<real>,seed=<int>")}
+
+# each <kind>:<v>,... spec: the form of each of its kinds
+_LIST_FORM = "list:<v>,<v>,..."
+_WEAKNESS_FORMS = {"const": "const:<t>", "pow": "pow:<t0>,<a>",
+                   "list": _LIST_FORM}
+_SEQUENCE_FORMS = {"const": "const:<v>", "pow": "pow:<c>,<a>",
+                   "prop72auto": "prop72auto", "list": _LIST_FORM}
+_EPS_FORMS = {"derived": "derived", "list": _LIST_FORM}
+
+
+def parse_space(spec: str) -> LpSpace:
+    return lp_space(**_read_kv(spec, _fields(spec, "lp:"), *_SPACE))
+
+
+def parse_dict_spec(spec: str) -> tuple:
+    """(kind, N, seed); N is None when omitted, which means N = n."""
+    kind, *fields = _fields(spec, "dict:")
+    kv = _read_kv(spec, fields, *_DICT)
+    size, seed = kv["N"], kv["seed"]
+    if size is not None and size < 1:
+        raise ValueError(f"dictionary size N must be positive, got {size}")
+    if seed < 0:
+        raise ValueError(f"dictionary seed must be nonnegative, got {seed}")
+    return kind, size, seed
+
+
+def parse_target_spec(spec: str) -> TargetSpec:
+    mode, *fields = _fields(spec, "target:")
+    if mode not in _TARGETS:
+        raise ValueError(f"unknown target mode {mode!r}")
+    spec_mode, table, form = _TARGETS[mode]
+    return TargetSpec(mode=spec_mode,
+                      **_read_kv(spec, fields, "target", table, form))
 
 
 def parse_weakness(spec: str) -> WeaknessSchedule:
-    kind, _, rest = spec.partition(":")
-    if kind == "const":
-        t0, = _numbers(rest, spec, "const:<t>", 1)
-        return WeaknessSchedule(kind="constant", t0=t0)
-    if kind == "pow":
-        t0, a = _numbers(rest, spec, "pow:<t0>,<a>", 2)
-        return WeaknessSchedule(kind="power_decay", t0=t0, exponent=a)
+    kind, vals = _read_sequence(spec, _WEAKNESS_FORMS, "weakness spec")
     if kind == "list":
-        vals = _numbers(rest, spec, _LIST_FORM)
         return WeaknessSchedule(kind="explicit_list", t0=vals[0] or 1.0,
                                 values=vals)
-    raise ValueError(f"unknown weakness spec {spec!r}")
+    # const:<t0> or pow:<t0>,<exponent>
+    return WeaknessSchedule({"const": "constant", "pow": "power_decay"}[kind],
+                            *vals)
 
 
 def _parse_sequence(spec: str) -> SequenceSpec:
-    kind, _, rest = spec.partition(":")
-    if kind == "const":
-        c, = _numbers(rest, spec, "const:<v>", 1)
-        return SequenceSpec(kind="const", c=c)
-    if kind == "pow":
-        c, a = _numbers(rest, spec, "pow:<c>,<a>", 2)
-        return SequenceSpec(kind="pow", c=c, a=a)
-    if kind == "prop72auto":
-        return SequenceSpec(kind="prop72auto")
+    kind, vals = _read_sequence(spec, _SEQUENCE_FORMS, "error sequence spec")
     if kind == "list":
-        return SequenceSpec(kind="list", values=_numbers(rest, spec, _LIST_FORM))
-    raise ValueError(f"unknown error sequence spec {spec!r}")
+        return SequenceSpec(kind="list", values=vals)
+    return SequenceSpec(kind, *vals)  # const:<c>, pow:<c>,<a> or prop72auto
+
+
+def _parse_eps(spec: str) -> tuple:
+    """(eps_mode, eps_values) of the eps= field of an error spec."""
+    mode, vals = _read_sequence(spec, _EPS_FORMS, "eps mode")
+    return mode, vals or None
+
+
+_ERRORS = ("error", {"delta": (_parse_sequence, _REQUIRED),
+                     "eta": (_parse_sequence, _REQUIRED),
+                     "eps": (_parse_eps, ("derived", None)),
+                     "seed": (int, 0)},
+           "err:delta=<spec>,eta=<spec>,eps=derived|list:<...>[,seed=<int>]")
 
 
 def parse_errors(spec: str) -> ErrorSchedule:
-    kv = _kv(_fields(_strip_tag(spec, "err:")), spec,
-             ("delta", "eta", "eps", "seed"))
-    eps = kv.get("eps", "derived")
-    if eps == "derived":
-        eps_mode, eps_values = "derived", None
-    elif eps.startswith("list:"):
-        eps_mode = "list"
-        eps_values = _numbers(eps[5:], eps, _LIST_FORM)
-    else:
-        raise ValueError(f"unknown eps mode {eps!r}")
-    try:
-        delta, eta = kv["delta"], kv["eta"]
-    except KeyError as e:
-        raise ValueError(f"error spec {spec!r} missing field {e}") from e
-    return ErrorSchedule(delta=_parse_sequence(delta), eta=_parse_sequence(eta),
-                         eps_mode=eps_mode, eps_values=eps_values,
-                         seed=_number(kv.get("seed", "0"), spec, _ERRORS_FORM,
-                                      int))
+    kv = _read_kv(spec, _fields(spec, "err:"), *_ERRORS)
+    eps_mode, eps_values = kv["eps"]
+    return ErrorSchedule(delta=kv["delta"], eta=kv["eta"], eps_mode=eps_mode,
+                         eps_values=eps_values, seed=kv["seed"])
 
 
 @dataclass
@@ -387,7 +392,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 print(f"  {c.name:<18s} SKIP ({c.reason})")
         ok = ok and audit.passed
         if report.target_meta.get("certificate"):
-            worst = min(error_reduction_margins(report), default=0.0)
+            worst = _worst_margin(error_reduction_margins(report))
             passed = worst >= -DEFAULT_COND_TOLS[1]
             ok = ok and passed
             print(f"  error_reduction_rhs {'PASS' if passed else 'FAIL'} "

@@ -10,7 +10,7 @@ import pytest
 from lpgreedy import (ErrorSchedule, SequenceSpec, TargetSpec,
                       WeaknessSchedule, audit_conditions, build_dictionary,
                       empirical_modulus, error_reduction_margins, lp_space,
-                      make_target, run_awbga, run_greedy, smoothness_bound,
+                      make_target, run_greedy, smoothness_bound,
                       verify_rates, xi_root)
 from lpgreedy.diagnostics import DEFAULT_COND_TOLS
 from lpgreedy.harness import main
@@ -161,8 +161,8 @@ def test_criterion_07_approximate_robustness():
                                  seed=seed)
             t = make_target(D, TargetSpec(mode="a1_sparse", k=4,
                                           seed=100 + seed))
-            rep = run_awbga(algo, t.f, D, T1, errs, max_m=500, stop_tol=9e-4,
-                            target=t)
+            rep = run_greedy(algo[1:], t.f, D, T1, errors=errs, max_m=500,
+                             stop_tol=9e-4, target=t)
             assert min(r.residual_norm for r in rep.records) < 1e-3, \
                 f"{algo} seed={seed} never reached 1e-3"
             assert len(rep.records) <= 500
@@ -187,7 +187,8 @@ def test_criterion_08_auto_threshold_bound():
                 D = build_dictionary(s, "random_gauss", 128, seed=500 + seed)
                 t = make_target(D, TargetSpec(mode="a1_sparse", k=8,
                                               seed=600 + seed))
-                rep = run_awbga(algo, t.f, D, T1, errs, max_m=100, target=t)
+                rep = run_greedy(algo[1:], t.f, D, T1, errors=errs,
+                                 max_m=100, target=t)
                 for r in rep.records:
                     assert r.delta_m <= cap * r.residual_norm ** pc * \
                         r.t_m ** pc + 1e-15

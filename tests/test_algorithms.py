@@ -10,7 +10,7 @@ from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Element,
                       ErrorSchedule, RunReport, SequenceSpec, TargetSpec,
                       WeaknessSchedule, audit_conditions, build_dictionary,
                       error_reduction_margins, lp_space, make_target,
-                      run_awbga, run_greedy, verify_rates)
+                      run_greedy, verify_rates)
 from lpgreedy import algorithms
 from lpgreedy.algorithms import (_RULES, _chunk_steps, _grid_margins, _measure,
                                  _xgreedy_scan, run_id)
@@ -104,7 +104,8 @@ class TestRunDriver:
         exact = run_greedy("rwrga", t.f, D, T1, max_m=10, target=t)
         errs = ErrorSchedule(delta=SequenceSpec(kind="pow", c=0.1, a=1.1),
                              eta=SequenceSpec(kind="pow", c=0.1, a=1.1))
-        approx = run_awbga("awgafr", t.f, D, T1, errs, max_m=10, target=t)
+        approx = run_greedy("wgafr", t.f, D, T1, errors=errs, max_m=10,
+                            target=t)
         assert exact.errors is None and exact.records[0].omega is None
         assert isinstance(approx.errors, dict) and approx.records[0].mu is None
         for rep in (exact, approx):
@@ -327,7 +328,8 @@ class TestMeasurePhase:
                              eta=SequenceSpec(kind="pow", c=0.1, a=1.1))
         reports = [run_greedy(a, t.f, D, T1, max_m=5, target=t)
                    for a in ALGORITHM_IDS]
-        reports += [run_awbga(a, t.f, D, T1, errs, max_m=5, target=t)
+        reports += [run_greedy(a[1:], t.f, D, T1, errors=errs, max_m=5,
+                               target=t)
                     for a in AWBGA_IDS]
         for rep in reports:
             assert rep.records
@@ -500,7 +502,8 @@ class TestLargeP:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for algo in AWBGA_IDS:
-                rep = run_awbga(algo, t.f, D, T1, errs, max_m=60, target=t)
+                rep = run_greedy(algo[1:], t.f, D, T1, errors=errs, max_m=60,
+                                 target=t)
                 assert audit_conditions(rep).passed, algo
 
 

@@ -8,7 +8,7 @@ from lpgreedy import (BoundSpec, Element, ErrorSchedule, SequenceSpec,
                       TargetSpec, WeaknessSchedule, audit_conditions,
                       bound_curve, build_dictionary, dict_dual_norm,
                       error_reduction_margins, lp_space, make_target,
-                      norming_functional, rate_bound, run_awbga, run_greedy,
+                      norming_functional, rate_bound, run_greedy,
                       verify_rates)
 
 T1 = WeaknessSchedule()
@@ -29,7 +29,7 @@ def awbga_run():
     t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=6))
     errs = ErrorSchedule(delta=SequenceSpec(kind="pow", c=0.2, a=0.9),
                          eta=SequenceSpec(kind="pow", c=0.2, a=0.9), seed=7)
-    return run_awbga("awgafr", t.f, D, T1, errs, max_m=15, target=t)
+    return run_greedy("wgafr", t.f, D, T1, errors=errs, max_m=15, target=t)
 
 
 class TestAuditConditions:
@@ -49,6 +49,15 @@ class TestAuditConditions:
         assert not audit.passed
         c = audit.check("greedy_selection")
         assert not c.passed and c.worst_margin == pytest.approx(-1e-3)
+
+    def test_nan_margin_in_a_later_record_fails(self, hull_run):
+        # a NaN fails its check wherever it sits, not only in the first record
+        bad = dataclasses.replace(hull_run)
+        bad.records = [dataclasses.replace(r) for r in hull_run.records]
+        bad.records[3].gs_lhs = float("nan")
+        audit = audit_conditions(bad)
+        c = audit.check("greedy_selection")
+        assert not audit.passed and not c.passed and np.isnan(c.worst_margin)
 
     def test_awbga_checked_in_slack_form(self, awbga_run):
         audit = audit_conditions(awbga_run)
@@ -196,6 +205,13 @@ class TestVerifyRates:
         assert by_id["thm52"].passed
         assert by_id["cor21"].applicable and by_id["cor21"].passed
         assert 0 < by_id["cor52"].max_tightness < 1.0
+
+    def test_nan_residual_in_a_later_record_fails(self, hull_run):
+        bad = dataclasses.replace(hull_run)
+        bad.records = [dataclasses.replace(r) for r in hull_run.records]
+        bad.records[3].residual_norm = float("nan")
+        rc, = verify_rates(bad, ["cor52"])
+        assert rc.applicable and not rc.passed and np.isnan(rc.worst_margin)
 
     def test_noisy_run_skips_hull_bounds(self):
         s = lp_space(2.0, 8)

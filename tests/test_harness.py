@@ -88,11 +88,9 @@ class TestSpecParsing:
     def test_report_records_the_default_solver(self):
         solver = execute(small_config()).solver
         assert solver == {"tol": solvers.TOL, "grad_tol": solvers.GRAD_TOL,
-                          "max_iters": solvers.MAX_ITERS,
-                          "bracket_growth": solvers.BRACKET_GROWTH}
+                          "max_iters": solvers.MAX_ITERS}
         assert json.dumps(solver, sort_keys=True) == (
-            '{"bracket_growth": 2.0, "grad_tol": 1e-10, "max_iters": 500, '
-            '"tol": 1e-08}')
+            '{"grad_tol": 1e-10, "max_iters": 500, "tol": 1e-08}')
 
     @pytest.mark.parametrize("config", [
         small_config(),
@@ -204,6 +202,33 @@ class TestCli:
         rc = main(["audit", str(bad)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_audit_fails_on_nan_in_a_later_record(self, tmp_path, capsys):
+        # a NaN margin fails wherever it sits, not only in the first record
+        out = tmp_path / "r.csv"
+        main(RUN_ARGS + ["--out", str(out)])
+        blob = json.loads(out.with_suffix(".json").read_text())
+        blob["records"][2]["residual_norm"] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["audit", str(bad)]) == 1
+        assert ("error_reduction_rhs FAIL worst margin +nan"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("timings", [True, False])
+    def test_run_timings_fill_the_wall_clock_column(self, tmp_path, timings):
+        out = tmp_path / "r.csv"
+        flag = ["--timings"] if timings else []
+        assert main(RUN_ARGS + flag + ["--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")
+        assert rows[0].split(",")[-1] == "wall_ns"
+        csv_ns = [int(row.split(",")[-1]) for row in rows[1:]]
+        records = json.loads(out.with_suffix(".json").read_text())["records"]
+        if timings:
+            assert csv_ns == [r["wall_ns"] for r in records]
+            assert all(ns > 0 for ns in csv_ns)
+        else:
+            assert csv_ns == [0] * len(records)
 
     def test_audit_missing_file(self, capsys):
         rc = main(["audit", "/nonexistent/report.json"])

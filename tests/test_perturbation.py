@@ -288,8 +288,8 @@ class TestRunAwbga:
         s, D, t = self.setup_env(p=3.0, n=8, N=32)
         errs = ErrorSchedule(delta=SequenceSpec(kind="const", c=0.1),
                              eta=SequenceSpec(kind="const", c=0.0))
-        rep = run_awbga("awcga", t.f, D, T1, errs, max_m=12, stop_tol=0.0,
-                        target=t)
+        rep = run_greedy("wcga", t.f, D, T1, errors=errs, max_m=12,
+                         stop_tol=0.0, target=t)
         assert len(rep.records) == 12
         assert min(r.residual_norm for r in rep.records) < 1e-12
         assert all(r.delta_m == 0.1 for r in rep.records)
@@ -298,7 +298,7 @@ class TestRunAwbga:
     def test_bo_defect_within_derived_slack(self, algo):
         s, D, t = self.setup_env(p=3.0, n=8, N=32)
         errs = power_schedule(c=0.2, a=0.7, seed=11)
-        rep = run_awbga(algo, t.f, D, T1, errs, max_m=20, target=t)
+        rep = run_greedy(algo[1:], t.f, D, T1, errors=errs, max_m=20, target=t)
         for r in rep.records:
             assert r.bo_abs <= r.eps_m + 1e-6
             assert r.delta_achieved <= r.delta_m + 1e-12
@@ -307,22 +307,22 @@ class TestRunAwbga:
     def test_error_reduction_slack_respected(self, algo):
         s, D, t = self.setup_env(p=2.0, n=8, N=32, dseed=5, tseed=6)
         errs = power_schedule(c=0.3, a=0.8, seed=4)
-        rep = run_awbga(algo, t.f, D, T1, errs, max_m=15, target=t)
+        rep = run_greedy(algo[1:], t.f, D, T1, errors=errs, max_m=15, target=t)
         for r in rep.records:
             assert r.residual_norm <= (1.0 + r.eta_m) * r.er_reference + 1e-6
 
     def test_decaying_errors_converge(self):
         s, D, t = self.setup_env(n=8, N=48, k=4, dseed=7, tseed=8)
         errs = power_schedule(seed=13)
-        rep = run_awbga("arwrga", t.f, D, T1, errs, max_m=400, stop_tol=5e-4,
-                        target=t)
+        rep = run_greedy("rwrga", t.f, D, T1, errors=errs, max_m=400,
+                         stop_tol=5e-4, target=t)
         assert min(r.residual_norm for r in rep.records) < 1e-3
 
     def test_auto_thresholds_run(self):
         s, D, t = self.setup_env(n=8, N=32)
         errs = ErrorSchedule(delta=SequenceSpec(kind="prop72auto"),
                              eta=SequenceSpec(kind="prop72auto"), seed=3)
-        rep = run_awbga("awgafr", t.f, D, T1, errs, max_m=25, target=t)
+        rep = run_greedy("wgafr", t.f, D, T1, errors=errs, max_m=25, target=t)
         pc = s.p_conj
         cap = 64.0 ** (-pc) * s.gamma ** (1.0 - pc)
         prev = rep.initial_residual
@@ -352,7 +352,7 @@ class TestRunAwbga:
         errs = ErrorSchedule(delta=SequenceSpec(kind="const", c=0.05),
                              eta=SequenceSpec(kind="const", c=0.05),
                              eps_mode="list", eps_values=(0.5, 0.25), seed=2)
-        rep = run_awbga("awcga", t.f, D, T1, errs, max_m=4, target=t)
+        rep = run_greedy("wcga", t.f, D, T1, errors=errs, max_m=4, target=t)
         assert rep.records[0].eps_m == 0.5
         assert all(r.eps_m == 0.25 for r in rep.records[1:])
 
@@ -457,7 +457,8 @@ class TestTwoAtomProjection:
         t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=385081))
         errs = ErrorSchedule(delta=SequenceSpec(kind="prop72auto"),
                              eta=SequenceSpec(kind="prop72auto"))
-        rep = run_awbga("awgafr", t.f, D, T1, errs, max_m=100, target=t)
+        rep = run_greedy("wgafr", t.f, D, T1, errors=errs, max_m=100,
+                         target=t)
         assert audit_conditions(rep).passed
         assert len(iters) == len(rep.records) - 1
         assert max(iters) <= 20
@@ -554,7 +555,8 @@ class TestCrossingCost:
                else SequenceSpec(kind="prop72auto"))
         errs = ErrorSchedule(delta=seq, eta=seq)
         for algo in AWBGA_IDS:
-            run_awbga(algo, t.f, D, T1, errs, max_m=100, target=t)
+            run_greedy(algo[1:], t.f, D, T1, errors=errs, max_m=100,
+                       target=t)
         every = counts["delta"] + counts["eta"]
         assert len(every) > 50
         assert np.mean(every) <= 6.0
@@ -655,5 +657,5 @@ def test_pinned_selections(algo):
     D = build_dictionary(s, "random_gauss", 128, seed=21)
     t = make_target(D, TargetSpec(mode="a1_sparse", k=8, seed=22))
     errs = power_schedule(c=0.1, a=1.1, seed=5)
-    rep = run_awbga(algo, t.f, D, T1, errs, max_m=40, target=t)
+    rep = run_greedy(algo[1:], t.f, D, T1, errors=errs, max_m=40, target=t)
     assert [r.selected_index for r in rep.records] == PINNED_SELECTIONS[algo]

@@ -160,14 +160,17 @@ class TestMinAlongRay:
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_matches_golden_section(self, p):
+        # the oracle is dense_line_min's grid scan over |a| <= 2 ||r|| / ||v||,
+        # a bound that does not depend on the answer under test
         rng = np.random.default_rng(2)
         for _ in range(20):
             r = rng.standard_normal(5)
             v = rng.standard_normal(5)
             a = min_along_ray(p, r, v)
-            lo, hi = a - 1.0, a + 1.0
-            arg, _ = line_search(lambda t: pnorm(p, r - t * v), lo, hi,
-                                 tol=1e-10)
+            bound = 2.0 * pnorm(p, r) / pnorm(p, v)
+            arg, _ = dense_line_min(
+                lambda ts: pnorm_rows(p, r[None, :] - ts[:, None] * v[None, :]),
+                -bound, bound, tol=1e-12)
             assert a == pytest.approx(arg, abs=1e-6)
 
     def test_nonnegative_clamp(self):
@@ -598,8 +601,8 @@ class TestDenseLineMin:
             return np.linalg.norm(f[None, :] - ls[:, None] * g[None, :], axis=1)
 
         _, v1 = dense_line_min(vec, 0.0, 4.0)
-        lo, hi = bracket_minimum(lambda t: float(np.linalg.norm(f - t * g)), 0.0)
-        _, v2 = line_search(lambda t: float(np.linalg.norm(f - t * g)), lo, hi)
+        a = min_along_ray(2.0, f, g, nonneg=True)
+        v2 = float(np.linalg.norm(f - a * g))
         assert v1 == pytest.approx(v2, abs=1e-9)
 
     @staticmethod
