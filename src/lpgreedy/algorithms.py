@@ -327,15 +327,19 @@ def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
                   r_prev: float) -> tuple:
     """Best (signed atom, lam) minimizing ||f_prev - lam g|| over the scan.
 
-    The safeguarded Newton iteration of ``min_along_ray``, run on all atoms
-    at once over [-2 r, 2 r] with r = ||f_prev||: the minimiser lam* of a
-    unit atom g obeys |lam*| = ||lam* g|| <= ||f_prev - lam* g|| + r <= 2 r,
-    the bound of ``min_along_ray``, and ``Dictionary`` rejects atoms that
-    are not unit.  An atom is frozen once its step or its bracket is below
-    1e-10 r; without the freeze, bisection would move converged atoms away
-    from their root.  Rows whose plain psi' is not a normal float take psi
-    and psi' from ``_psi_scaled``, as the ray solve does.  The smallest
-    value picks the atom, and an exact ray solve refines its step.
+    A safeguarded Newton iteration run on all atoms at once, two-sided over
+    [-2 r, 2 r] with r = ||f_prev||: the minimiser lam* of a unit atom g
+    obeys |lam*| = ||lam* g|| <= ||f_prev - lam* g|| + r <= 2 r, and
+    ``Dictionary`` rejects atoms that are not unit.  A Newton point outside
+    an atom's bracket, or one that does not halve its previous step, is
+    replaced by the bisection point.  An atom is frozen once its step or
+    its bracket is below 1e-10 r; without the freeze, bisection would move
+    converged atoms away from their root.  The scan only ranks the atoms,
+    so it shares with ``min_along_ray`` no more than that triangle
+    inequality bound: it does not flip to one side, push short steps or
+    stop on psi rounding noise.  Rows whose plain psi' is not a normal
+    float take psi and psi' from ``_psi_scaled``.  The smallest value picks
+    the atom, and an exact ray solve refines its step.
     """
     p = space.p
     M = D.matrix
@@ -540,7 +544,9 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
 
     ``errors`` (WBGA members only) perturbs the functionals by delta and
     relaxes the steps by eta, and names the report "a" + id; an exact run
-    also records the grid margins.  Deterministic given the seeds.
+    also records the grid margins.  ``target``, when given, is the Target
+    whose element is ``f``; the report takes its metadata from it.  Every
+    option is checked before the first step.  Deterministic given the seeds.
     """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHM_IDS:
@@ -549,6 +555,16 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     name = algorithm if exact else "a" + algorithm
     if not exact and name not in AWBGA_IDS:
         raise ValueError(f"{algorithm} is no WBGA member: it takes no errors")
+    if rule not in ("exact_argmax", "threshold_first"):
+        raise ValueError(f"unknown selection rule {rule!r}")
+    if max_m < 1:
+        raise ValueError(f"max_m (--iters) must be at least 1, got {max_m}")
+    if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
+        raise ValueError(f"stop_tol (--stop-tol) must be finite and "
+                         f"nonnegative, got {stop_tol}")
+    if target is not None and not np.array_equal(target.f.coords, f.coords):
+        raise ValueError("target.f is not f: the report would describe "
+                         "another target than the one run")
     space = f.space
     if D.space != space:
         raise ValueError("target and dictionary live in different spaces")

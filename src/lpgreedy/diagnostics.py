@@ -317,11 +317,12 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
         bounds = bound_curve(spec, report)
         resid = report.residual_norms()
         margins = (bounds - resid).tolist()
-        tight = (resid / np.maximum(bounds, 1e-300)).tolist()
+        tight = resid / np.maximum(bounds, 1e-300)
         worst = _worst_margin(margins)
+        # numpy's max, unlike Python's, is NaN wherever a NaN sits
+        top = float(tight.max()) if tight.size else 0.0
         results.append(RateCheck(bound_id=bid, applicable=True,
                                  passed=worst >= -_RATE_SLACK,
-                                 worst_margin=worst,
-                                 max_tightness=max(tight) if tight else 0.0,
-                                 margins=margins, tightness=tight))
+                                 worst_margin=worst, max_tightness=top,
+                                 margins=margins, tightness=tight.tolist()))
     return results

@@ -24,8 +24,8 @@ DICTIONARY_KINDS = ("canonical", "random_gauss", "trig_grid", "coherent")
 class Dictionary:
     """Ordered set of unit-norm atoms spanning the whole space.
 
-    ``matrix`` is the ``(N, n)`` array of the atoms, one per row; a row
-    whose lp norm is more than 1e-12 from 1 is rejected.  Treat instances
+    ``matrix`` is the ``(N, n)`` array of the atoms, one per row, N >= 1; a
+    row whose lp norm is more than 1e-12 from 1 is rejected.  Treat instances
     as immutable after construction.
     """
 
@@ -39,6 +39,8 @@ class Dictionary:
         if self.matrix.ndim != 2 or self.matrix.shape[1] != self.space.n:
             raise ValueError(f"dictionary matrix must have shape (N, "
                              f"{self.space.n}), got {self.matrix.shape}")
+        if self.matrix.shape[0] == 0:  # every scan takes a max over the atoms
+            raise ValueError("empty dictionary: it needs at least one atom")
         if not np.isfinite(self.matrix).all():
             raise ValueError("dictionary atoms must be finite")
         # the scan's bracket, the error-reduction reference and the rate
@@ -158,8 +160,6 @@ def greedy_select(F: np.ndarray, D: Dictionary, t: float,
     ``dict_dual_norm``).
     """
     check_functional(F, D.space.n)
-    if len(D) == 0:
-        raise ValueError("empty dictionary")
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     vals = D.matrix @ F if scores is None else scores

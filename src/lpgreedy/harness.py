@@ -11,6 +11,12 @@ Specs take two shapes, one reader each.  key=value (leading tag optional):
   <seq>     const:<v> | pow:<c>,<a> | prop72auto | list:<v>,<v>,...
   <eps>     derived | list:<v>,<v>,...
 
+``run`` and ``sweep`` share one path.  ``_specs`` pairs each algorithm name
+with ``--errors``, parses each spec once and builds the dictionary and the
+targets; each run then calls ``run_greedy``, which checks the run options
+(--rule, --iters, --stop-tol) before its first step.  So every usage error
+comes before the first output file is written.
+
 Exit codes: 0 on success / all checks passing, 1 on any audit failure,
 2 on usage errors.  LPGREEDY_OUT_DIR, when set, re-roots relative output
 paths (the only environment override).
@@ -20,12 +26,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -34,8 +38,7 @@ from .algorithms import (AWBGA_IDS, RunReport, WeaknessSchedule, run_greedy,
 from .diagnostics import (BOUND_IDS, DEFAULT_COND_TOLS, BoundSpec,
                           _worst_margin, audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
-from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
-                         make_target)
+from .dictionary import TargetSpec, build_dictionary, make_target
 from .perturbation import ErrorSchedule, SequenceSpec
 from .space import LpSpace, lp_space
 
@@ -218,62 +221,31 @@ def parse_errors(spec: str) -> ErrorSchedule:
                          eps_values=eps_values, seed=kv["seed"])
 
 
-@dataclass
-class ExperimentConfig:
-    """One run's flat configuration: the spec strings of the CLI."""
-
-    space: str
-    dict_spec: str
-    target: str
-    algorithm: str
-    weakness: str = "const:1.0"
-    errors: Optional[str] = None
-    max_m: int = 100
-    stop_tol: float = 1e-12
-    rule: str = "exact_argmax"
-
-    def validate(self) -> tuple:
-        """Check every field; returns what the specs parse to: (space,
-        (kind, N, seed), TargetSpec, WeaknessSchedule, ErrorSchedule or
-        None)."""
-        approximate = run_id(self.algorithm.lower())[1]
-        if self.errors and not approximate:
+def _specs(args: argparse.Namespace, names: list,
+           seeds: tuple = None) -> tuple:
+    """(weakness, dictionary, runs, targets) of the spec options that
+    ``_add_spec_options`` adds: one (id, errors) pair per algorithm name of
+    ``names``, and one target per seed of ``seeds``, the target spec's own
+    seed when None.  Each spec is parsed once, after every name is paired
+    with ``--errors``; the run options are left to ``run_greedy``."""
+    ids = []
+    for name in names:
+        algorithm, approximate = run_id(name.lower())
+        if args.errors and not approximate:
             raise ValueError(f"error schedules apply to {'/'.join(AWBGA_IDS)} only")
-        if approximate and not self.errors:
+        if approximate and not args.errors:
             raise ValueError("approximate algorithms need an --errors schedule")
-        parsed = (parse_space(self.space), parse_dict_spec(self.dict_spec),
-                  parse_target_spec(self.target), parse_weakness(self.weakness),
-                  parse_errors(self.errors) if self.errors else None)
-        if self.rule not in ("exact_argmax", "threshold_first"):
-            raise ValueError(f"unknown selection rule {self.rule!r}")
-        if self.max_m < 1:
-            raise ValueError(f"max_m (--iters) must be at least 1, got {self.max_m}")
-        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
-            raise ValueError(f"stop_tol (--stop-tol) must be finite and "
-                             f"nonnegative, got {self.stop_tol}")
-        return parsed
-
-
-def _dictionary(parsed: tuple) -> Dictionary:
-    """The dictionary of what ``ExperimentConfig.validate`` returned."""
-    space, (kind, size, seed) = parsed[:2]
-    return build_dictionary(space, kind, space.n if size is None else size, seed)
-
-
-def _greedy(config: ExperimentConfig, parsed: tuple, D: Dictionary,
-            target: Target) -> RunReport:
-    """The run of ``config`` on a built dictionary and target; ``parsed`` is
-    what ``config.validate()`` returned."""
-    return run_greedy(run_id(config.algorithm.lower())[0], target.f, D,
-                      parsed[3], errors=parsed[4], max_m=config.max_m,
-                      stop_tol=config.stop_tol, rule=config.rule, target=target)
-
-
-def execute(config: ExperimentConfig) -> RunReport:
-    """Run one experiment described by a config, deterministically."""
-    parsed = config.validate()
-    D = _dictionary(parsed)
-    return _greedy(config, parsed, D, make_target(D, parsed[2]))
+        ids.append(algorithm)
+    space = parse_space(args.space)
+    kind, size, dseed = parse_dict_spec(args.dict)
+    tspec = parse_target_spec(args.target)
+    tau = parse_weakness(args.weakness)
+    errors = parse_errors(args.errors) if args.errors else None
+    D = build_dictionary(space, kind, space.n if size is None else size, dseed)
+    tspecs = ([tspec] if seeds is None
+              else [replace(tspec, seed=s) for s in seeds])
+    return (tau, D, [(algorithm, errors) for algorithm in ids],
+            [make_target(D, t) for t in tspecs])
 
 
 def emit_csv(report: RunReport, path: str, timings: bool = False) -> None:
@@ -327,16 +299,11 @@ def summarize(reports: list) -> str:
     return "\n".join(lines)
 
 
-def _config(args: argparse.Namespace, algorithm: str) -> ExperimentConfig:
-    """The config of one run from the options ``_add_spec_options`` adds."""
-    return ExperimentConfig(
-        space=args.space, dict_spec=args.dict, target=args.target,
-        algorithm=algorithm, weakness=args.weakness, errors=args.errors,
-        max_m=args.iters, stop_tol=args.stop_tol, rule=args.rule)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = execute(_config(args, args.algo))
+    tau, D, [(algorithm, errors)], [target] = _specs(args, [args.algo])
+    report = run_greedy(algorithm, target.f, D, tau, errors=errors,
+                        max_m=args.iters, stop_tol=args.stop_tol,
+                        rule=args.rule, target=target)
     out = _out_path(args.out)
     emit_csv(report, out, timings=args.timings)
     out.with_suffix(".json").write_text(report.to_json())
@@ -349,25 +316,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # every usage error, the dictionary and each seed's target come before
-    # the output directory; the target spec's seed is replaced by each seed
+    # the first run, and that run's checks of the run options before the
+    # output directory; the target spec's seed is replaced by each seed
     seeds = _numbers(args.seeds, args.seeds, "--seeds <int>,<int>,...", 0, int)
     algos = args.algos.lower().split(",")
     for option, vals in (("--algos", algos), ("--seeds", seeds)):
         twice = [v for i, v in enumerate(vals) if v in vals[:i]]
         if twice:
             raise ValueError(f"{option} gives {twice[0]!r} twice")
-    configs = [_config(args, algo) for algo in algos]
-    parsed = [config.validate() for config in configs]
-    D = _dictionary(parsed[0])
-    targets = [make_target(D, replace(parsed[0][2], seed=s)) for s in seeds]
-    out_dir = _out_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tau, D, runs, targets = _specs(args, algos, seeds)
     reports = []
-    for config, specs in zip(configs, parsed):
+    for algorithm, errors in runs:
         for seed, target in zip(seeds, targets):
-            report = _greedy(config, specs, D, target)
+            report = run_greedy(algorithm, target.f, D, tau, errors=errors,
+                                max_m=args.iters, stop_tol=args.stop_tol,
+                                rule=args.rule, target=target)
             k = report.target_meta["k"]
-            stem = out_dir / f"{report.algorithm}_k{k}_s{seed}"
+            # _out_path creates --out-dir, so not before a run has returned
+            stem = _out_path(os.path.join(
+                args.out_dir, f"{report.algorithm}_k{k}_s{seed}"))
             emit_csv(report, stem.with_suffix(".csv"))
             stem.with_suffix(".json").write_text(report.to_json())
             reports.append(report)

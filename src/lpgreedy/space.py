@@ -201,8 +201,6 @@ def dict_dual_norm(F: np.ndarray, D: "Dictionary",
     ``F`` is an ``(n,)`` array; ``scores``, when given, is ``D.matrix @ F``,
     already computed by the caller for the selection of the same step."""
     check_functional(F, D.space.n)
-    if len(D) == 0:
-        raise ValueError("empty dictionary")
     if scores is None:
         scores = D.matrix @ F
     return float(np.max(np.abs(scores)))

@@ -6,11 +6,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Element,
-                      ErrorSchedule, RunReport, SequenceSpec, TargetSpec,
-                      WeaknessSchedule, audit_conditions, build_dictionary,
-                      error_reduction_margins, lp_space, make_target,
-                      run_greedy, verify_rates)
+from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, BOUND_IDS, Dictionary,
+                      Element, ErrorSchedule, RunReport, SequenceSpec,
+                      TargetSpec, WeaknessSchedule, audit_conditions,
+                      build_dictionary, error_reduction_margins, lp_space,
+                      make_target, run_greedy, verify_rates)
 from lpgreedy import algorithms
 from lpgreedy.algorithms import (_RULES, _chunk_steps, _grid_margins, _measure,
                                  _xgreedy_scan, run_id)
@@ -82,6 +82,42 @@ class TestRunDriver:
         s, D, t = hilbert_setup()
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_greedy("omp", t.f, D, T1)
+
+    @pytest.mark.parametrize("algo", ALGORITHM_IDS)
+    @pytest.mark.parametrize("option,problem", [
+        ({"rule": "bogus"}, "unknown selection rule 'bogus'"),
+        ({"max_m": 0}, "must be at least 1, got 0"),
+        ({"stop_tol": -1.0}, "stop_tol"),
+        ({"stop_tol": float("nan")}, "stop_tol"),
+        ({"stop_tol": float("inf")}, "stop_tol")])
+    def test_bad_run_option_raises_before_any_step(self, monkeypatch, algo,
+                                                   option, problem):
+        # rrxga reads no rule, and still rejects a bad one
+        s, D, t = hilbert_setup(n=8, N=24, k=3)
+
+        def no_state(**_):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(algorithms, "GreedyState", no_state)
+        with pytest.raises(ValueError, match=problem):
+            run_greedy(algo, t.f, D, T1, target=t, **option)
+
+    def test_target_must_be_the_run_element(self):
+        # the report's target_meta comes from target: a noisy f run under
+        # an a1 target's name would be audited as if f lay on the hull
+        s, D, t = hilbert_setup(n=8, N=24, k=3)
+        noisy = make_target(D, TargetSpec(mode="general_plus_noise", k=3,
+                                          eps=0.5, seed=2))
+        with pytest.raises(ValueError, match="target.f is not f"):
+            run_greedy("wcga", noisy.f, D, T1, target=t)
+        rep = run_greedy("wcga", noisy.f, D, T1, max_m=2, target=noisy)
+        assert not rep.target_meta["in_hull"] and rep.target_meta["eps"] == 0.5
+
+    def test_empty_dictionary_is_rejected_where_built(self):
+        # rrxga's norm scan, which no per-call emptiness check guarded, once
+        # failed in numpy's min on an empty dictionary: none can be built
+        with pytest.raises(ValueError, match="empty dictionary"):
+            Dictionary(space=lp_space(2.0, 3), matrix=np.zeros((0, 3)),
+                       kind_tag="empty", seed=0)
 
     def test_space_mismatch(self):
         s, D, t = hilbert_setup()

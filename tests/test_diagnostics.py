@@ -213,6 +213,15 @@ class TestVerifyRates:
         rc, = verify_rates(bad, ["cor52"])
         assert rc.applicable and not rc.passed and np.isnan(rc.worst_margin)
 
+    def test_nan_residual_in_a_later_record_has_nan_tightness(self, hull_run):
+        # the tightness beside a NaN margin is NaN too, not the finite rest
+        bad = dataclasses.replace(hull_run)
+        bad.records = [dataclasses.replace(r) for r in hull_run.records]
+        bad.records[3].residual_norm = float("nan")
+        rc, = verify_rates(bad, ["cor52"])
+        assert np.isnan(rc.max_tightness) and np.isnan(rc.tightness[3])
+        assert np.isfinite(rc.tightness[:3]).all()
+
     def test_noisy_run_skips_hull_bounds(self):
         s = lp_space(2.0, 8)
         D = build_dictionary(s, "random_gauss", 32, seed=12)

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from lpgreedy import RunReport, harness, selftest, solvers
-from lpgreedy.harness import (CSV_HEADER, ExperimentConfig, emit_csv, execute,
-                              main, parse_dict_spec, parse_errors, parse_space,
-                              parse_target_spec, parse_weakness, summarize)
+from lpgreedy import (RunReport, build_dictionary, harness, lp_space,
+                      make_target, run_greedy, selftest, solvers)
+from lpgreedy.algorithms import run_id
+from lpgreedy.harness import (CSV_HEADER, emit_csv, main, parse_dict_spec,
+                              parse_errors, parse_space, parse_target_spec,
+                              parse_weakness, summarize)
 from lpgreedy.perturbation import ZERO_ERRORS
 
 RUN_ARGS = ["run", "--algo", "wcga", "--space", "lp:p=2,n=8",
@@ -35,11 +37,15 @@ def sweep_args(tmp_path, *overrides):
     return args
 
 
-def small_config(**overrides):
-    base = dict(space="lp:p=2,n=8", dict_spec="dict:random_gauss,N=24,seed=7",
-                target="target:a1,k=3,seed=3", algorithm="wcga", max_m=10)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+def small_run(algorithm="wcga", target="a1,k=3,seed=3", errors=None,
+              max_m=10, **options):
+    """The run of RUN_ARGS, made by a library user: the named algorithm on
+    a target of that spec, ``errors`` the spec of its schedule."""
+    D = build_dictionary(lp_space(2.0, 8), "random_gauss", 24, seed=7)
+    t = make_target(D, parse_target_spec(target))
+    return run_greedy(run_id(algorithm)[0], t.f, D, parse_weakness("const:1.0"),
+                      errors=parse_errors(errors) if errors else None,
+                      max_m=max_m, target=t, **options)
 
 
 class TestSpecParsing:
@@ -86,17 +92,20 @@ class TestSpecParsing:
         assert errs.eps_mode == "list" and errs.eps_values == (0.5, 0.1)
 
     def test_report_records_the_default_solver(self):
-        solver = execute(small_config()).solver
+        solver = small_run().solver
         assert solver == {"tol": solvers.TOL, "grad_tol": solvers.GRAD_TOL,
                           "max_iters": solvers.MAX_ITERS}
         assert json.dumps(solver, sort_keys=True) == (
             '{"grad_tol": 1e-10, "max_iters": 500, "tol": 1e-08}')
 
     @pytest.mark.parametrize("config", [
-        small_config(),
-        small_config(algorithm="awcga", weakness="pow:1.0,0.25",
-                     errors="err:delta=const:0.1,eta=list:0.1,0.05,eps=derived")])
-    def test_execute_parses_each_spec_once(self, monkeypatch, config):
+        RUN_ARGS,
+        [a if a != "wcga" else "awcga" for a in RUN_ARGS]
+        + ["--weakness", "pow:1.0,0.25",
+           "--errors", "err:delta=const:0.1,eta=list:0.1,0.05,eps=derived"]])
+    def test_execute_parses_each_spec_once(self, monkeypatch, tmp_path,
+                                           config):
+        # a run command parses each of its specs once, in this order
         calls = []
         for name in ("parse_space", "parse_dict_spec", "parse_target_spec",
                      "parse_weakness", "parse_errors"):
@@ -104,38 +113,31 @@ class TestSpecParsing:
                 calls.append(_name)
                 return _parse(spec)
             monkeypatch.setattr(harness, name, counted)
-        execute(config)
+        assert main(config + ["--out", str(tmp_path / "r.csv")]) == 0
         want = ["parse_space", "parse_dict_spec", "parse_target_spec",
-                "parse_weakness"] + (["parse_errors"] if config.errors else [])
+                "parse_weakness"] + (["parse_errors"] if "--errors" in config
+                                     else [])
         assert calls == want
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            small_config(algorithm="omp").validate()
-        with pytest.raises(ValueError, match="apply to"):
-            small_config(errors="err:delta=const:0,eta=const:0,eps=derived"
-                         ).validate()
-        with pytest.raises(ValueError, match="rule"):
-            small_config(rule="random").validate()
-        with pytest.raises(ValueError, match="at least 1"):
-            small_config(max_m=0).validate()
-        with pytest.raises(ValueError, match="need an --errors schedule"):
-            small_config(algorithm="arwrga").validate()
-
-    def test_validate_returns_the_parsed_specs(self):
-        space, dict_spec, tspec, tau, errs = small_config(
-            algorithm="awcga", weakness="const:0.5",
-            errors="err:delta=const:0.1,eta=const:0").validate()
-        assert (space.p, space.n) == (2.0, 8)
-        assert dict_spec == ("random_gauss", 24, 7)
-        assert (tspec.mode, tspec.k, tspec.seed) == ("a1_sparse", 3, 3)
-        assert tau.t0 == 0.5 and errs.delta.c == 0.1
-        assert small_config().validate()[4] is None
+    def test_config_validation(self, tmp_path, capsys):
+        # the id and --errors pairing is the CLI's; rule and max_m are
+        # run_greedy's, checked in test_algorithms.py for every id
+        out = tmp_path / "r.csv"
+        errors = ["--errors", "err:delta=const:0,eta=const:0,eps=derived"]
+        for argv, problem in (
+                ([a if a != "wcga" else "omp" for a in RUN_ARGS],
+                 "unknown algorithm 'omp'"),
+                (RUN_ARGS + errors, "apply to"),
+                ([a if a != "wcga" else "arwrga" for a in RUN_ARGS],
+                 "need an --errors schedule")):
+            assert main(argv + ["--out", str(out)]) == 2
+            assert problem in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestEmitCsv:
     def test_header_and_rows(self, tmp_path):
-        rep = execute(small_config(max_m=2, stop_tol=0.0))
+        rep = small_run(max_m=2, stop_tol=0.0)
         out = tmp_path / "toy.csv"
         emit_csv(rep, out)
         lines = out.read_text().strip().split("\n")
@@ -144,7 +146,7 @@ class TestEmitCsv:
         assert all(len(line.split(",")) == 13 for line in lines)
 
     def test_exact_class_zero_error_columns(self, tmp_path):
-        rep = execute(small_config())
+        rep = small_run()
         out = tmp_path / "r.csv"
         emit_csv(rep, out)
         for line in out.read_text().strip().split("\n")[1:]:
@@ -153,12 +155,12 @@ class TestEmitCsv:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(execute(small_config()), a)
-        emit_csv(execute(small_config()), b)
+        emit_csv(small_run(), a)
+        emit_csv(small_run(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_residual_below_bound_column(self, tmp_path):
-        rep = execute(small_config(algorithm="rwrga", max_m=8))
+        rep = small_run(algorithm="rwrga", max_m=8)
         out = tmp_path / "r.csv"
         emit_csv(rep, out)
         for line in out.read_text().strip().split("\n")[1:]:
@@ -610,8 +612,9 @@ class TestCli:
 
 
 class TestSweep:
-    """``sweep`` checks each algorithm's specs once, builds the dictionary
-    once and each seed's target once, and only then creates ``--out-dir``."""
+    """``sweep`` parses each spec once, builds the dictionary once and each
+    seed's target once, and creates ``--out-dir`` only once the first run
+    has returned."""
 
     @pytest.mark.parametrize("option,spec,problem", [
         ("--dict", "nosuch,N=24,seed=1", "unknown dictionary kind 'nosuch'"),
@@ -658,7 +661,7 @@ class TestSweep:
         assert [c[1] for c in calls if c[0] == "make_target"] == [4, 2, 9]
         for name in ("parse_space", "parse_dict_spec", "parse_target_spec",
                      "parse_weakness", "parse_errors"):
-            assert calls.count(name) == 2
+            assert calls.count(name) == 1
 
     def test_writes_what_execute_writes_run_by_run(self, tmp_path, capsys):
         def zero_clocks(text):
@@ -674,9 +677,8 @@ class TestSweep:
         reports = []
         for algo in ("awcga", "arwrga"):
             for seed in (5, 3):
-                report = execute(small_config(
-                    algorithm=algo, target=f"a1,k=3,seed={seed}", max_m=6,
-                    errors=errors))
+                report = small_run(algo, f"a1,k=3,seed={seed}", errors,
+                                   max_m=6)
                 reports.append(report)
                 stem = tmp_path / "sweep" / f"{algo}_k3_s{seed}"
                 emit_csv(report, tmp_path / "one.csv")
@@ -740,8 +742,8 @@ class TestUntracedPaths:
                 in capsys.readouterr().out.splitlines())
 
     def test_summarize_noisy_targets_have_no_tightness(self):
-        reps = [execute(small_config(target=f"noisy,k=3,eps=0.1,seed={s}",
-                                     max_m=6)) for s in (1, 2)]
+        reps = [small_run(target=f"noisy,k=3,eps=0.1,seed={s}", max_m=6)
+                for s in (1, 2)]
         row = summarize(reps).splitlines()[1].split()
         assert row[:2] == ["wcga", "2"] and row[-2] == "-"
 
@@ -805,13 +807,13 @@ class TestParserReuse:
 
 class TestSummarize:
     def test_single_report(self):
-        rep = execute(small_config(algorithm="rwrga", max_m=12))
+        rep = small_run(algorithm="rwrga", max_m=12)
         table = summarize([rep])
         assert len(table.strip().split("\n")) == 2
         assert "rwrga" in table
 
     def test_one_row_per_algorithm(self):
-        reps = [execute(small_config(algorithm=a, max_m=6))
+        reps = [small_run(algorithm=a, max_m=6)
                 for a in ("wcga", "rwrga", "wgafr")]
         table = summarize(reps)
         assert len(table.strip().split("\n")) == 4

@@ -7,7 +7,6 @@ import inspect
 import pytest
 
 import lpgreedy
-from lpgreedy.harness import ExperimentConfig
 
 
 def test_every_exported_name_resolves():
@@ -54,9 +53,12 @@ def test_removed_parameter_is_gone(function, removed):
     assert removed not in inspect.signature(obj).parameters
 
 
-@pytest.mark.parametrize("name", ["serialize", "parse"])
-def test_experiment_config_has_no_text_form(name):
-    assert not hasattr(ExperimentConfig, name)
+def test_experiment_config_is_gone():
+    # run and sweep call run_greedy, which checks each run option itself
+    harness = importlib.import_module("lpgreedy.harness")
+    assert not hasattr(harness, "ExperimentConfig")
+    assert not hasattr(harness, "execute")
+    assert "ExperimentConfig" not in lpgreedy.__all__
 
 
 @pytest.mark.parametrize("driver", [lpgreedy.run_greedy, lpgreedy.run_awbga])
