@@ -48,7 +48,7 @@ import numpy as np
 from .dictionary import Dictionary, Target, greedy_select
 from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
                            relaxed_minimize)
-from .solvers import (_TINY, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
+from .solvers import (_QR_RCOND, _TINY, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
                       _psi_scaled, chebyshev_project, dense_line_min,
                       min_along_ray)
 from .space import (_NORMAL_MIN, Element, LpSpace, _max, _min, dict_dual_norm,
@@ -122,6 +122,10 @@ class GreedyState:
     f_m: np.ndarray
     G_m: np.ndarray
     basis: np.ndarray  # (m, n), the selected atoms as rows (wcga only)
+    # (Q, P) of basis.T from its thin QR, as ``solvers._factor`` gives it,
+    # grown one atom per step (wcga only); None once the basis needs the
+    # SVD route, which chebyshev_project then takes afresh each step
+    factor: Optional[tuple]
 
     def update(self, G: np.ndarray) -> None:
         self.G_m = G
@@ -433,13 +437,36 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     return np.array([1.0 - a, b]), value
 
 
+def _grown_factor(factor: tuple, phi: np.ndarray) -> Optional[tuple]:
+    """The thin-QR ``factor`` (Q, P) of a basis with the atom phi appended:
+    two passes of classical Gram-Schmidt give u = phi - Q h, and Q gains
+    u / rho, rho = ||u||, and P the column [-P h; 1] / rho.  None where the
+    basis needs ``_factor``'s SVD route: more atoms than coordinates, or
+    rho <= ``_QR_RCOND`` max|diag R|, where diag R = 1 / diag P."""
+    Q, P = factor
+    n, k = Q.shape
+    h, u = np.zeros(k), phi
+    for _ in range(2):
+        c = Q.T @ u
+        u, h = u - Q @ c, h + c
+    rho = float(np.linalg.norm(u))
+    if k == n or k and rho <= _QR_RCOND / np.min(np.abs(np.diagonal(P))):
+        return None
+    grown = np.zeros((k + 1, k + 1))
+    grown[:k, :k] = P
+    grown[:, k] = np.append(-(P @ h), 1.0) / rho
+    return np.column_stack((Q, u / rho)), grown
+
+
 def _wcga(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
           seed: int) -> dict:
     """Append the atom and project f onto the span of all selected atoms."""
     space, f = st.space, st.f
     st.basis = np.vstack((st.basis, phi))
     Phi = st.basis.T
-    proj = chebyshev_project(space, f, st.basis)
+    if st.factor is not None:
+        st.factor = _grown_factor(st.factor, phi)
+    proj = chebyshev_project(space, f, st.basis, factor=st.factor)
     c, _ = relaxed_minimize(
         space.p, lambda c: f - Phi @ c, eta,
         (proj.coeffs, pnorm(space.p, proj.residual)),
@@ -578,7 +605,8 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
                         "convergence is only guaranteed on the hull")
 
     st = GreedyState(space=space, f=f.coords.copy(), f_m=f.coords.copy(),
-                     G_m=np.zeros(space.n), basis=np.empty((0, space.n)))
+                     G_m=np.zeros(space.n), basis=np.empty((0, space.n)),
+                     factor=(np.empty((space.n, 0)), np.empty((0, 0))))
     records: list = []
     termination = "max_m"
     r = r0 = pnorm(p, st.f_m)

@@ -179,8 +179,8 @@ def run_all() -> list:
     proj = chebyshev_project(spn, f, basis)
     A = basis.T
     # solved as the normal equations, not by least squares: the projection
-    # starts from a least-squares solve (Householder QR), so at p = 2 a
-    # least-squares reference would share its route
+    # starts from a least-squares solve (through the thin QR of the basis),
+    # so at p = 2 a least-squares reference would share its route
     coef = np.linalg.solve(A.T @ A, A.T @ f)
     r_ref = float(np.linalg.norm(f - A @ coef))
     r_got = pnorm(2.0, proj.residual)

@@ -13,10 +13,10 @@ basis is an ``(m, n)`` array with one atom per row, and the target and the
 residual are plain ``(n,)`` arrays.  It takes Newton directions from
 reweighted least squares, steps along each by the exact ray minimiser, and
 its stopping rule is the biorthogonality of the residual against every
-atom of the basis.  Its least-squares start and directions are
-solved by Householder QR; a basis wider than the space, or one whose R
-factor has a tiny diagonal (a repeated atom), falls back to SVD-based
-``np.linalg.lstsq``.
+atom of the basis.  Its least-squares solves go through one factor of the
+basis, an orthonormal Q and a P with Phi P = Q (thin QR, or thin SVD for a
+wide or rank-deficient basis), so each direction is an m x m solve (lstsq
+in Q where that is singular).  The WCGA grows its factor by one atom a step.
 
 The measured error-reduction reference takes an independent route that
 shares no code with the ray minimiser: ``dense_line_min`` scans a grid of
@@ -66,9 +66,11 @@ _TINY = 1e-300
 _RAY_ITERS = 100
 # Points of each grid scan of ``dense_line_min``.
 N_GRID = 33
-# Smallest |diag R| / max |diag R| at which the projection's least-squares
-# solves use the QR factor.  Below it the basis is numerically rank
-# deficient (a repeated atom), and lstsq's minimum-norm answer is kept.
+# Smallest |diag R| / max |diag R| at which the projection's factor of its
+# basis is the thin QR.  Below it the basis is numerically rank deficient
+# (a repeated atom), and the factor is the thin SVD without the singular
+# values below this share of the largest, whose least-squares answers are
+# the minimum-norm ones of lstsq.
 _QR_RCOND = 1e-10
 # Default argument tolerance of dense_line_min's nested grids and of
 # line_search, relative to max(1, hi - lo); minimize_2d stops on a cycle
@@ -405,42 +407,61 @@ def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     return sign * (0.5 * (lo + hi))
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin_x ||A x - b||_2 by Householder QR: R x = Q^T b.
-
-    One factorisation of [A | b] gives R and, in its last column, Q^T b, so
-    Q is never formed.  A basis wider than the space, or an R with a tiny
-    diagonal, goes to the SVD-based np.linalg.lstsq and its minimum-norm
-    answer.
-    """
-    m = A.shape[1]
-    if m <= A.shape[0]:
-        Rb = np.linalg.qr(np.column_stack((A, b)), mode="r")
-        d = np.abs(np.diagonal(Rb)[:m])
+def _factor(Phi: np.ndarray) -> tuple:
+    """(Q, P) with Q an orthonormal basis of the range of Phi and Phi P = Q:
+    the thin QR, P = R^-1, or, for a basis wider than the space or with a
+    repeated atom, the thin SVD without the singular values below
+    ``_QR_RCOND`` of the largest, P = V_k / s_k (lstsq's minimum norm)."""
+    if Phi.shape[1] <= Phi.shape[0]:
+        Q, R = np.linalg.qr(Phi)
+        d = np.abs(np.diagonal(R))
         if d.min() > _QR_RCOND * d.max():
-            return np.linalg.solve(Rb[:m, :m], Rb[:m, m])
-    return np.linalg.lstsq(A, b, rcond=None)[0]
+            return Q, np.linalg.inv(R)
+    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
+    k = s > _QR_RCOND * s[0]
+    return U[:, k], Vt[k].T / s[k]
+
+
+def _direction(p: float, r: np.ndarray, Q: np.ndarray,
+               P: np.ndarray) -> np.ndarray:
+    """Minimum-norm argmin_d ||sqrt(w) (Phi d - r)||_2 for the weights
+    w = (|r| / max|r|)^(p-2): P y with (Q^T W Q) y = Q^T W r, or lstsq in Q
+    where that Gram matrix is singular.  A Q spanning the space fits r."""
+    if Q.shape[1] == len(r):
+        return P @ (Q.T @ r)
+    a = np.abs(r) / float(np.max(np.abs(r)))
+    if p < 2.0:
+        a = np.maximum(a, _WEIGHT_FLOOR)
+    w = a ** (p - 2.0)
+    try:
+        y = np.linalg.solve((Q.T * w) @ Q, Q.T @ (w * r))
+    except np.linalg.LinAlgError:
+        sw = a ** ((p - 2.0) / 2.0)
+        y = np.linalg.lstsq(sw[:, None] * Q, sw * r, rcond=None)[0]
+    return P @ y
 
 
 def chebyshev_project(space: LpSpace, f: np.ndarray, basis: np.ndarray,
-                      max_iters: int = MAX_ITERS) -> ProjectionResult:
+                      max_iters: int = MAX_ITERS,
+                      factor: tuple | None = None) -> ProjectionResult:
     """Best approximation of f from the span of the basis rows, lp norm.
 
     ``f`` is an ``(n,)`` array and ``basis`` an ``(m, n)`` array of atoms as
-    rows, the layout of ``Dictionary.matrix``; the solves use basis.T.
+    rows, the layout of ``Dictionary.matrix``; the solves use Phi = basis.T.
 
     Newton descent on sum |r_i|^p from the least-squares coefficients (the
     answer at p = 2).  Each direction is the reweighted least-squares fit of
     the residual with weights |r|^(p-2), which is the Newton direction up to
     scale, and the step along it is the exact ray minimiser.  Both kinds of
-    least-squares problem are solved by Householder QR (``_lstsq``), or by
-    np.linalg.lstsq's minimum-norm answer when the basis has more atoms
-    than coordinates or is numerically rank deficient.  The gradient
-    of ||f - sum lam_k phi_k|| in lam_k is -F_residual(phi_k), so the
-    stopping rule max_k |F_r(phi_k)| <= GRAD_TOL is precisely
-    residual-approximant biorthogonality.  A zero residual (exact
-    representation) stops immediately, since the norm is not differentiable
-    there.
+    least-squares problem go through one factor (Q, P) of the basis
+    (``_factor``, with its SVD route, and ``_direction``, with its lstsq
+    fallback): the start is P Q^T f and each direction a k x k solve.
+    ``factor``, a (Q, P) of ``basis`` as ``_factor`` gives it, saves the
+    factorisation.  The gradient of ||f - sum lam_k phi_k|| in lam_k is
+    -F_residual(phi_k), so the stopping rule max_k |F_r(phi_k)| <= GRAD_TOL
+    is precisely residual-approximant biorthogonality.  A zero residual,
+    ||r|| <= 1e-12 ||f|| (exact representation), stops immediately, since
+    the norm is not differentiable there.
     """
     f = np.asarray(f, dtype=float)
     # C order makes Phi the same F-ordered view whatever layout the caller
@@ -454,24 +475,22 @@ def chebyshev_project(space: LpSpace, f: np.ndarray, basis: np.ndarray,
         raise ValueError("f and basis must be finite")
     p = space.p
     Phi = basis.T  # (n, m)
-    lam = _lstsq(Phi, f)
+    Q, P = _factor(Phi) if factor is None else factor
+    lam = P @ (Q.T @ f)
     r = f - Phi @ lam
+    zero = 1e-12 * pnorm(p, f)
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
         rn = pnorm(p, r)
-        if rn <= 1e-12:
+        if rn <= zero:
             converged = True
             break
         g = functional_coords(p, r, rn) @ Phi
         if float(np.max(np.abs(g))) <= GRAD_TOL:
             converged = True
             break
-        a = np.abs(r) / float(np.max(np.abs(r)))
-        if p < 2.0:
-            a = np.maximum(a, _WEIGHT_FLOOR)
-        sw = a ** ((p - 2.0) / 2.0)
-        d = _lstsq(sw[:, None] * Phi, sw * r)
+        d = _direction(p, r, Q, P)
         v = Phi @ d
         alpha = min_along_ray(p, r, v)
         if alpha == 0.0:

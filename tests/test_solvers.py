@@ -8,8 +8,8 @@ from lpgreedy import (Element, TargetSpec, WeaknessSchedule,
                       audit_conditions, bracket_minimum, build_dictionary,
                       chebyshev_project, line_search, lp_space, make_target,
                       minimize_2d, norming_functional, run_greedy)
-from lpgreedy import solvers
-from lpgreedy.solvers import (_WEIGHT_FLOOR, _lstsq, _psi_scaled,
+from lpgreedy import algorithms, solvers
+from lpgreedy.solvers import (_WEIGHT_FLOOR, _direction, _factor, _psi_scaled,
                               dense_line_min, min_along_ray)
 from lpgreedy.space import pnorm, pnorm_rows
 
@@ -403,6 +403,22 @@ class TestChebyshevProject:
         res = chebyshev_project(s, f, basis)
         assert pnorm(2.0, res.residual) <= 1e-12
 
+    def test_zero_residual_stop_is_relative_to_f(self):
+        # at 1e-13 f the residual is below 1e-12 absolute from the start;
+        # an absolute stop returned the least-squares start, max|F_r| 0.91
+        s = lp_space(3.0, 32)
+        rng = np.random.default_rng(0)
+        basis = rng.standard_normal((8, 32))
+        f = rng.standard_normal(32)
+        res = chebyshev_project(s, f, basis)
+        tiny = chebyshev_project(s, 1e-13 * f, basis)
+        assert res.converged and tiny.converged
+        assert tiny.iterations == res.iterations
+        assert np.allclose(tiny.residual, 1e-13 * res.residual,
+                           rtol=1e-9, atol=0.0)
+        F = norming_functional(s, Element(coords=tiny.residual, space=s))
+        assert float(np.max(np.abs(F @ basis.T))) <= solvers.GRAD_TOL
+
     def test_empty_basis_rejected(self):
         s = lp_space(2.0, 2)
         f = np.array([1.0, 0.0])
@@ -501,7 +517,8 @@ class TestChebyshevProject:
 
 
 class TestProjectionLstsq:
-    """The projection's QR least-squares helper and its lstsq fallback."""
+    """The projection's factor of its basis (``_factor``, its SVD route and
+    the grown factor of wcga) and the least-squares solves through it."""
 
     @staticmethod
     def _count_lstsq(monkeypatch):
@@ -515,32 +532,48 @@ class TestProjectionLstsq:
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         return calls
 
+    @staticmethod
+    def _assert_factor(Phi, Q, P, tol):
+        k = Q.shape[1]
+        assert np.max(np.abs(Q.T @ Q - np.eye(k))) <= tol
+        assert np.max(np.abs(Phi @ P - Q)) <= tol
+
+    @pytest.mark.parametrize("m", [1, 8, 32, 64])
+    def test_factor_is_orthonormal(self, m):
+        Phi = np.random.default_rng(m).standard_normal((64, m))
+        Q, P = _factor(Phi)
+        assert Q.shape == (64, m) and P.shape == (m, m)
+        self._assert_factor(Phi, Q, P, 1e-12)
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_repeated_atom_falls_back_to_lstsq(self, p, monkeypatch):
+    def test_repeated_atom_takes_the_svd_route(self, p):
         rng = np.random.default_rng(5)
         s = lp_space(p, 12)
         A = rng.standard_normal((12, 4))
         basis = A.T[[0, 1, 2, 1, 3]]
         f = rng.standard_normal(12)
-        calls = self._count_lstsq(monkeypatch)
+        Q, P = _factor(basis.T)
+        assert Q.shape == (12, 4)  # the duplicated atom adds no column
+        ref = np.linalg.lstsq(basis.T, f, rcond=None)[0]
+        assert np.linalg.norm(P @ (Q.T @ f) - ref) <= 1e-12 * np.linalg.norm(ref)
         res = chebyshev_project(s, f, basis)
-        assert calls  # the duplicated column leaves R with a tiny diagonal
-        monkeypatch.setattr(solvers, "_lstsq",
-                            lambda A, b: np.linalg.lstsq(A, b, rcond=None)[0])
-        ref = chebyshev_project(s, f, basis)
-        assert res.converged and ref.converged
+        # the same span without the duplicate: a full-rank QR factor
+        distinct = chebyshev_project(s, f, A.T)
+        assert res.converged and distinct.converged
         assert pnorm(p, res.residual) == pytest.approx(
-            pnorm(p, ref.residual), rel=1e-12)
+            pnorm(p, distinct.residual), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_wide_basis(self, p, monkeypatch):
+    def test_wide_basis(self, p):
         rng = np.random.default_rng(6)
         s = lp_space(p, 5)
         basis = np.array([rng.standard_normal(5) for _ in range(8)])
         f = rng.standard_normal(5)
-        calls = self._count_lstsq(monkeypatch)
+        Q, P = _factor(basis.T)
+        assert Q.shape == (5, 5) and P.shape == (8, 5)
+        ref = np.linalg.lstsq(basis.T, f, rcond=None)[0]
+        assert np.linalg.norm(P @ (Q.T @ f) - ref) <= 1e-12 * np.linalg.norm(ref)
         res = chebyshev_project(s, f, basis)
-        assert calls == [(5, 8)]
         assert res.converged
         assert pnorm(p, res.residual) <= 1e-12
 
@@ -556,12 +589,50 @@ class TestProjectionLstsq:
                 a = np.maximum(a, _WEIGHT_FLOOR)
             sw = a ** ((p - 2.0) / 2.0)
             A, b = sw[:, None] * Phi, sw * r
-            x = _lstsq(A, b)
+            Q, P = _factor(Phi)
+            x = _direction(p, r, Q, P)
             ref = np.linalg.lstsq(A, b, rcond=None)[0]
             # the coefficients are fixed only to about cond(A) * eps, which
             # exceeds 1e-12 on some square systems (m = 64)
             tol = max(1e-12, 1e-13 * np.linalg.cond(A))
             assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+    def test_grown_factor_matches_a_fresh_one(self):
+        # coherent atoms (condition 1.4e4): one Gram-Schmidt pass leaves
+        # Q^T Q off the identity by 2e-11, two passes by 7e-16
+        rng = np.random.default_rng(7)
+        Phi = 1.0 + 0.1 * rng.standard_normal((64, 64))
+        Phi /= np.linalg.norm(Phi, axis=0)
+        f = rng.standard_normal(64)
+        factor = (np.empty((64, 0)), np.empty((0, 0)))
+        for m in range(1, 65):
+            factor = algorithms._grown_factor(factor, Phi[:, m - 1])
+            Q, P = factor
+            assert np.max(np.abs(Q.T @ Q - np.eye(m))) <= 1e-13
+            assert np.max(np.abs(Phi[:, :m] @ P - Q)) <= 1e-12
+            # the least-squares coefficients of a fresh factor, to their
+            # conditioning
+            Qf, Pf = _factor(Phi[:, :m])
+            lam, ref = P @ (Q.T @ f), Pf @ (Qf.T @ f)
+            tol = 1e-13 * np.linalg.cond(Phi[:, :m])
+            assert np.linalg.norm(lam - ref) <= tol * np.linalg.norm(ref)
+        # a full space, or a dependent atom, leaves the grown route
+        assert algorithms._grown_factor(factor, rng.standard_normal(64)) is None
+        factor = (np.empty((64, 0)), np.empty((0, 0)))
+        for phi in (Phi[:, 0], Phi[:, 1]):
+            factor = algorithms._grown_factor(factor, phi)
+        assert algorithms._grown_factor(factor, Phi[:, 1]) is None
+
+    def test_singular_weighted_gram_takes_lstsq(self, monkeypatch):
+        # at p = 64 the weights a^62 of all coordinates but a few underflow
+        # to 0, so the Gram matrix Q^T W Q of a wide basis is singular
+        calls = self._count_lstsq(monkeypatch)
+        s = lp_space(64.0, 16)
+        D = build_dictionary(s, "random_gauss", 64, seed=1)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=2))
+        rep = run_greedy("wcga", t.f, D, WeaknessSchedule(t0=1.0), max_m=16)
+        assert calls
+        assert not rep.warnings
 
     # selected indices of wcga, t = 0.5, threshold_first, on lp^64,
     # random_gauss N=256 seed 61, a1 k=16 seed 62, up to the full span;
