@@ -322,7 +322,9 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
     and each push that fails to cross the root doubles the next one.  A
     rejected push never stops the solve on the rounding bound.  Where the
     plain psi' is not a normal float, psi and psi' come from
-    ``_psi_scaled``.
+    ``_psi_scaled``.  Where v . v is not a normal float either (a tiny or
+    huge v), the solve runs on r0 / max|v| and v / max|v|, which has the
+    same minimiser.
     """
     if p > _PLAIN_P:  # an overflowing plain sum falls back to _psi_scaled
         with np.errstate(over="ignore", invalid="ignore"):
@@ -333,8 +335,12 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
 def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
                    nonneg: bool) -> float:
     vv = float(np.dot(v, v))
-    if vv == 0.0:
-        return 0.0
+    if not _NORMAL_MIN <= vv < math.inf:
+        if not v.any():
+            return 0.0
+        s = float(np.max(np.abs(v)))
+        r0, v = r0 / s, v / s
+        vv = float(np.dot(v, v))
     if p == 2.0:
         a = float(np.dot(r0, v)) / vv
         return max(0.0, a) if nonneg else a

@@ -1,9 +1,9 @@
 """Finite-dimensional lp geometry.
 
 Everything the greedy machinery needs from the ambient space lives here:
-norms, norming (peak) functionals, the dictionary-dual norm, power-type
-smoothness bounds, a Monte-Carlo estimate of the modulus of smoothness, and
-the root solver for the scale equation rho(u) = theta * t * u.
+norms, norming (peak) functionals, the dictionary-dual norm, and the
+constants (q, gamma) of the power-type bound rho(u) <= gamma * u^q on the
+modulus of smoothness, which every rate and stability bound uses.
 
 Only p in (1, inf) is supported: those are the uniformly smooth cases where
 the norming functional is unique and has the explicit coordinatewise form
@@ -50,8 +50,9 @@ class LpSpace:
 def lp_space(p: float, n: int) -> LpSpace:
     """Build an LpSpace, deriving (q, gamma, p_conj) from the exponent.
 
-    gamma = 1/p for p in (1, 2] and (p-1)/2 for p >= 2; both choices are
-    validated empirically by ``empirical_modulus`` rather than trusted.
+    gamma = 1/p for p in (1, 2] and (p-1)/2 for p >= 2.  The selftest's
+    sampled modulus (``lpgreedy.selftest.empirical_modulus``) is the oracle
+    that checks both choices bound the true modulus.
     """
     if not (1.0 < p < math.inf) or not math.isfinite(p):
         raise ValueError(f"space not uniformly smooth: p={p} must lie in (1, inf)")
@@ -204,91 +205,3 @@ def dict_dual_norm(F: np.ndarray, D: "Dictionary",
     if scores is None:
         scores = D.matrix @ F
     return float(np.max(np.abs(scores)))
-
-
-def smoothness_bound(space: LpSpace, u: float) -> float:
-    """Power-type upper bound gamma * u^q for the modulus of smoothness."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    return space.gamma * u ** space.q
-
-
-def _modulus_sample(space: LpSpace, n_samples: int, seed: int):
-    """Unit-norm pair sample (X, Y) used to lower-estimate the modulus.
-
-    Random pairs are augmented with deterministic near-extremal candidates:
-    y = x (which witnesses rho(u) >= u - 1) and axis pairs (extremal in the
-    Hilbert case).  Uniform random sampling alone only lower-bounds the sup,
-    and can miss rho(2) >= 1, which the root solver's bracket relies on.
-    """
-    rng = np.random.default_rng(seed)
-    n = space.n
-    xs = rng.standard_normal((n_samples, n))
-    ys = rng.standard_normal((n_samples, n))
-    eye, ones = np.eye(n), np.ones(n)
-    # (e1, e1) is the pair y = x, (e1, e2) the axis pair
-    X = np.vstack([xs, eye[0], eye[0], ones] if n >= 2 else [xs, eye[0], ones])
-    Y = np.vstack([ys, eye[0], eye[1], ones] if n >= 2 else [ys, eye[0], ones])
-    X = X / pnorm_rows(space.p, X)[:, None]
-    Y = Y / pnorm_rows(space.p, Y)[:, None]
-    return X, Y
-
-
-def empirical_modulus(space: LpSpace, u: float, n_samples: int = 512,
-                      seed: int = 0) -> float:
-    """Sampled lower estimate of rho(u) = sup (||x+uy|| + ||x-uy||)/2 - 1.
-
-    Deterministic given the seed.  Never exceeds the proven power-type bound
-    (it is a sampled sup), which is exactly what the build-time validation
-    of the (q, gamma) constants checks.
-    """
-    if u <= 0:
-        raise ValueError("u must be positive")
-    X, Y = _modulus_sample(space, n_samples, seed)
-    vals = (pnorm_rows(space.p, X + u * Y) + pnorm_rows(space.p, X - u * Y)) / 2.0 - 1.0
-    return float(max(np.max(vals), 0.0))
-
-
-def xi_root(space: LpSpace, rho_mode: str, t: float, theta: float,
-            n_samples: int = 512, seed: int = 0) -> float:
-    """Root u* in (0, 2] of rho(u) = theta * t * u.
-
-    ``rho_mode`` selects the modulus: "power_bound" uses gamma * u^q,
-    "empirical" uses the sampled estimate on a fixed pair sample (a max of
-    convex functions vanishing at 0, so rho(u)/u is increasing and bisection
-    is sound).  Existence of the root in (0, 2] follows from rho(2) >= 1 and
-    theta * t <= 1/2.
-    """
-    if not (0.0 < t <= 1.0):
-        raise ValueError("t must lie in (0, 1]")
-    if not (0.0 < theta <= 0.5):
-        raise ValueError("theta must lie in (0, 1/2]")
-    target = theta * t
-
-    if rho_mode == "power_bound":
-        def s(u: float) -> float:
-            return space.gamma * u ** (space.q - 1.0)
-    elif rho_mode == "empirical":
-        X, Y = _modulus_sample(space, n_samples, seed)
-
-        def s(u: float) -> float:
-            vals = (pnorm_rows(space.p, X + u * Y)
-                    + pnorm_rows(space.p, X - u * Y)) / 2.0 - 1.0
-            return float(max(np.max(vals), 0.0)) / u
-    else:
-        raise ValueError(f"unknown rho_mode {rho_mode!r}")
-
-    lo, hi = 1e-12, 2.0
-    if s(lo) >= target:
-        return lo
-    if s(hi) < target:  # cannot happen with the structured sample candidates
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if s(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    return 0.5 * (lo + hi)

@@ -20,14 +20,18 @@ def test_no_exported_name_appears_twice():
 
 
 @pytest.mark.parametrize("name,module", [
-    ("DualFunctional", "space"), ("apply_functional", "space"),
-    ("PerturbedFunctional", "perturbation")])
-def test_functional_wrappers_are_gone(name, module):
     # a functional is a plain (n,) array; F(g) is F @ g
+    ("DualFunctional", "space"), ("apply_functional", "space"),
+    ("PerturbedFunctional", "perturbation"),
+    # no run, audit or bound reads the scale-equation root; every bound
+    # writes gamma u^q, and the sampled modulus is an oracle of
+    # lpgreedy.selftest
+    ("xi_root", "space"), ("smoothness_bound", "space"),
+    ("empirical_modulus", "space"), ("_modulus_sample", "space")])
+def test_removed_name_is_gone(name, module):
     assert name not in lpgreedy.__all__
     assert not hasattr(lpgreedy, name)
     assert not hasattr(importlib.import_module("lpgreedy." + module), name)
-
 
 
 def test_solver_config_is_gone():

@@ -346,6 +346,18 @@ class TestMinAlongRay:
             assert min_along_ray(p, r0, -v) == -min_along_ray(p, r0, v)
         assert signs == {False, True}
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 800.0])
+    def test_tiny_ray_matches_scale_one(self, p):
+        # c v . v underflows to a subnormal or zero at these scales, which
+        # returned 0; the minimiser does not depend on a common scale
+        rng = np.random.default_rng(4)
+        r0, v = rng.standard_normal(16), rng.standard_normal(16)
+        ref = min_along_ray(p, r0, v)
+        for e in (-540, -600, -1000):
+            c = 2.0 ** e
+            assert abs(min_along_ray(p, c * r0, c * v) - ref) <= 1e-14 * abs(ref)
+        assert min_along_ray(p, r0, np.zeros(16)) == 0.0
+
     @pytest.mark.parametrize("top", [0.05, 0.39, 3.0])
     def test_p_800_matches_dense_grid(self, top):
         # with max|r| = 0.39 every plain |r|^799 is below 1e-326 and psi
@@ -418,6 +430,22 @@ class TestChebyshevProject:
                            rtol=1e-9, atol=0.0)
         F = norming_functional(s, Element(coords=tiny.residual, space=s))
         assert float(np.max(np.abs(F @ basis.T))) <= solvers.GRAD_TOL
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_tiny_target_converges_as_at_scale_one(self, p):
+        # the Newton directions of a 1e-200 f have v . v below the smallest
+        # normal float; their ray solves returned 0 and the projection
+        # stopped after one iteration, unconverged
+        s = lp_space(p, 32)
+        rng = np.random.default_rng(0)
+        basis = rng.standard_normal((8, 32))
+        f = rng.standard_normal(32)
+        res = chebyshev_project(s, f, basis)
+        for c in (1e-200, 2.0 ** -600):
+            tiny = chebyshev_project(s, c * f, basis)
+            assert tiny.converged and tiny.iterations == res.iterations
+            assert (np.max(np.abs(tiny.coeffs / c - res.coeffs))
+                    <= 1e-14 * np.max(np.abs(res.coeffs)))
 
     def test_empty_basis_rejected(self):
         s = lp_space(2.0, 2)

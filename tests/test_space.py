@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lpgreedy import (Element, dict_dual_norm, empirical_modulus, lp_space,
-                      norm, norming_functional, smoothness_bound, xi_root)
+from lpgreedy import (Element, dict_dual_norm, lp_space, norm,
+                      norming_functional)
 from lpgreedy.dictionary import Dictionary, build_dictionary
 from lpgreedy import space as space_module
+from lpgreedy.selftest import empirical_modulus
 from lpgreedy.space import dual_norm, in_dual_ball, pnorm, pnorm_rows
 
 
@@ -283,14 +284,6 @@ class TestDualBall:
 
 
 class TestSmoothness:
-    def test_bound_values(self):
-        s2 = lp_space(2.0, 2)  # q=2, gamma=1/2
-        assert smoothness_bound(s2, 1.0) == pytest.approx(0.5)
-        assert smoothness_bound(s2, 0.0) == 0.0
-        s15 = lp_space(1.5, 2)  # q=1.5, gamma=2/3
-        assert smoothness_bound(s15, 2.0) == pytest.approx(
-            (2 / 3) * 2 ** 1.5, abs=1e-6)
-
     def test_hilbert_estimate_below_closed_form(self):
         s = lp_space(2.0, 8)
         est = empirical_modulus(s, 1.0, n_samples=400, seed=1)
@@ -302,55 +295,17 @@ class TestSmoothness:
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 1e-3
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 32.0,
+                                   800.0])
     def test_estimate_below_power_bound_on_grid(self, p):
+        # the sampled modulus is the oracle for lp_space's (q, gamma)
         s = lp_space(p, 8)
         for u in np.linspace(0.05, 2.0, 40):
             assert empirical_modulus(s, float(u), 200, 7) <= \
-                smoothness_bound(s, float(u)) + 1e-9
+                s.gamma * float(u) ** s.q + 1e-9
 
     def test_deterministic_given_seed(self):
         s = lp_space(3.0, 8)
         a = empirical_modulus(s, 0.7, 300, 42)
         b = empirical_modulus(s, 0.7, 300, 42)
         assert a == b
-
-
-class TestXiRoot:
-    def test_closed_form_example(self):
-        s = lp_space(2.0, 4)  # gamma = 1/2, q = 2
-        assert xi_root(s, "power_bound", t=1.0, theta=0.25) == pytest.approx(
-            0.5, abs=1e-10)
-
-    def test_matches_closed_form_random(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            p = float(rng.uniform(1.2, 4.0))
-            s = lp_space(p, 4)
-            t = float(rng.uniform(0.05, 1.0))
-            theta = float(rng.uniform(0.01, 0.5))
-            want = (theta * t / s.gamma) ** (1.0 / (s.q - 1.0))
-            assert xi_root(s, "power_bound", t, theta) == pytest.approx(
-                want, abs=1e-10)
-
-    def test_monotone_in_theta_t(self):
-        s = lp_space(3.0, 4)
-        roots = [xi_root(s, "power_bound", t, 0.5) for t in (1.0, 0.1, 0.01, 0.001)]
-        assert all(a > b for a, b in zip(roots, roots[1:]))
-        assert roots[-1] < 0.01
-
-    def test_empirical_root_satisfies_equation(self):
-        s = lp_space(3.0, 6)
-        theta, t = 0.3, 0.8
-        u = xi_root(s, "empirical", t, theta, n_samples=256, seed=5)
-        rho = empirical_modulus(s, u, 256, 5)
-        assert abs(rho - theta * t * u) <= 1e-10 * max(1.0, theta * t)
-
-    def test_parameter_validation(self):
-        s = lp_space(2.0, 4)
-        with pytest.raises(ValueError):
-            xi_root(s, "power_bound", t=0.0, theta=0.25)
-        with pytest.raises(ValueError):
-            xi_root(s, "power_bound", t=1.0, theta=0.75)
-        with pytest.raises(ValueError):
-            xi_root(s, "unknown", t=1.0, theta=0.25)
