@@ -9,7 +9,13 @@ constants.
 
 Bound ids accepted by ``rate_bound``: cor21, thm52, cor52, thm72, cor72,
 prop72, thm91.  All bound evaluations use the proven power-type modulus
-gamma * u^q, never the sampled estimate.
+gamma * u^q, never the sampled estimate.  ``_bound_form`` tables each bound
+as coefficient * (shift + x)^(-1/p'), x being m or the t_k^p' partial sum,
+over a floor of 2 eps, 4 eps or none; ``bound_curve`` and ``verify_rates``
+apply it to a report's columns, each read once, with the constants evaluated
+once per report, and ``rate_bound`` is its one-point form.  Per-record
+powers stay Python-float ``**``: numpy's array power differs in the last
+bit on some inputs, and no margin, tightness or CSV bound may move.
 """
 
 from __future__ import annotations
@@ -110,10 +116,10 @@ def audit_conditions(report: RunReport) -> AuditReport:
     recs = report.records
     checks = []
 
-    def add(name: str, margins: list, tol: float):
-        if name not in applicable:
-            reason = _SKIP_REASONS.get((algorithm, name),
-                                       "not promised by this algorithm")
+    def add(name: str, margins: list, tol: float, skip: str = ""):
+        if skip or name not in applicable:
+            reason = skip or _SKIP_REASONS.get((algorithm, name),
+                                               "not promised by this algorithm")
             checks.append(CheckResult(name=name, applicable=False, passed=True,
                                       worst_margin=float("nan"), reason=reason))
             return
@@ -129,18 +135,11 @@ def audit_conditions(report: RunReport) -> AuditReport:
     add("biorthogonality", [r.eps_m - r.bo_abs for r in recs], tol_bo)
 
     prev = [report.initial_residual] + [r.residual_norm for r in recs[:-1]]
-    mono = "monotone" in applicable
-    if algorithm == "wrga" and not report.target_meta.get("in_hull"):
-        mono = False
-    if mono:
-        add("monotone",
-            [(1.0 + r.eta_m) * pr - r.residual_norm for r, pr in zip(recs, prev)],
-            tol_er)
-    else:
-        checks.append(CheckResult(
-            name="monotone", applicable=False, passed=True,
-            worst_margin=float("nan"),
-            reason="monotonicity not promised for this run"))
+    mono = "monotone" in applicable and (algorithm != "wrga"
+                                         or report.target_meta.get("in_hull"))
+    add("monotone",
+        [(1.0 + r.eta_m) * pr - r.residual_norm for r, pr in zip(recs, prev)],
+        tol_er, "" if mono else "monotonicity not promised for this run")
 
     add("neg_line", [r.neg_line_margin for r in recs], _NEG_LINE_TOL)
     add("bj", [r.bj_margin for r in recs], tol_er)
@@ -240,36 +239,41 @@ class BoundSpec:
                          a_eps=tm.get("a_eps", 1.0), eps=tm.get("eps", 0.0))
 
 
+def _bound_form(spec: BoundSpec) -> tuple:
+    """(coefficient, floor, shift, by_m) of a bound: x is m when ``by_m``,
+    else the partial sum; a floor of None means no floor."""
+    q, g, pc, bid = spec.q, spec.gamma, spec.p_conj, spec.bound_id
+    if bid == "cor21":
+        return 16.0 * g ** (1.0 / q) * spec.t ** (-1.0 / pc), None, 0.0, True
+    c = (4.0 * q * (2.0 * g) ** q * (2.0 / (q - 1.0)) ** (1.0 / pc)
+         if bid in ("thm72", "cor72", "prop72") else 4.0 * (2.0 * g) ** (1.0 / q))
+    if bid in ("cor52", "cor72", "prop72"):  # the hull bounds have no floor
+        return c, None, 1.0, False
+    floor = (4.0 if bid == "thm72" else 2.0) * spec.eps
+    return c * (spec.a_eps + spec.eps), floor, 1.0, bid == "thm91"
+
+
+def _curve(spec: BoundSpec, ms: list, tsums: list) -> list:
+    """The bound at each (m, partial sum) pair of the two columns."""
+    lo = min(ms, default=1)
+    if lo < 0:
+        raise ValueError("iteration index must be nonnegative")
+    if lo < 1 and spec.bound_id == "cor21":
+        raise ValueError("the constant-weakness bound applies from m = 1")
+    coef, floor, shift, by_m = _bound_form(spec)
+    e = -1.0 / spec.p_conj
+    vals = [coef * (shift + x) ** e for x in (ms if by_m else tsums)]
+    # max(floor, v) keeps floor unless v > floor: a NaN v gives floor too
+    return vals if floor is None else [v if v > floor else floor for v in vals]
+
+
 def rate_bound(spec: BoundSpec, m: int, tsum_p: float) -> float:
     """Right-hand side of the selected estimate at iteration m.
 
     ``tsum_p`` is the partial sum of t_k^p_conj up to m (ignored by the
     bounds that depend on m alone).
     """
-    q, g, pc = spec.q, spec.gamma, spec.p_conj
-    if m < 0:
-        raise ValueError("iteration index must be nonnegative")
-    if spec.bound_id == "cor21":
-        if m < 1:
-            raise ValueError("the constant-weakness bound applies from m = 1")
-        c = 16.0 * g ** (1.0 / q) * spec.t ** (-1.0 / pc)
-        return c * float(m) ** (-1.0 / pc)
-    if spec.bound_id == "cor52":
-        return 4.0 * (2.0 * g) ** (1.0 / q) * (1.0 + tsum_p) ** (-1.0 / pc)
-    if spec.bound_id == "thm52":
-        c = 4.0 * (2.0 * g) ** (1.0 / q)
-        return max(2.0 * spec.eps,
-                   c * (spec.a_eps + spec.eps) * (1.0 + tsum_p) ** (-1.0 / pc))
-    if spec.bound_id == "thm91":
-        c = 4.0 * (2.0 * g) ** (1.0 / q)
-        return max(2.0 * spec.eps,
-                   c * (spec.a_eps + spec.eps) * (1.0 + m) ** (-1.0 / pc))
-    c = 4.0 * q * (2.0 * g) ** q * (2.0 / (q - 1.0)) ** (1.0 / pc)
-    if spec.bound_id in ("cor72", "prop72"):
-        return c * (1.0 + tsum_p) ** (-1.0 / pc)
-    # thm72
-    return max(4.0 * spec.eps,
-               c * (spec.a_eps + spec.eps) * (1.0 + tsum_p) ** (-1.0 / pc))
+    return _curve(spec, [m], [tsum_p])[0]
 
 
 @dataclass
@@ -285,9 +289,8 @@ class RateCheck:
 
 
 def bound_curve(spec: BoundSpec, report: RunReport) -> np.ndarray:
-    tsums = report.partial_tp_sums()
-    return np.array([rate_bound(spec, r.m, tsums[i])
-                     for i, r in enumerate(report.records)])
+    return np.array(_curve(spec, [r.m for r in report.records],
+                           report.partial_tp_sums().tolist()))
 
 
 def verify_rates(report: RunReport, bound_ids: list) -> list:
@@ -300,6 +303,9 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
     """
     results = []
     meta = report.target_meta
+    ms = [r.m for r in report.records]
+    resid = report.residual_norms()
+    tsums = report.partial_tp_sums().tolist()
     for bid in bound_ids:
         if bid in ("cor21", "cor52", "cor72", "prop72"):
             skip = "" if meta.get("in_hull") else "requires a hull certificate"
@@ -313,9 +319,7 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
                                      passed=True, worst_margin=float("nan"),
                                      max_tightness=float("nan"), reason=skip))
             continue
-        spec = BoundSpec.from_report(bid, report)
-        bounds = bound_curve(spec, report)
-        resid = report.residual_norms()
+        bounds = np.array(_curve(BoundSpec.from_report(bid, report), ms, tsums))
         margins = (bounds - resid).tolist()
         tight = resid / np.maximum(bounds, 1e-300)
         worst = _worst_margin(margins)

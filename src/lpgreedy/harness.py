@@ -254,14 +254,13 @@ def emit_csv(report: RunReport, path: str, timings: bool = False) -> None:
     The wall-clock column is written as 0 unless ``timings`` is requested;
     true timings always remain in the JSON report.
     """
-    bounds = (bound_curve(BoundSpec.from_report("cor52", report), report)
-              if report.records else np.array([]))
+    spec = BoundSpec.from_report("cor52", report)
+    bounds = bound_curve(spec, report).tolist()
     lines = [CSV_HEADER]
-    for i, r in enumerate(report.records):
+    for r, bound in zip(report.records, bounds):
         vals = [f"{r.m}", report.algorithm]
         for x in (r.residual_norm, r.gs_lhs, r.gs_rhs, r.bo_abs,
-                  r.er_reference, r.t_m, r.delta_m, r.eta_m, r.eps_m,
-                  float(bounds[i])):
+                  r.er_reference, r.t_m, r.delta_m, r.eta_m, r.eps_m, bound):
             vals.append(f"{x:.17g}")
         vals.append(str(r.wall_ns if timings else 0))
         lines.append(",".join(vals))

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from lpgreedy import (BoundSpec, Element, ErrorSchedule, SequenceSpec,
-                      TargetSpec, WeaknessSchedule, audit_conditions,
+from lpgreedy import (BOUND_IDS, BoundSpec, Element, ErrorSchedule,
+                      SequenceSpec, TargetSpec, WeaknessSchedule,
+                      audit_conditions,
                       bound_curve, build_dictionary, dict_dual_norm,
                       error_reduction_margins, lp_space, make_target,
                       norming_functional, rate_bound, run_greedy,
@@ -247,3 +248,148 @@ class TestVerifyRates:
         spec = BoundSpec.from_report("cor52", hull_run)
         curve = bound_curve(spec, hull_run)
         assert np.all(np.diff(curve) <= 0)
+
+
+def _written_out(spec, m, tsum_p):
+    """Each bound as the paper states it, one point at a time, with the
+    operand order the curve path keeps."""
+    q, g, pc, e = spec.q, spec.gamma, spec.p_conj, -1.0 / spec.p_conj
+    scale = spec.a_eps + spec.eps
+    c5 = 4.0 * (2.0 * g) ** (1.0 / q)
+    c7 = 4.0 * q * (2.0 * g) ** q * (2.0 / (q - 1.0)) ** (1.0 / pc)
+    return {
+        "cor21": lambda: (16.0 * g ** (1.0 / q) * spec.t ** e) * float(m) ** e,
+        "cor52": lambda: c5 * (1.0 + tsum_p) ** e,
+        "thm52": lambda: max(2.0 * spec.eps, c5 * scale * (1.0 + tsum_p) ** e),
+        "thm91": lambda: max(2.0 * spec.eps, c5 * scale * (1.0 + m) ** e),
+        "cor72": lambda: c7 * (1.0 + tsum_p) ** e,
+        "prop72": lambda: c7 * (1.0 + tsum_p) ** e,
+        "thm72": lambda: max(4.0 * spec.eps, c7 * scale * (1.0 + tsum_p) ** e),
+    }[spec.bound_id]()
+
+
+def _late_floor_run():
+    # at p = 2 the bounds decay like (1 + m)^(-1/2): the 2 eps floor of
+    # thm52 and thm91 takes over after 16 of the 40 steps, thm72's 4 eps
+    # floor after 34
+    s = lp_space(2.0, 8)
+    D = build_dictionary(s, "random_gauss", 32, seed=8)
+    t = make_target(D, TargetSpec(mode="general_plus_noise", k=4, eps=0.9,
+                                  seed=3))
+    return run_greedy("rwrga", t.f, D, T1, max_m=40, target=t)
+
+
+def _power_decay_run():
+    s = lp_space(1.5, 8)
+    D = build_dictionary(s, "random_gauss", 32, seed=1)
+    t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=2))
+    tau = WeaknessSchedule(kind="power_decay", t0=1.0, exponent=0.3)
+    return run_greedy("wgafr", t.f, D, tau, max_m=20, target=t)
+
+
+def _constant_weakness_run():
+    s = lp_space(3.0, 8)
+    D = build_dictionary(s, "random_gauss", 32, seed=4)
+    t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=5))
+    tau = WeaknessSchedule(kind="constant", t0=0.7)
+    return run_greedy("wcga", t.f, D, tau, max_m=20, rule="threshold_first",
+                      target=t)
+
+
+@pytest.fixture(scope="module")
+def curve_runs(awbga_run):
+    return {"constant": _constant_weakness_run(),
+            "power_decay": _power_decay_run(),
+            "late_floor": _late_floor_run(), "approximate": awbga_run}
+
+
+def _specs(rep):
+    """A spec for every bound id the report can state (cor21 needs a
+    constant weakness)."""
+    return [BoundSpec.from_report(b, rep) for b in BOUND_IDS
+            if b != "cor21" or rep.weakness["kind"] == "constant"]
+
+
+class TestBoundCurveIdentity:
+    """The curve path hoists each bound's constants; every value must stay
+    bit for bit the one-point value, so the comparisons are ``==``."""
+
+    @pytest.mark.parametrize("name", ["constant", "power_decay", "late_floor",
+                                      "approximate"])
+    def test_curve_equals_pointwise_bound(self, curve_runs, name):
+        rep = curve_runs[name]
+        tsums = rep.partial_tp_sums()
+        specs = _specs(rep)
+        assert len(specs) == (6 if name == "power_decay" else 7)
+        for spec in specs:
+            curve = bound_curve(spec, rep).tolist()
+            points = [rate_bound(spec, r.m, s)
+                      for r, s in zip(rep.records, tsums)]
+            assert curve == points, spec.bound_id
+            assert points == [_written_out(spec, r.m, s)
+                              for r, s in zip(rep.records, tsums)]
+
+    @pytest.mark.parametrize("name", ["constant", "power_decay", "late_floor",
+                                      "approximate"])
+    def test_margins_are_bound_less_residual(self, curve_runs, name):
+        rep = curve_runs[name]
+        resid = [r.residual_norm for r in rep.records]
+        checked = 0
+        for rc in verify_rates(rep, list(BOUND_IDS)):
+            if not rc.applicable:
+                continue
+            checked += 1
+            curve = bound_curve(BoundSpec.from_report(rc.bound_id, rep),
+                                rep).tolist()
+            assert rc.margins == [b - r for b, r in zip(curve, resid)]
+            assert rc.tightness == [r / max(b, 1e-300)
+                                    for b, r in zip(curve, resid)]
+            assert rc.worst_margin == min(rc.margins)
+            assert rc.max_tightness == max(rc.tightness)
+        assert checked >= 3
+
+    def test_floor_binds_late_in_the_noisy_run(self, curve_runs):
+        rep = curve_runs["late_floor"]
+        assert len(rep.records) == 40
+        for bid, times_eps, first in (("thm52", 2.0, 16), ("thm91", 2.0, 16),
+                                      ("thm72", 4.0, 34)):
+            spec = BoundSpec.from_report(bid, rep)
+            curve = bound_curve(spec, rep)
+            floor = times_eps * spec.eps
+            assert (curve[:first] > floor).all(), bid
+            assert (curve[first:] == floor).all(), bid
+
+
+class TestBoundIndexValidation:
+    """The curve path checks the smallest m once; it must raise what the
+    one-point bound raises for that record."""
+
+    def _with_first_m(self, rep, m):
+        bad = dataclasses.replace(rep)
+        bad.records = [dataclasses.replace(r) for r in rep.records]
+        bad.records[0].m = m
+        return bad
+
+    def test_cor21_rejects_m_zero(self, hull_run):
+        bad = self._with_first_m(hull_run, 0)
+        msg = "the constant-weakness bound applies from m = 1"
+        with pytest.raises(ValueError, match=msg):
+            verify_rates(bad, ["cor21"])
+        with pytest.raises(ValueError, match=msg):
+            bound_curve(BoundSpec.from_report("cor21", bad), bad)
+        with pytest.raises(ValueError, match=msg):
+            rate_bound(BoundSpec.from_report("cor21", bad), 0, 0.0)
+
+    def test_other_bounds_accept_m_zero(self, hull_run):
+        bad = self._with_first_m(hull_run, 0)
+        results = verify_rates(bad, [b for b in BOUND_IDS if b != "cor21"])
+        assert all(rc.applicable for rc in results)
+
+    @pytest.mark.parametrize("bid", BOUND_IDS)
+    def test_negative_m_rejected_by_every_bound(self, hull_run, bid):
+        bad = self._with_first_m(hull_run, -1)
+        msg = "iteration index must be nonnegative"
+        with pytest.raises(ValueError, match=msg):
+            verify_rates(bad, [bid])
+        with pytest.raises(ValueError, match=msg):
+            bound_curve(BoundSpec.from_report(bid, bad), bad)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from lpgreedy import (RunReport, build_dictionary, harness, lp_space,
-                      make_target, run_greedy, selftest, solvers)
+from lpgreedy import (BoundSpec, RunReport, build_dictionary, harness,
+                      lp_space, make_target, rate_bound, run_greedy, selftest,
+                      solvers)
 from lpgreedy.algorithms import run_id
 from lpgreedy.harness import (CSV_HEADER, emit_csv, main, parse_dict_spec,
                               parse_errors, parse_space, parse_target_spec,
@@ -158,6 +159,19 @@ class TestEmitCsv:
         emit_csv(small_run(), a)
         emit_csv(small_run(), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bound_column_is_the_pointwise_cor52_bound(self, tmp_path):
+        # the column comes from one curve per report, and each field must
+        # print exactly what the one-point bound prints
+        rep = small_run(algorithm="rwrga", errors="err:delta=pow:0.1,1.1,"
+                        "eta=pow:0.1,1.1", max_m=12)
+        out = tmp_path / "r.csv"
+        emit_csv(rep, out)
+        spec = BoundSpec.from_report("cor52", rep)
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == len(rep.records) > 1
+        for row, r, s in zip(rows, rep.records, rep.partial_tp_sums()):
+            assert row.split(",")[11] == f"{rate_bound(spec, r.m, s):.17g}"
 
     def test_residual_below_bound_column(self, tmp_path):
         rep = small_run(algorithm="rwrga", max_m=8)
