@@ -13,8 +13,7 @@ from .diagnostics import (BOUND_IDS, AuditReport, BoundSpec, audit_conditions,
                           bound_curve, error_reduction_margins, rate_bound,
                           verify_rates)
 from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
-                         greedy_select, make_target, perturb_target,
-                         sample_a1_target)
+                         greedy_select, make_target)
 from .perturbation import (ErrorSchedule, SequenceSpec, derived_eps_bound,
                            perturbed_functional, relaxed_minimize, run_awbga)
 from .solvers import (ProjectionResult, bracket_minimum, chebyshev_project,
@@ -34,7 +33,6 @@ __all__ = [
     "derived_eps_bound", "dict_dual_norm",
     "error_reduction_margins", "greedy_select", "line_search", "lp_space",
     "make_target", "minimize_2d", "norm", "norming_functional",
-    "perturb_target", "perturbed_functional", "rate_bound",
-    "relaxed_minimize", "run_awbga", "run_greedy", "sample_a1_target",
-    "verify_rates",
+    "perturbed_functional", "rate_bound", "relaxed_minimize", "run_awbga",
+    "run_greedy", "verify_rates",
 ]

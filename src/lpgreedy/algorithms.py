@@ -414,12 +414,13 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     unconstrained optimum has b < 0, the constrained one lies on lam = 0 by
     convexity, and the ray solve along G_prev finds it.  The previous
     approximant, (w, lam) = (0, 0), is always admissible and is kept when
-    the solve lands above it.  Returns (array [w, lam], value).
+    the solve lands above it.  Returns (array [w, lam], value, converged),
+    converged being false when the projection hit its cap.
     """
     p = space.p
     if not G_prev.any():
         lam = min_along_ray(p, f, phi, nonneg=True)
-        return np.array([0.0, lam]), pnorm(p, f - lam * phi)
+        return np.array([0.0, lam]), pnorm(p, f - lam * phi), True
     # A cap of 20 iterations: solves that converge take at most about a
     # dozen; where the stationarity test is out of floating-point reach
     # (near-optimal at p = 1.5 under prop72auto) the default cap of 500
@@ -433,8 +434,8 @@ def _two_dir_solve(space: LpSpace, f: np.ndarray, G_prev: np.ndarray,
     value = pnorm(p, r)
     keep = pnorm(p, f - G_prev)
     if keep < value:
-        return np.array([0.0, 0.0]), keep
-    return np.array([1.0 - a, b]), value
+        return np.array([0.0, 0.0]), keep, proj.converged
+    return np.array([1.0 - a, b]), value, proj.converged
 
 
 def _grown_factor(factor: tuple, phi: np.ndarray) -> Optional[tuple]:
@@ -482,12 +483,12 @@ def _wgafr(st: GreedyState, phi: np.ndarray, hint: float, eta: float,
     """Best approximation from span{G_prev, phi} with lam >= 0: the
     two-atom Chebyshev projection of ``_two_dir_solve``."""
     p, f, G_prev = st.space.p, st.f, st.G_m
+    x0, v0, converged = _two_dir_solve(st.space, f, G_prev, phi)
     x, _ = relaxed_minimize(
         p, lambda x: f - ((1.0 - x[0]) * G_prev + x[1] * phi), eta,
-        _two_dir_solve(st.space, f, G_prev, phi), seed=seed + 1,
-        nonneg=(False, True))
+        (x0, v0), seed=seed + 1, nonneg=(False, True))
     st.update((1.0 - x[0]) * G_prev + x[1] * phi)
-    return {"lam": float(x[1]), "omega": float(x[0])}
+    return {"lam": float(x[1]), "omega": float(x[0]), "converged": converged}
 
 
 def _rescaled(st: GreedyState, v: np.ndarray, eta: float, seed: int) -> float:
@@ -678,8 +679,7 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     return RunReport(
         algorithm=name,
         space_spec=space.spec_string(),
-        space_meta={"n": space.n, "p": space.p, "q": space.q,
-                    "gamma": space.gamma, "p_conj": space.p_conj},
+        space_meta=dict(vars(space)),
         dict_spec=D.spec_string(),
         target_spec=target.spec.mode if target else "custom",
         target_meta=_target_meta(target),
@@ -697,6 +697,6 @@ def _target_meta(target: Optional[Target]) -> dict:
                 "mode": "custom", "k": 0, "seed": 0}
     cert = [[i, w] for i, w in target.certificate] if target.certificate else None
     # k: the number of atoms the target is built on (N for a1_dense)
-    return {"in_hull": target.in_hull, "eps": target.eps, "a_eps": target.a_eps,
-            "certificate": cert, "mode": target.spec.mode,
+    return {"in_hull": target.in_hull, "eps": target.spec.eps,
+            "a_eps": target.a_eps, "certificate": cert, "mode": target.spec.mode,
             "k": len(cert) if cert else target.spec.k, "seed": target.spec.seed}

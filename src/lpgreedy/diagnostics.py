@@ -211,12 +211,13 @@ def error_reduction_margins(report: RunReport) -> list:
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """Parameters of one rate bound: which estimate, and its constants."""
+    """Parameters of one rate bound: which estimate, the power-type
+    constants (q, gamma) of rho(u) <= gamma u^q, and the target's (eps,
+    A(eps)) certificate.  The exponent p' = q/(q-1) is derived from q."""
 
     bound_id: str
     q: float
     gamma: float
-    p_conj: float
     t: Optional[float] = None     # cor21 only (constant weakness)
     a_eps: float = 1.0
     eps: float = 0.0
@@ -224,18 +225,19 @@ class BoundSpec:
     def __post_init__(self):
         if self.bound_id not in BOUND_IDS:
             raise ValueError(f"unknown bound id {self.bound_id!r}")
-        if abs(self.p_conj - self.q / (self.q - 1.0)) > 1e-9:
-            raise ValueError("p_conj must equal q/(q-1)")
         if self.bound_id == "cor21" and self.t is None:
             raise ValueError("cor21 needs the constant weakness t")
+
+    @property
+    def p_conj(self) -> float:
+        return self.q / (self.q - 1.0)
 
     @staticmethod
     def from_report(bound_id: str, report: RunReport) -> "BoundSpec":
         sm = report.space_meta
         tm = report.target_meta
         t = report.weakness["t0"] if report.weakness["kind"] == "constant" else None
-        return BoundSpec(bound_id=bound_id, q=sm["q"], gamma=sm["gamma"],
-                         p_conj=sm["p_conj"], t=t,
+        return BoundSpec(bound_id=bound_id, q=sm["q"], gamma=sm["gamma"], t=t,
                          a_eps=tm.get("a_eps", 1.0), eps=tm.get("eps", 0.0))
 
 

@@ -3,8 +3,9 @@
 A dictionary stores one representative per symmetric pair {g, -g}; selection
 always scans both signs, encoded as a signed 1-based index (+i picks g_i,
 -i picks -g_i).  Its atoms are the rows of one ``(N, n)`` array,
-``Dictionary.matrix``: every scan, the target sampler and the signed-index
-lookup read it, and the projection takes a set of atoms in the same layout.
+``Dictionary.matrix``: every scan, ``make_target`` (the one target
+generator) and the signed-index lookup read it, and the projection takes a
+set of atoms in the same layout.
 """
 
 from __future__ import annotations
@@ -88,17 +89,17 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class Target:
-    """Generated target with its certificate metadata."""
+    """Generated target with its certificate ((signed_index, weight), ...)."""
 
     f: Element
     spec: TargetSpec
-    certificate: Optional[tuple] = None  # ((signed_index, weight), ...)
-    f_clean: Optional[Element] = None    # the in-hull element for noisy mode
-    in_hull: bool = True
+    certificate: Optional[tuple] = None
 
     @property
-    def eps(self) -> float:
-        return self.spec.eps
+    def in_hull(self) -> bool:
+        """Whether f lies in the hull A_1(D): false for a noisy target,
+        also at eps 0."""
+        return self.spec.mode != "general_plus_noise"
 
     @property
     def a_eps(self) -> float:
@@ -176,14 +177,16 @@ def greedy_select(F: np.ndarray, D: Dictionary, t: float,
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
-def sample_a1_target(D: Dictionary, spec: TargetSpec) -> tuple:
-    """Strict convex combination of signed atoms, with its certificate.
+def make_target(D: Dictionary, spec: TargetSpec) -> Target:
+    """Generate the target an experiment runs on, certificate included.
 
-    Weights are drawn uniformly in [0.1, 1] and normalized, so every atom in
-    the certificate carries mass bounded away from zero.
+    A strict convex combination of k signed atoms (all N for a1_dense),
+    drawn from ``spec.seed``: weights uniform in [0.1, 1], normalized, so
+    every atom in the certificate carries mass bounded away from zero.  A
+    noisy target adds a random unit-norm direction times a magnitude
+    uniform in [0, eps], both drawn from seed + 1, so it lies within eps of
+    its certificate's combination.
     """
-    if spec.mode not in ("a1_sparse", "a1_dense"):
-        raise ValueError("sample_a1_target requires an a1 mode")
     size = len(D)
     k = size if spec.mode == "a1_dense" else spec.k
     if not (1 <= k <= size):
@@ -195,29 +198,9 @@ def sample_a1_target(D: Dictionary, spec: TargetSpec) -> tuple:
     w = w / w.sum()
     coords = (w[:, None] * signs[:, None] * D.matrix[idx]).sum(axis=0)
     cert = tuple((int(s * (i + 1)), float(wi)) for i, s, wi in zip(idx, signs, w))
-    return Element(coords=coords, space=D.space), cert
-
-
-def perturb_target(f_eps: Element, eps: float, seed: int = 0) -> Element:
-    """Add noise of norm at most eps (magnitude uniform in [0, eps])."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0:
-        return f_eps
-    space = f_eps.space
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal(space.n)
-    d = d / pnorm(space.p, d)
-    mag = rng.uniform(0.0, eps)
-    return Element(coords=f_eps.coords + mag * d, space=space)
-
-
-def make_target(D: Dictionary, spec: TargetSpec) -> Target:
-    """Generate the target an experiment runs on, certificate included."""
-    if spec.mode in ("a1_sparse", "a1_dense"):
-        f, cert = sample_a1_target(D, spec)
-        return Target(f=f, spec=spec, certificate=cert, f_clean=f, in_hull=True)
-    clean_spec = TargetSpec(mode="a1_sparse", k=spec.k, seed=spec.seed)
-    f_clean, cert = sample_a1_target(D, clean_spec)
-    f = perturb_target(f_clean, spec.eps, seed=spec.seed + 1)
-    return Target(f=f, spec=spec, certificate=cert, f_clean=f_clean, in_hull=False)
+    if spec.mode == "general_plus_noise" and spec.eps > 0:
+        rng = np.random.default_rng(spec.seed + 1)
+        d = rng.standard_normal(D.space.n)
+        coords = coords + rng.uniform(0.0, spec.eps) * (d / pnorm(D.space.p, d))
+    return Target(f=Element(coords=coords, space=D.space), spec=spec,
+                  certificate=cert)

@@ -169,10 +169,11 @@ def run_all() -> list:
     # when lam = 0 and w zeroes the first
     spt = lp_space(3.0, 3)
     G, phi = np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])
-    (w, lam), v = _two_dir_solve(spt, np.array([3.0, 1.0, 0.5]), G, phi)
-    ok = abs(w + 1.0) < 1e-9 and abs(lam - 1.0) < 1e-9 and abs(v - 0.5) < 1e-12
-    (w, lam), v = _two_dir_solve(spt, np.array([3.0, -1.0, 0.5]), G, phi)
-    ok = (ok and abs(w + 2.0) < 1e-9 and lam == 0.0
+    (w, lam), v, done = _two_dir_solve(spt, np.array([3.0, 1.0, 0.5]), G, phi)
+    ok = (done and abs(w + 1.0) < 1e-9 and abs(lam - 1.0) < 1e-9
+          and abs(v - 0.5) < 1e-12)
+    (w, lam), v, done = _two_dir_solve(spt, np.array([3.0, -1.0, 0.5]), G, phi)
+    ok = (ok and done and abs(w + 2.0) < 1e-9 and lam == 0.0
           and abs(v - 1.125 ** (1.0 / 3.0)) < 1e-12)
     checks.append(_check("two-direction solve vs closed forms", ok))
 
@@ -243,17 +244,17 @@ def run_all() -> list:
                          f"worst rel diff {worst:.2e}"))
 
     # --- rate-bound constants re-derived independently ---
-    b = BoundSpec(bound_id="cor52", q=2.0, gamma=0.5, p_conj=2.0)
+    b = BoundSpec(bound_id="cor52", q=2.0, gamma=0.5)
     checks.append(_check("rate constant hull bound",
                          abs(rate_bound(b, 3, 3.0) - 2.0) < 1e-12))
-    b = BoundSpec(bound_id="cor21", q=2.0, gamma=0.5, p_conj=2.0, t=0.5)
+    b = BoundSpec(bound_id="cor21", q=2.0, gamma=0.5, t=0.5)
     checks.append(_check("rate constant constant-weakness bound",
                          abs(rate_bound(b, 1, 1.0) - 16.0) < 1e-12))
-    b = BoundSpec(bound_id="cor72", q=2.0, gamma=0.5, p_conj=2.0)
+    b = BoundSpec(bound_id="cor72", q=2.0, gamma=0.5)
     checks.append(_check("rate constant approximate-class bound",
                          abs(rate_bound(b, 1, 1.0) - 8.0 * np.sqrt(2.0) *
                              2.0 ** -0.5) < 1e-12))
-    b = BoundSpec(bound_id="thm91", q=2.0, gamma=0.5, p_conj=2.0)
+    b = BoundSpec(bound_id="thm91", q=2.0, gamma=0.5)
     checks.append(_check("rate bound norm-scan at start",
                          abs(rate_bound(b, 0, 0.0) - 4.0) < 1e-12))
 

@@ -18,7 +18,7 @@ space where a target enters the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,39 +29,42 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class LpSpace:
-    """Ambient space lp^n together with its smoothness parameters.
+    """Ambient space lp^n, 1 < p < inf.  ``n`` and ``p`` are the only
+    inputs; the constants are derived from p, so they cannot disagree.
 
-    ``q`` and ``gamma`` give the power-type bound rho(u) <= gamma * u^q,
-    with q = min(p, 2).  ``p_conj`` = q/(q-1) is the exponent appearing in
-    rate-of-convergence estimates; it is derived from ``q``, not from the
-    norm exponent ``p``, and the two must never be conflated.
+    ``q`` = min(p, 2) and ``gamma`` (1/p for p <= 2, (p-1)/2 above) give the
+    power-type bound rho(u) <= gamma * u^q; the selftest's sampled modulus
+    (``lpgreedy.selftest.empirical_modulus``) is the oracle that checks both.
+    ``p_conj`` = q/(q-1), the exponent of the rate estimates, is derived
+    from ``q``, not from the norm exponent ``p``: never conflate the two.
     """
 
     n: int
     p: float
-    q: float
-    gamma: float
-    p_conj: float
+    q: float = field(init=False)
+    gamma: float = field(init=False)
+    p_conj: float = field(init=False)
+
+    def __post_init__(self):
+        p = self.p
+        if not 1.0 < p < math.inf:  # NaN fails this test too
+            raise ValueError(f"space not uniformly smooth: p={p} must lie in (1, inf)")
+        if self.n < 1:
+            raise ValueError(f"dimension must be positive, got {self.n}")
+        q = min(p, 2.0)
+        for name, value in (("n", int(self.n)), ("p", float(p)), ("q", q),
+                            ("gamma", 1.0 / p if p <= 2.0 else (p - 1.0) / 2.0),
+                            ("p_conj", q / (q - 1.0))):
+            object.__setattr__(self, name, value)
 
     def spec_string(self) -> str:
         return f"lp:p={self.p:g},n={self.n}"
 
 
 def lp_space(p: float, n: int) -> LpSpace:
-    """Build an LpSpace, deriving (q, gamma, p_conj) from the exponent.
-
-    gamma = 1/p for p in (1, 2] and (p-1)/2 for p >= 2.  The selftest's
-    sampled modulus (``lpgreedy.selftest.empirical_modulus``) is the oracle
-    that checks both choices bound the true modulus.
-    """
-    if not (1.0 < p < math.inf) or not math.isfinite(p):
-        raise ValueError(f"space not uniformly smooth: p={p} must lie in (1, inf)")
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    q = min(p, 2.0)
-    gamma = 1.0 / p if p <= 2.0 else (p - 1.0) / 2.0
-    p_conj = q / (q - 1.0)
-    return LpSpace(n=int(n), p=float(p), q=q, gamma=gamma, p_conj=p_conj)
+    """The space lp^n; ``LpSpace`` checks p and n and derives its
+    constants."""
+    return LpSpace(n=n, p=p)
 
 
 @dataclass(frozen=True)

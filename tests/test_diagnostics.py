@@ -165,37 +165,35 @@ class TestHullFunctionalBound:
 
 class TestRateBound:
     def test_hull_bound_arithmetic(self):
-        b = BoundSpec(bound_id="cor52", q=2.0, gamma=0.5, p_conj=2.0)
+        b = BoundSpec(bound_id="cor52", q=2.0, gamma=0.5)
         assert rate_bound(b, 3, 3.0) == pytest.approx(2.0)
 
     def test_constant_weakness_arithmetic(self):
-        b = BoundSpec(bound_id="cor21", q=2.0, gamma=0.5, p_conj=2.0, t=0.5)
+        b = BoundSpec(bound_id="cor21", q=2.0, gamma=0.5, t=0.5)
         assert rate_bound(b, 1, 0.25) == pytest.approx(16.0)
         assert rate_bound(b, 4, 1.0) == pytest.approx(8.0)
 
     def test_noisy_bound_floor(self):
-        b = BoundSpec(bound_id="thm52", q=2.0, gamma=0.5, p_conj=2.0,
+        b = BoundSpec(bound_id="thm52", q=2.0, gamma=0.5,
                       a_eps=1.0, eps=0.3)
         # for large m the 2 eps floor dominates
         assert rate_bound(b, 10_000, 10_000.0) == pytest.approx(0.6)
 
     def test_norm_scan_bound_at_start(self):
-        b = BoundSpec(bound_id="thm91", q=2.0, gamma=0.5, p_conj=2.0)
+        b = BoundSpec(bound_id="thm91", q=2.0, gamma=0.5)
         assert rate_bound(b, 0, 0.0) == pytest.approx(4.0)
 
     def test_approximate_class_constant(self):
-        b = BoundSpec(bound_id="thm72", q=2.0, gamma=0.5, p_conj=2.0)
+        b = BoundSpec(bound_id="thm72", q=2.0, gamma=0.5)
         # 4 q (2 gamma)^q (2/(q-1))^(1/p') = 8 sqrt(2) at q=2, gamma=1/2
         assert rate_bound(b, 1, 1.0) == pytest.approx(8.0 * np.sqrt(2.0)
                                                       * 2.0 ** -0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown bound"):
-            BoundSpec(bound_id="thm1", q=2.0, gamma=0.5, p_conj=2.0)
-        with pytest.raises(ValueError, match="p_conj"):
-            BoundSpec(bound_id="cor52", q=2.0, gamma=0.5, p_conj=3.0)
+            BoundSpec(bound_id="thm1", q=2.0, gamma=0.5)
         with pytest.raises(ValueError, match="constant weakness"):
-            BoundSpec(bound_id="cor21", q=2.0, gamma=0.5, p_conj=2.0)
+            BoundSpec(bound_id="cor21", q=2.0, gamma=0.5)
 
 
 class TestVerifyRates:

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lpgreedy import (Dictionary, Element, TargetSpec, build_dictionary,
                       dict_dual_norm, greedy_select, lp_space, make_target, norm,
-                      norming_functional, perturb_target, sample_a1_target)
+                      norming_functional)
 from lpgreedy.space import pnorm_rows
 
 
@@ -161,42 +163,49 @@ class TestGreedySelect:
         assert differs > 0
 
 
+def combination(D, cert):
+    """The certificate's convex combination of signed atoms."""
+    return sum(w * D.atom(i) for i, w in cert)
+
+
 class TestTargets:
     def test_certificate_reconstructs_target(self):
         s = lp_space(2.0, 8)
         D = build_dictionary(s, "random_gauss", 32, seed=4)
-        f, cert = sample_a1_target(D, TargetSpec(mode="a1_sparse", k=5, seed=6))
-        rebuilt = sum(w * D.atom(i) for i, w in cert)
-        assert np.allclose(rebuilt, f.coords, atol=1e-14)
-        weights = [w for _, w in cert]
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=5, seed=6))
+        assert t.in_hull
+        assert np.allclose(combination(D, t.certificate), t.f.coords, atol=1e-14)
+        weights = [w for _, w in t.certificate]
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
         assert all(w > 0 for w in weights)
 
     def test_single_atom_is_vertex(self):
         s = lp_space(3.0, 4)
         D = build_dictionary(s, "random_gauss", 8, seed=1)
-        f, cert = sample_a1_target(D, TargetSpec(mode="a1_sparse", k=1, seed=2))
-        assert len(cert) == 1
-        assert norm(s, f) <= 1.0 + 1e-12
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=1, seed=2))
+        assert len(t.certificate) == 1
+        assert norm(s, t.f) <= 1.0 + 1e-12
 
     def test_hull_targets_have_norm_at_most_one(self):
         s = lp_space(1.5, 6)
         D = build_dictionary(s, "random_gauss", 24, seed=3)
         for seed in range(20):
-            f, _ = sample_a1_target(D, TargetSpec(mode="a1_sparse", k=6, seed=seed))
-            assert norm(s, f) <= 1.0 + 1e-12
+            t = make_target(D, TargetSpec(mode="a1_sparse", k=6, seed=seed))
+            assert norm(s, t.f) <= 1.0 + 1e-12
 
     def test_dense_mode_uses_all_atoms(self):
         s = lp_space(2.0, 4)
         D = build_dictionary(s, "random_gauss", 10, seed=5)
-        _, cert = sample_a1_target(D, TargetSpec(mode="a1_dense", seed=1))
-        assert len(cert) == 10
+        t = make_target(D, TargetSpec(mode="a1_dense", seed=1))
+        assert len(t.certificate) == 10
 
-    def test_oversized_sparsity_rejected(self):
+    @pytest.mark.parametrize("mode", ["a1_sparse", "general_plus_noise"])
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_out_of_range_sparsity_rejected(self, mode, k):
         s = lp_space(2.0, 4)
         D = build_dictionary(s, "random_gauss", 6, seed=5)
         with pytest.raises(ValueError, match="out of range"):
-            sample_a1_target(D, TargetSpec(mode="a1_sparse", k=7, seed=1))
+            make_target(D, TargetSpec(mode=mode, k=k, seed=1))
 
     @pytest.mark.parametrize("kw,problem", [
         (dict(mode="a1_sparse", k=3, seed=-1), "target seed must be"),
@@ -208,20 +217,59 @@ class TestTargets:
         with pytest.raises(ValueError, match=problem):
             TargetSpec(**kw)
 
+    # sha256 of f.coords.tobytes() + repr(certificate): every seeded draw,
+    # its order and the noise from seed + 1 stay as they are
+    PINNED = {
+        (1.5, "a1_sparse"):
+            "4816b9e7a7c52f1803a9cbc978bf3e538635b42a8a69ce6b8fdfd06b9848796b",
+        (1.5, "a1_dense"):
+            "5d4182d4b7439d1f66714330ec224bda1631877afba800269dabf573b204c939",
+        (1.5, "noisy"):
+            "4a9578fb9fd1c72a6976da461844b24cd8fab6c0cb42d28664e2f87c734cb474",
+        (1.5, "noisy0"):
+            "95160493b1b6e002c939e91e10120779bb98d4e76803ed67c9305a0d98449601",
+        (3.0, "a1_sparse"):
+            "dac810a7c772ffd6b6c33cf4934c6bde168904631e5796552e118346e2f0aad4",
+        (3.0, "a1_dense"):
+            "cc756f90274c6c8d4f30c284efd3dc743e050cda12f41ad767336c2fd401b11e",
+        (3.0, "noisy"):
+            "8895ec7411d1b09b34c4a6df227de92924ec6f9344e7665e8bae4a1ab15a9e85",
+        (3.0, "noisy0"):
+            "e19793f3d7db2832e83eefc7066dcd22bd1788440d1079b4ff20fc07c73ae2e1",
+    }
+    SPECS = {"a1_sparse": dict(mode="a1_sparse", k=5, seed=6),
+             "a1_dense": dict(mode="a1_dense", seed=1),
+             "noisy": dict(mode="general_plus_noise", k=4, eps=0.05, seed=9),
+             "noisy0": dict(mode="general_plus_noise", k=4, eps=0.0, seed=9)}
 
-class TestPerturbTarget:
-    def test_zero_eps_is_identity(self):
-        s = lp_space(2.0, 4)
-        f = Element(coords=np.array([1.0, 0.0, 0.0, 0.0]), space=s)
-        assert perturb_target(f, 0.0, seed=3) is f
+    @pytest.mark.parametrize("p,name", sorted(PINNED))
+    def test_seeded_target_is_pinned(self, p, name):
+        D = build_dictionary(lp_space(p, 8), "random_gauss", 24, seed=2)
+        t = make_target(D, TargetSpec(**self.SPECS[name]))
+        digest = hashlib.sha256(t.f.coords.tobytes()
+                                + repr(t.certificate).encode()).hexdigest()
+        assert digest == self.PINNED[p, name]
+
+
+class TestNoisyTargets:
+    def test_zero_eps_is_the_hull_point(self):
+        s = lp_space(2.0, 8)
+        D = build_dictionary(s, "random_gauss", 24, seed=2)
+        t = make_target(D, TargetSpec(mode="general_plus_noise", k=4, seed=9))
+        hull = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=9))
+        assert np.array_equal(t.f.coords, hull.f.coords)
+        assert t.certificate == hull.certificate
+        # f lies in the hull, but only the a1 modes certify it
+        assert not t.in_hull and hull.in_hull
 
     def test_distance_never_exceeds_eps(self):
         s = lp_space(2.7, 5)
-        rng = np.random.default_rng(0)
-        f = Element(coords=rng.standard_normal(5), space=s)
+        D = build_dictionary(s, "random_gauss", 12, seed=0)
         for seed in range(1000):
-            g = perturb_target(f, 0.1, seed=seed)
-            d = norm(s, Element(coords=g.coords - f.coords, space=s))
+            t = make_target(D, TargetSpec(mode="general_plus_noise", k=3,
+                                          eps=0.1, seed=seed))
+            d = norm(s, Element(coords=t.f.coords
+                                - combination(D, t.certificate), space=s))
             assert d <= 0.1 + 1e-15
 
     def test_noisy_target_metadata(self):
@@ -230,7 +278,6 @@ class TestPerturbTarget:
         t = make_target(D, TargetSpec(mode="general_plus_noise", k=4,
                                       eps=0.05, seed=9))
         assert not t.in_hull
-        assert t.a_eps == 1.0 and t.eps == 0.05
-        d = norm(s, Element(coords=t.f.coords - t.f_clean.coords, space=s))
-        assert d <= 0.05 + 1e-15
-        assert t.certificate is not None
+        assert t.a_eps == 1.0 and t.spec.eps == 0.05
+        assert len(t.certificate) == 4
+        assert not np.array_equal(t.f.coords, combination(D, t.certificate))

@@ -199,7 +199,7 @@ class TestRelaxedMinimize:
         for i in range(30):
             f, phi, G = (rng.standard_normal(16) for _ in range(3))
             lam0 = min_along_ray(p, f, phi, nonneg=True)
-            x0 = algorithms._two_dir_solve(lp_space(p, 16), f, G, phi)
+            x0 = algorithms._two_dir_solve(lp_space(p, 16), f, G, phi)[:2]
             for eta in (0.5, 1e-3, 1e-8, 1e-14, 1e-17):
                 lam, v = relaxed_minimize(
                     p, lambda t: f - t * phi, eta,
@@ -393,7 +393,7 @@ class TestTwoAtomProjection:
             f = 0.9 * G + c * phi + 0.2 * rng.standard_normal(16)
             free = chebyshev_project(s, f, np.array([G, phi]))
             assert (free.coeffs[1] < 0.0) == (k % 2 == 1)
-            (w, lam), v = algorithms._two_dir_solve(s, f, G, phi)
+            (w, lam), v, _ = algorithms._two_dir_solve(s, f, G, phi)
             assert lam >= 0.0
             assert v == pytest.approx(grid_two_dir_min(p, f, G, phi),
                                       rel=1e-9)
@@ -406,7 +406,7 @@ class TestTwoAtomProjection:
         rng = np.random.default_rng(3)
         phi = rng.standard_normal(16)
         for f in (rng.standard_normal(16), -phi + 0.1 * rng.standard_normal(16)):
-            (w, lam), v = algorithms._two_dir_solve(s, f, np.zeros(16), phi)
+            (w, lam), v, _ = algorithms._two_dir_solve(s, f, np.zeros(16), phi)
             ref = min_along_ray(p, f, phi, nonneg=True)
             assert (w, lam) == (0.0, ref)
             assert v == pnorm(p, f - ref * phi)
@@ -419,7 +419,7 @@ class TestTwoAtomProjection:
         rng = np.random.default_rng(4)
         phi = rng.standard_normal(16)
         f = rng.standard_normal(16)
-        (w, lam), v = algorithms._two_dir_solve(s, f, c * phi, phi)
+        (w, lam), v, _ = algorithms._two_dir_solve(s, f, c * phi, phi)
         t = min_along_ray(p, f, phi)
         assert lam >= 0.0
         assert v == pytest.approx(pnorm(p, f - t * phi), rel=1e-12)
@@ -435,7 +435,7 @@ class TestTwoAtomProjection:
             phi = rng.standard_normal(16)
             f = G + 10.0 ** rng.uniform(-8, 0) * rng.standard_normal(16)
             with np.errstate(over="ignore"):
-                (w, lam), v = algorithms._two_dir_solve(s, f, G, phi)
+                (w, lam), v, _ = algorithms._two_dir_solve(s, f, G, phi)
                 assert lam >= 0.0
                 assert v <= pnorm(p, f - G)
 
@@ -462,6 +462,27 @@ class TestTwoAtomProjection:
         assert audit_conditions(rep).passed
         assert len(iters) == len(rep.records) - 1
         assert max(iters) <= 20
+
+    def test_capped_solves_are_reported(self, monkeypatch):
+        # on this input exact wgafr caps at least one two-atom projection;
+        # each capped one is a warning of the report, as in wcga
+        capped = []
+        project = algorithms.chebyshev_project
+
+        def counted(*args):
+            res = project(*args)
+            if not res.converged:
+                capped.append(res)
+            return res
+
+        monkeypatch.setattr(algorithms, "chebyshev_project", counted)
+        s = lp_space(1.3, 16)
+        D = build_dictionary(s, "random_gauss", 48, seed=1)
+        t = make_target(D, TargetSpec(mode="a1_sparse", k=3, seed=100))
+        rep = run_greedy("wgafr", t.f, D, T1, max_m=40, target=t)
+        unconverged = [w for w in rep.warnings
+                       if w.startswith("projection not converged at m=")]
+        assert capped and len(unconverged) == len(capped)
 
 
 class TestLevelCrossing:

@@ -27,7 +27,9 @@ def test_no_exported_name_appears_twice():
     # writes gamma u^q, and the sampled modulus is an oracle of
     # lpgreedy.selftest
     ("xi_root", "space"), ("smoothness_bound", "space"),
-    ("empirical_modulus", "space"), ("_modulus_sample", "space")])
+    ("empirical_modulus", "space"), ("_modulus_sample", "space"),
+    # make_target is the one target generator
+    ("sample_a1_target", "dictionary"), ("perturb_target", "dictionary")])
 def test_removed_name_is_gone(name, module):
     assert name not in lpgreedy.__all__
     assert not hasattr(lpgreedy, name)
@@ -50,7 +52,12 @@ def test_solver_config_is_gone():
     ("solvers.bracket_minimum", "cfg"), ("solvers.minimize_2d", "cfg"),
     ("diagnostics.audit_conditions", "tol_set"),
     ("diagnostics.error_reduction_margins", "a_eps"),
-    ("diagnostics.error_reduction_margins", "eps")])
+    ("diagnostics.error_reduction_margins", "eps"),
+    # inputs hold only what they cannot derive: in_hull follows the
+    # target mode, and q, gamma and p' follow p (p' follows q)
+    ("dictionary.Target", "f_clean"), ("dictionary.Target", "in_hull"),
+    ("diagnostics.BoundSpec", "p_conj"), ("space.LpSpace", "q"),
+    ("space.LpSpace", "gamma"), ("space.LpSpace", "p_conj")])
 def test_removed_parameter_is_gone(function, removed):
     mod, name = function.split(".")
     obj = getattr(importlib.import_module("lpgreedy." + mod), name)

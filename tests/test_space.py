@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lpgreedy import (Element, dict_dual_norm, lp_space, norm,
+from lpgreedy import (Element, LpSpace, dict_dual_norm, lp_space, norm,
                       norming_functional)
 from lpgreedy.dictionary import Dictionary, build_dictionary
 from lpgreedy import space as space_module
@@ -36,6 +36,17 @@ class TestLpSpace:
     def test_rejects_non_smooth_exponents(self, p):
         with pytest.raises(ValueError, match="not uniformly smooth"):
             lp_space(p, 4)
+
+    @pytest.mark.parametrize("n,p,problem", [
+        (4, 1.0, "not uniformly smooth"), (0, 2.0, "dimension must be positive")])
+    def test_constructor_checks_its_inputs(self, n, p, problem):
+        # the constants are derived from p, so a space built directly
+        # passes the same checks as one from lp_space
+        with pytest.raises(ValueError, match=problem):
+            LpSpace(n=n, p=p)
+
+    def test_constructor_derives_the_constants(self):
+        assert LpSpace(n=4, p=3) == lp_space(3.0, 4)
 
 
 class TestNorm:
