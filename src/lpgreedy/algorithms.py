@@ -10,6 +10,10 @@ an exact run is the zero-error case of the approximate one.  The
 functional of the new residual is computed once per step: it measures the
 residual-approximant pairing and then drives the next selection.
 
+The weakness t_m is a ``SequenceSpec``, as are delta_k and eta_m, checked
+before the first step as ``RunReport.from_json`` checks a report's
+``weakness``: every report a run writes can be audited.
+
 Approximation is a run option: each WBGA member (every id but wrga and
 wdga) runs under an ``ErrorSchedule`` as "a" + id.  rrxga's norm scan reads
 no functional, so delta shows only in its ``gs_lhs`` and pairing; gg's step
@@ -46,8 +50,8 @@ from typing import Optional
 import numpy as np
 
 from .dictionary import Dictionary, Target, greedy_select
-from .perturbation import (ZERO_ERRORS, ErrorSchedule, perturbed_functional,
-                           relaxed_minimize)
+from .perturbation import (ZERO_ERRORS, ErrorSchedule, SequenceSpec,
+                           perturbed_functional, relaxed_minimize)
 from .solvers import (_QR_RCOND, _TINY, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
                       _psi_scaled, chebyshev_project, dense_line_min,
                       min_along_ray)
@@ -68,49 +72,30 @@ _ZERO_RESIDUAL = 1e-12
 _MEASURE_VALUES = 16384
 
 
-@dataclass(frozen=True)
-class WeaknessSchedule:
-    """Per-iteration selection relaxation factors t_m in [0, 1]."""
+# Each SequenceSpec kind a weakness may take, named as a schema-1 report's
+# ``weakness`` dict names it.
+_WEAKNESS_NAMES = {"const": "constant", "pow": "power_decay",
+                   "list": "explicit_list"}
 
-    kind: str = "constant"  # constant | power_decay | explicit_list
-    t0: float = 1.0
-    exponent: float = 0.0
-    values: Optional[tuple] = None
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "power_decay", "explicit_list"):
-            raise ValueError(f"unknown weakness kind {self.kind!r}")
-        if not (0.0 < self.t0 <= 1.0):
-            raise ValueError("t0 must lie in (0, 1]")
-        if not (math.isfinite(self.exponent) and self.exponent >= 0):
-            raise ValueError(f"decay exponent must be finite and "
-                             f"nonnegative, got {self.exponent}")
-        if self.kind == "explicit_list":
-            if not self.values:
-                raise ValueError("explicit_list schedule needs values")
-            if any(not (0.0 <= v <= 1.0) for v in self.values):
-                raise ValueError("weakness values must lie in [0, 1]")
-
-    def value(self, m: int) -> float:
-        if self.kind == "constant":
-            return self.t0
-        if self.kind == "power_decay":
-            return self.t0 * float(m) ** (-self.exponent)
-        return self.values[min(m - 1, len(self.values) - 1)]
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "t0": self.t0, "exponent": self.exponent,
-                "values": list(self.values) if self.values else None}
-
-    @staticmethod
-    def from_dict(d: dict) -> "WeaknessSchedule":
-        """The schedule ``as_dict`` wrote; ``ValueError`` if d is not one."""
-        try:
-            vals = tuple(d["values"]) if d.get("values") else None
-            return WeaknessSchedule(kind=d["kind"], t0=d["t0"],
-                                    exponent=d["exponent"], values=vals)
-        except (KeyError, TypeError, AttributeError, ValueError) as e:
-            raise ValueError(f"malformed weakness schedule {d!r}: {e}") from e
+def WeaknessSchedule(kind: str = "constant", t0: float = 1.0,
+                     exponent: float = 0.0,
+                     values: Optional[tuple] = None) -> SequenceSpec:
+    """The weakness t_m from the fields of a report's ``weakness`` dict:
+    ``constant`` t0, ``power_decay`` t0 m^-exponent or an ``explicit_list``
+    of values, with t0 in (0, 1] and a finite exponent >= 0.  It is also
+    the weakness check of ``run_greedy`` and ``RunReport.from_json``; the
+    name stays for the callers, the benchmark among them, that use it."""
+    seq_kind = [k for k, name in _WEAKNESS_NAMES.items() if name == kind]
+    if not seq_kind:
+        raise ValueError(f"unknown weakness kind {kind!r}")
+    if not (0.0 < t0 <= 1.0):
+        raise ValueError("t0 must lie in (0, 1]")
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise ValueError(f"decay exponent must be finite and nonnegative, "
+                         f"got {exponent}")
+    return SequenceSpec(seq_kind[0], c=t0, a=exponent,
+                        values=tuple(values) if values else None)
 
 
 @dataclass
@@ -219,7 +204,11 @@ class RunReport:
         if sm != vars(space):
             raise ValueError(f"report field 'space_meta' {sm} differs from "
                              f"the constants of {space.spec_string()}")
-        WeaknessSchedule.from_dict(d["weakness"])
+        try:
+            WeaknessSchedule(**d["weakness"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed weakness schedule {d['weakness']!r}: "
+                             f"{e}") from e
         if d.get("errors") is not None:
             ErrorSchedule.from_dict(d["errors"])
         # an approximate name with its schedule, an exact one without
@@ -564,7 +553,7 @@ def run_id(name: str) -> tuple:
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
+def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: SequenceSpec,
                *, errors: Optional[ErrorSchedule] = None, max_m: int = 100,
                stop_tol: float = 1e-12, rule: str = "exact_argmax",
                target: Optional[Target] = None) -> RunReport:
@@ -590,6 +579,13 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
     if not (math.isfinite(stop_tol) and stop_tol >= 0.0):
         raise ValueError(f"stop_tol (--stop-tol) must be finite and "
                          f"nonnegative, got {stop_tol}")
+    # the report's weakness, t0 = 1 for a list without one, checked as
+    # from_json checks it, so that every report a run writes can be audited
+    weakness = {"kind": _WEAKNESS_NAMES.get(tau.kind, tau.kind),
+                "t0": (tau.c or 1.0) if tau.kind == "list" else tau.c,
+                "exponent": tau.a,
+                "values": list(tau.values) if tau.values else None}
+    WeaknessSchedule(**weakness)
     if target is not None and not np.array_equal(target.f.coords, f.coords):
         raise ValueError("target.f is not f: the report would describe "
                          "another target than the one run")
@@ -683,7 +679,7 @@ def run_greedy(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
         dict_spec=D.spec_string(),
         target_spec=target.spec.mode if target else "custom",
         target_meta=_target_meta(target),
-        weakness=tau.as_dict(),
+        weakness=weakness,
         solver={"tol": TOL, "grad_tol": GRAD_TOL, "max_iters": MAX_ITERS},
         max_m=max_m, stop_tol=stop_tol, rule=rule,
         termination=termination, records=records, initial_residual=r0,

@@ -80,6 +80,8 @@ class TargetSpec:
             raise ValueError(f"unknown target mode {self.mode!r}")
         if not (self.eps >= 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
+        if self.mode != "general_plus_noise" and self.eps > 0.0:
+            raise ValueError(f"{self.mode} target eps must be 0, got {self.eps}")
         if self.mode == "general_plus_noise" and self.eps > 1.0:
             raise ValueError(f"noisy target eps must be at most 1, got {self.eps}"
                              ": its A(eps) is 1, and the audit needs A(eps) >= eps")

@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (AWBGA_IDS, RunReport, WeaknessSchedule, run_greedy,
-                         run_id)
+from .algorithms import (_WEAKNESS_NAMES, AWBGA_IDS, RunReport,
+                         WeaknessSchedule, run_greedy, run_id)
 from .diagnostics import (BOUND_IDS, DEFAULT_COND_TOLS, BoundSpec,
                           _worst_margin, audit_conditions, bound_curve,
                           error_reduction_margins, verify_rates)
@@ -184,14 +184,13 @@ def parse_target_spec(spec: str) -> TargetSpec:
                       **_read_kv(spec, fields, "target", table, form))
 
 
-def parse_weakness(spec: str) -> WeaknessSchedule:
+def parse_weakness(spec: str) -> SequenceSpec:
     kind, vals = _read_sequence(spec, _WEAKNESS_FORMS, "weakness spec")
-    if kind == "list":
-        return WeaknessSchedule(kind="explicit_list", t0=vals[0] or 1.0,
+    if kind == "list":  # its t0: the first value, or 1 where that is 0
+        return WeaknessSchedule(_WEAKNESS_NAMES[kind], vals[0] or 1.0,
                                 values=vals)
     # const:<t0> or pow:<t0>,<exponent>
-    return WeaknessSchedule({"const": "constant", "pow": "power_decay"}[kind],
-                            *vals)
+    return WeaknessSchedule(_WEAKNESS_NAMES[kind], *vals)
 
 
 def _parse_sequence(spec: str) -> SequenceSpec:

@@ -4,6 +4,7 @@ Three error channels: delta (inexact norming functionals), eta (relative
 slack in the per-step minimizations), and the biorthogonality slack eps they
 induce.  ``ErrorSchedule`` resolves delta_k, eta_m and eps_m for each step,
 and ``perturbed_functional`` and ``relaxed_minimize`` apply the first two.
+delta and eta are ``SequenceSpec``s, as is the weakness; eps may exceed 1.
 The greedy loop that uses them is ``algorithms.run_greedy``: every WBGA
 member takes a schedule there, and an exact run uses ``ZERO_ERRORS``.
 Functionals are perturbed adversarially, by convex mixing with a random
@@ -35,7 +36,7 @@ from .space import (_NORMAL_MIN, _PLAIN_P, Element, LpSpace, dual_norm,
                     functional_coords, in_dual_ball, pnorm)
 
 if TYPE_CHECKING:
-    from .algorithms import RunReport, WeaknessSchedule
+    from .algorithms import RunReport
 
 # Stop tests of the level crossings.  A point admissible in its own
 # arithmetic whose g lies within tol of the level ends the search, with tol
@@ -163,8 +164,11 @@ def _ray_crossing(ev: Callable, ok: Callable, lo: float, g_lo: float,
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """One error sequence: constant, power decay, explicit list, or the
-    online thresholds derived from the current residual ("prop72auto")."""
+    """One sequence in [0, 1]: the weakness t_m, delta_k or eta_m.  Constant,
+    power decay, explicit list, or (errors only) "prop72auto", thresholds
+    derived online from the current residual.  t_m and eta_m read list
+    position m - 1, the default; ``delta_at`` passes pos=k, as delta_k runs
+    from k = 0.  A weakness needs c in (0, 1] (``run_greedy`` checks)."""
 
     kind: str  # const | pow | prop72auto | list
     c: float = 0.0
@@ -179,29 +183,27 @@ class SequenceSpec:
         nums = (self.c, self.a) + tuple(self.values or ())
         if not all(math.isfinite(v) for v in nums):
             raise ValueError(f"{self.kind} sequence values must be finite")
-        if self.kind == "const" and not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"const sequence value {self.c} must lie in [0, 1]")
         if self.kind == "pow" and (self.c < 0.0 or self.a < 0.0):
             raise ValueError("pow sequence needs c >= 0 and a >= 0")
-        if self.kind == "list" and not all(0.0 <= v <= 1.0 for v in self.values):
-            raise ValueError("list sequence values must lie in [0, 1]")
+        vals = {"const": (self.c,), "list": self.values}.get(self.kind, ())
+        if not all(0.0 <= v <= 1.0 for v in vals):
+            raise ValueError(f"{self.kind} sequence values must lie in [0, 1]")
 
     def value(self, m: int, pos: int = None) -> float:
-        """Scheduled value at subscript m; ``pos`` is the 0-based position
-        used by list sequences (delta runs from subscript 0, eta from 1).
-        Power decay is evaluated at max(m, 1) and capped at 1."""
+        """Scheduled value at subscript m.  A list reads its 0-based
+        position ``pos``, m - 1 by default, and holds its last value past
+        its end; power decay is evaluated at max(m, 1)."""
         if self.kind == "const":
             return float(self.c)
         if self.kind == "pow":
             return min(1.0, self.c * float(max(m, 1)) ** (-self.a))
         if self.kind == "list":
-            i = m if pos is None else pos
+            i = m - 1 if pos is None else pos
             return float(self.values[min(max(i, 0), len(self.values) - 1)])
         raise ValueError("prop72auto sequences are resolved online by the driver")
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "c": self.c, "a": self.a,
-                "values": list(self.values) if self.values else None}
+        return dict(vars(self), values=list(self.values or ()) or None)
 
     @staticmethod
     def from_dict(d: dict) -> "SequenceSpec":
@@ -248,7 +250,7 @@ class ErrorSchedule:
             # the exact threshold references the post-step residual, which is
             # not known yet; half the current residual is a conservative proxy
             return _auto_threshold(space, 0.5 * r_prev, t_m)
-        return self.eta.value(m, pos=m - 1)
+        return self.eta.value(m)
 
     def eta_overrun(self, space: LpSpace, eta_m: float, r_new: float,
                     t_m: float) -> bool:
@@ -451,7 +453,7 @@ def _auto_threshold(space: LpSpace, r: float, t: float) -> float:
     return min(1.0, 64.0 ** (-pc) * space.gamma ** (1.0 - pc) * r ** pc * t ** pc)
 
 
-def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: WeaknessSchedule,
+def run_awbga(algorithm: str, f: Element, D: Dictionary, tau: SequenceSpec,
               errs: ErrorSchedule, *, max_m: int = 100,
               stop_tol: float = 1e-12, rule: str = "exact_argmax",
               target: Optional[Target] = None) -> RunReport:

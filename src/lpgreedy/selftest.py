@@ -24,14 +24,16 @@ from .space import (Element, LpSpace, dict_dual_norm, dual_norm, lp_space,
 
 
 @dataclass
-class CheckResult:
+class OracleCheck:
+    """One selftest check; an audit's check is ``diagnostics.CheckResult``."""
+
     name: str
     passed: bool
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(ok), detail=detail)
+def _check(name: str, ok: bool, detail: str = "") -> OracleCheck:
+    return OracleCheck(name=name, passed=bool(ok), detail=detail)
 
 
 def omp_oracle_residuals(D_matrix: np.ndarray, f: np.ndarray, m_max: int) -> list:

@@ -53,8 +53,60 @@ class TestWeaknessSchedule:
             WeaknessSchedule(kind="power_decay", t0=0.5, exponent=exponent)
 
     def test_round_trip(self):
+        # a report's weakness dict reads back as the schedule that ran
         tau = WeaknessSchedule(kind="power_decay", t0=0.9, exponent=0.25)
-        assert WeaknessSchedule.from_dict(tau.as_dict()) == tau
+        _, D, t = hilbert_setup()
+        rep = run_greedy("wcga", t.f, D, tau, max_m=3, target=t)
+        back = RunReport.from_json(rep.to_json())
+        assert back.weakness == {"kind": "power_decay", "t0": 0.9,
+                                 "exponent": 0.25, "values": None}
+        assert WeaknessSchedule(**back.weakness) == tau
+
+    def test_is_a_sequence_spec(self):
+        # one sequence type for t_m, delta_k and eta_m: WeaknessSchedule is
+        # a function, and dataclass equality holds only within one class
+        assert WeaknessSchedule() == SequenceSpec(kind="const", c=1.0)
+        assert (WeaknessSchedule(kind="power_decay", t0=0.9, exponent=0.25)
+                == SequenceSpec(kind="pow", c=0.9, a=0.25))
+        assert (WeaknessSchedule(kind="explicit_list", values=(0.5, 0.25))
+                == SequenceSpec(kind="list", c=1.0, values=(0.5, 0.25)))
+
+    def test_power_decay_is_the_weakness_formula_bit_for_bit(self):
+        # min(1, c max(m, 1)^-a) runs the float operations of t0 m^-a for
+        # m >= 1 and t0 <= 1
+        for t0 in (1.0, 0.9, 0.5, 1e-3, 1):
+            for a in (0.0, 0.25, 0.3, 0.5, 1.0, 2.5):
+                tau = WeaknessSchedule(kind="power_decay", t0=t0, exponent=a)
+                assert [tau.value(m) for m in range(1, 300)] == \
+                    [t0 * float(m) ** (-a) for m in range(1, 300)]
+
+    def test_list_sequence_runs_from_its_first_value(self):
+        # t_m reads position m - 1: a list weakness runs 1, 0.5, 0.25, 0.25
+        _, D, t = hilbert_setup()
+        tau = SequenceSpec(kind="list", values=(1.0, 0.5, 0.25))
+        rep = run_greedy("rwrga", t.f, D, tau, max_m=4, target=t)
+        assert [r.t_m for r in rep.records] == [1.0, 0.5, 0.25, 0.25]
+        back = RunReport.from_json(rep.to_json())
+        assert back.weakness == {"kind": "explicit_list", "t0": 1.0,
+                                 "exponent": 0.0, "values": [1.0, 0.5, 0.25]}
+        assert audit_conditions(back).passed
+
+    @pytest.mark.parametrize("tau,problem", [
+        (SequenceSpec(kind="prop72auto"), "unknown weakness kind"),
+        (SequenceSpec(kind="const", c=0.0), "t0 must lie in (0, 1]"),
+        (SequenceSpec(kind="pow", c=0.0, a=0.5), "t0 must lie in (0, 1]"),
+        (SequenceSpec(kind="pow", c=1.5, a=0.5), "t0 must lie in (0, 1]"),
+        (SequenceSpec(kind="list", c=2.0, values=(0.5,)),
+         "t0 must lie in (0, 1]")])
+    def test_no_weakness_sequence_rejected_before_first_step(
+            self, monkeypatch, tau, problem):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+        monkeypatch.setattr(algorithms, "_functional", no_step)
+        _, D, t = hilbert_setup()
+        with pytest.raises(ValueError) as e:
+            run_greedy("wcga", t.f, D, tau, target=t)
+        assert problem in str(e.value)
 
 
 class TestRunDriver:

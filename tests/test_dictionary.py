@@ -210,10 +210,14 @@ class TestTargets:
     @pytest.mark.parametrize("kw,problem", [
         (dict(mode="a1_sparse", k=3, seed=-1), "target seed must be"),
         (dict(mode="general_plus_noise", k=3, eps=1.5),
-         "noisy target eps must be at most 1")])
+         "noisy target eps must be at most 1"),
+        (dict(mode="a1_sparse", k=2, eps=0.2), "target eps must be 0"),
+        (dict(mode="a1_dense", eps=1e-300), "target eps must be 0")])
     def test_invalid_spec_rejected(self, kw, problem):
         # a negative seed would reach np.random.default_rng; eps > 1 would
-        # exceed the certificate's A(eps) = 1
+        # exceed the certificate's A(eps) = 1; a hull target drawn without
+        # noise would record an eps its draw ignores, and its report would
+        # carry a 2 eps floor
         with pytest.raises(ValueError, match=problem):
             TargetSpec(**kw)
 

@@ -312,6 +312,10 @@ class TestCli:
         (lambda b: b["weakness"].update(t0=0), "t0 must lie in (0, 1]"),
         (lambda b: b["weakness"].update(exponent="x"),
          "malformed weakness schedule"),
+        (lambda b: b["weakness"].update(kind="prop72auto"),
+         "unknown weakness kind 'prop72auto'"),
+        (lambda b: b["weakness"].update(kind="explicit_list", values=[2.0]),
+         "malformed weakness schedule"),
         (lambda b: b.update(initial_residual="x"),
          "['initial_residual'] are not numbers"),
         (lambda b: b.update(max_m=None), "['max_m'] are not numbers"),
@@ -363,6 +367,9 @@ class TestCli:
         ("--space", "lp:p=3,n=8,x=1", "unknown field(s) ['x']"),
         ("--weakness", "pow:0.5,nan", "decay exponent must be finite"),
         ("--weakness", "pow:0.5,inf", "decay exponent must be finite"),
+        ("--weakness", "const:0", "t0 must lie in (0, 1]"),
+        ("--weakness", "pow:1.5,0.5", "t0 must lie in (0, 1]"),
+        ("--weakness", "list:0.5,1.5", "values must lie in [0, 1]"),
         ("--weakness", "pow:0.5", "does not match the form pow:<t0>,<a>"),
         ("--weakness", "pow:0.5,1,2", "does not match the form pow:<t0>,<a>"),
         ("--weakness", "pow:0.5,x", "does not match the form pow:<t0>,<a>"),
@@ -738,8 +745,8 @@ class TestUntracedPaths:
     @pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
     def test_selftest_exit_code(self, monkeypatch, capsys, passed, code):
         monkeypatch.setattr(selftest, "run_all", lambda: [
-            selftest.CheckResult("first", True, "ok"),
-            selftest.CheckResult("second", passed, "detail")])
+            selftest.OracleCheck("first", True, "ok"),
+            selftest.OracleCheck("second", passed, "detail")])
         assert main(["selftest"]) == code
         out = capsys.readouterr().out
         assert f"{'PASS' if passed else 'FAIL'}  second  detail" in out

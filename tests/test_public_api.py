@@ -29,7 +29,9 @@ def test_no_exported_name_appears_twice():
     ("xi_root", "space"), ("smoothness_bound", "space"),
     ("empirical_modulus", "space"), ("_modulus_sample", "space"),
     # make_target is the one target generator
-    ("sample_a1_target", "dictionary"), ("perturb_target", "dictionary")])
+    ("sample_a1_target", "dictionary"), ("perturb_target", "dictionary"),
+    # an audit's check is diagnostics.CheckResult, a selftest's OracleCheck
+    ("CheckResult", "selftest")])
 def test_removed_name_is_gone(name, module):
     assert name not in lpgreedy.__all__
     assert not hasattr(lpgreedy, name)
