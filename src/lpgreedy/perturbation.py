@@ -12,15 +12,18 @@ dual vector pushed as far as the delta budget allows, so the theory gets
 exercised near its stated boundary instead of with benign rounding noise.
 
 Both perturbations end at a level crossing of a convex function on a ray
-(``_ray_crossing``): the largest admissible mixing weight for delta, and
-the farthest admissible step from the argmin for eta, along one ray that
-ends where a coordinate held at >= 0 reaches 0.  One power of |c| at
-the ray point c gives the value and its closed-form slope, so each step
-takes the root of a quadratic model from the admissible end, kept between
-the secant point (admissible, by convexity) and the tangent roots (not
-admissible), with bisection where two steps have not halved the bracket.
-A point counts as admissible only as the caller computes it: the achieved
-delta from the returned functional, the value from the caller's residual.
+(``_ray_crossing``), from a bracket known before any evaluation: the
+largest admissible mixing weight for delta, on [0, 1]; the farthest
+admissible step from the argmin for eta, on [0, hi], hi the nearer of the
+ray's end (where a coordinate held at >= 0 reaches 0) and the step past
+which the triangle inequality puts the value over its budget.  One power
+of |c| at the ray point c gives the value and its closed-form slope, so
+each step takes the root of a quadratic model from the admissible end,
+kept between the secant point (admissible, by convexity) and the tangent
+roots (not admissible), with bisection where two steps have not halved
+the bracket.  A point counts as admissible only as the caller computes
+it: the achieved delta from the returned functional, the value from the
+caller's residual.
 """
 
 from __future__ import annotations
@@ -85,58 +88,44 @@ def _model_root(g: float, d: float, k: float) -> float:
 
 
 def _ray_crossing(ev: Callable, ok: Callable, lo: float, g_lo: float,
-                  d_lo: float, hi: float, g_hi: Optional[float],
-                  x: Optional[float], tol: float, rel: float) -> tuple:
+                  d_lo: float, hi: float, g_hi: float, tol: float,
+                  rel: float) -> tuple:
     """Admissible point at the level crossing of a convex g on [lo, hi].
 
-    g(lo) = g_lo < -tol with slope d_lo there; g_hi = g(hi) > 0, or None
-    while hi (possibly inf) is not known to lie past the crossing.
+    g(lo) = g_lo < -tol with slope d_lo there, and g(hi) = g_hi > 0.
     ``ev(x)`` returns (g(x), g'(x)); ``ok(x)`` judges a point with
     -tol <= g(x) <= 0 in its own arithmetic, and a point it rejects counts
-    as past the level.  ``x`` is the first point to evaluate, or None.
+    as past the level.
 
     Each step aims at g = -tol/2.  Its point is the root of the quadratic
-    model at lo: value and slope there, curvature from g(hi), or from the
-    slope at the previous lo while g(hi) is unknown (then at least twice
-    as far from that lo).  Convexity keeps the root between the secant
-    point of the bracket, which is admissible, and the tangent roots from
-    either end, which are not.  Where two evaluations have not halved the
-    bracket, the next one bisects it.  Returns (x, g(x), accepted): the
-    first accepted point; else lo, or hi where it was reached below the
-    level.
+    model at lo: value and slope there, curvature from g(hi).  Convexity
+    keeps the root between the secant point of the bracket, which is
+    admissible, and the tangent roots from either end, which are not.
+    Where two evaluations have not halved the bracket, the next one bisects
+    it.  Returns (x, g(x), accepted): the first accepted point, else lo.
     """
     aim = 0.5 * tol
-    d_hi = prev = stop = None
+    d_hi = 0.0  # the slope at hi is not known until hi moves
     widths = [math.inf, math.inf, math.inf]
     rejected = 0
-    if g_hi is not None:
-        stop = rel * (hi - lo)
+    stop = rel * (hi - lo)
     for _ in range(_MAX_EVALS):
-        if x is None:
-            glo = g_lo + aim
-            if g_hi is None:  # extrapolate: at least double the last step
-                t = _model_root(glo, d_lo, (d_lo - prev[1]) / (lo - prev[0]))
-                x = max(lo + t, 2.0 * lo - prev[0]) if t < math.inf \
-                    else 2.0 * lo - prev[0]
-                if d_lo > 0.0:
-                    x = min(x, lo - glo / d_lo)
-                x = min(x, hi)
-            elif widths[2] > 0.5 * widths[0]:
-                x = 0.5 * (lo + hi)
-            else:
-                ghi, w = g_hi + aim, hi - lo
-                upper = hi
-                if d_lo > 0.0:
-                    upper = min(upper, lo - glo / d_lo)
-                if d_hi is not None and d_hi > 0.0:
-                    upper = min(upper, hi - ghi / d_hi)
-                x = lo + _model_root(glo, d_lo,
-                                     2.0 * (ghi - glo - d_lo * w) / (w * w))
-                x = min(max(x, lo - glo * w / (ghi - glo)), upper)
-            if not lo < x < hi and not (g_hi is None and lo < x == hi):
-                x = 0.5 * (lo + hi)
-                if not lo < x < hi:  # the ends are adjacent floats
-                    break
+        if widths[2] > 0.5 * widths[0]:
+            x = 0.5 * (lo + hi)
+        else:
+            glo, ghi, w = g_lo + aim, g_hi + aim, hi - lo
+            upper = hi
+            if d_lo > 0.0:
+                upper = min(upper, lo - glo / d_lo)
+            if d_hi > 0.0:
+                upper = min(upper, hi - ghi / d_hi)
+            x = lo + _model_root(glo, d_lo,
+                                 2.0 * (ghi - glo - d_lo * w) / (w * w))
+            x = min(max(x, lo - glo * w / (ghi - glo)), upper)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # the ends are adjacent floats
+                break
         g, d = ev(x)
         if -tol <= g <= 0.0:
             if ok(x):
@@ -146,19 +135,12 @@ def _ray_crossing(ev: Callable, ok: Callable, lo: float, g_lo: float,
                 break
             g = 0.0
         if g < -tol:
-            if x == hi:  # reached the end of the ray below the level
-                return x, g, False
-            prev = (lo, d_lo)
             lo, g_lo, d_lo = x, g, d
         else:
-            if stop is None:
-                stop = rel * (x - lo)
             hi, g_hi, d_hi = x, g, d
-        x = None
-        if g_hi is not None:
-            widths = [widths[1], widths[2], hi - lo]
-            if hi - lo <= stop:
-                break
+        widths = [widths[1], widths[2], hi - lo]
+        if hi - lo <= stop:
+            break
     return lo, g_lo, False
 
 
@@ -343,8 +325,7 @@ def perturbed_functional(space: LpSpace, f_m: np.ndarray, delta: float,
     # g(1) = target ||R|| - R(f_m) > 0, as ||R|| = 1 and R alone is not admissible
     s, _, accepted = _ray_crossing(ev, ok, 0.0, -delta * fn,
                                    delta * (fn - Rf), 1.0,
-                                   max(target - Rf, 0.0), None, tol,
-                                   _DELTA_REL)
+                                   max(target - Rf, 0.0), tol, _DELTA_REL)
     if not (accepted or (s > 0.0 and ok(s))):
         return exact, 0.0
     return in_dual_ball(p, seen[1]), seen[2]
@@ -360,14 +341,17 @@ def relaxed_minimize(p: float, residual: Callable, eta: float,
     float or an array, ``exact`` is the exact solve (x*, v*), and ``nonneg``
     (a bool, or one per coordinate of x) marks the coordinates held at >= 0.
     The walk is one ray from x* in a random direction, up to where the
-    first held coordinate reaches 0.  There the residual is r + b u, and
-    ``_ray_crossing`` finds where g(b) = ||r + b u||^2 - level^2 crosses 0,
-    starting at the b where g would at p = 2 (slope 0 at x*), at a level
-    2^-48 of the budget below v* (1 + eta/2), or lower by twice the rounding
-    measured in ``residual`` at that first point; a ray that ends below the
-    level gives its end.  The returned value, computed by ``residual``,
-    lies in [v*, v* (1 + eta/2)]: where no such point is found, as when the
-    budget lies within that rounding of v*, x* itself is returned.
+    first held coordinate reaches 0.  There the residual is r + b u with
+    ||r|| = v*, so ||r + b u|| >= b ||u|| - v* lies above the budget
+    v* (1 + eta/2) at b = 2 budget / ||u||, and the walk's bracket is
+    [0, hi] with hi the smaller of that b and the ray's end.  The level is
+    2^-48 of the budget below it, or lower by twice the rounding measured
+    in ``residual`` at hi.  Where g(b) = ||r + b u||^2 - level^2 is above 0
+    at hi, ``_ray_crossing`` finds where it crosses 0; otherwise the ray
+    ends below the level, and its end is judged.  The returned value,
+    computed by ``residual``, lies in [v*, v* (1 + eta/2)]: where no such
+    point is found, as when the budget lies within that rounding of v*, x*
+    itself is returned.
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
@@ -413,9 +397,12 @@ def relaxed_minimize(p: float, residual: Callable, eta: float,
     budget = v_star * (1.0 + 0.5 * eta)
     r = residual(caller(start))
     u = residual(caller(start + d)) - r
-    uu = float(np.dot(u, u))
-    b = min(end, math.sqrt((budget * budget - v_star * v_star)
-                           / ((p - 1.0) * uu))) if uu > 0.0 else 0.0
+    # ||r + b u|| >= b ||u|| - v* > budget past b = 2 budget / ||u||; where
+    # that b is not finite, u is too small beside the budget to walk along
+    un = pnorm(p, u)
+    b = min(end, 2.0 * budget / un) if un > 0.0 else 0.0
+    if b == math.inf:
+        b = 0.0
     accepted = False
     if b > 0.0:
         noise = pnorm(p, residual(caller(point(b))) - (r + b * u))
@@ -423,11 +410,13 @@ def relaxed_minimize(p: float, residual: Callable, eta: float,
         level = budget - 2.0 * noise
         if v_star >= level - tol:  # the budget is within rounding of v*
             return x_star, v_star
-        g_tol = tol * (2.0 * level - tol)
-        b, _, accepted = _ray_crossing(ev, ok, 0.0,
-                                       v_star * v_star - level * level, 0.0,
-                                       end, None, b, g_tol, _ETA_REL)
-    if accepted or ok(b if b > 0.0 else 0.0):  # b is NaN where budget^2 is inf
+        g_hi = ev(b)[0]
+        if g_hi > 0.0:  # else the ray ends below the level, at b
+            g_tol = tol * (2.0 * level - tol)
+            b, _, accepted = _ray_crossing(ev, ok, 0.0,
+                                           v_star * v_star - level * level,
+                                           0.0, b, g_hi, g_tol, _ETA_REL)
+    if accepted or ok(b):
         return caller(seen[0]), seen[1]
     return x_star, v_star
 

@@ -334,7 +334,8 @@ def min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
 
 def _min_along_ray(p: float, r0: np.ndarray, v: np.ndarray,
                    nonneg: bool) -> float:
-    vv = float(np.dot(v, v))
+    # vdot, unlike dot, does not warn where v . v overflows
+    vv = float(np.vdot(v, v))
     if not _NORMAL_MIN <= vv < math.inf:
         if not v.any():
             return 0.0

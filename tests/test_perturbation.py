@@ -166,6 +166,20 @@ class TestRelaxedMinimize:
             assert x >= 0.0
             assert v0 <= v <= v0 * 1.2
 
+    def test_direction_too_small_for_a_finite_bracket(self):
+        # 2 budget / ||u|| overflows for this u: the walk has no finite
+        # bracket and returns the argmin, as at u = 0
+        x, v = relaxed_minimize(2.0, lambda x: np.array([1e-310 * x, 1.0]),
+                                0.5, (0.0, 1.0), seed=1)
+        assert x == 0.0 and v == 1.0
+
+    def test_ray_end_reached_below_the_level(self):
+        # the walk along -1 meets x >= 0 at 0.1 with the value sqrt(1.01),
+        # below the budget 1.25: the end itself is judged and returned
+        x, v = relaxed_minimize(2.0, lambda x: np.array([x - 0.1, 1.0]), 0.5,
+                                (0.1, 1.0), seed=1, nonneg=True)
+        assert x == 0.0 and v == np.sqrt(1.01)
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_walk_stops_where_the_held_coordinate_reaches_zero(self, p):
         # ||(w, lam - a, 1)||_p over lam >= 0 is least at (0, a), value 1.
@@ -492,8 +506,7 @@ class TestLevelCrossing:
             return x ** 3 + x - 1.0, 3.0 * x * x + 1.0
 
         x, g, accepted = perturbation._ray_crossing(
-            ev, lambda x: True, 0.0, -1.0, 1.0, 1.0, 1.0, None, 4e-16,
-            2.0 ** -60)
+            ev, lambda x: True, 0.0, -1.0, 1.0, 1.0, 1.0, 4e-16, 2.0 ** -60)
         assert accepted and g == ev(x)[0]
         assert -4e-16 <= g <= 0.0
 
@@ -509,8 +522,7 @@ class TestLevelCrossing:
             return (-1.0 if x <= step else 1.0), 0.0
 
         x, _, accepted = perturbation._ray_crossing(
-            ev, lambda x: True, 0.0, -1.0, 0.0, 1.0, 1.0, None, 0.0,
-            2.0 ** -60)
+            ev, lambda x: True, 0.0, -1.0, 0.0, 1.0, 1.0, 0.0, 2.0 ** -60)
         assert not accepted
         assert step - 2.0 ** -60 <= x <= step
         assert len(calls) < 200
@@ -518,7 +530,7 @@ class TestLevelCrossing:
     def test_start_returned_when_nothing_admissible_seen(self):
         x, _, accepted = perturbation._ray_crossing(
             lambda x: (1.0, 0.0), lambda x: True, 0.0, -1.0, 0.0, 1.0, 1.0,
-            None, 0.0, 2.0 ** -50)
+            0.0, 2.0 ** -50)
         assert x == 0.0 and not accepted
 
     def test_points_rejected_in_their_own_arithmetic_count_as_past(self):
@@ -528,22 +540,15 @@ class TestLevelCrossing:
             return x * x - 0.25, 2.0 * x
 
         x, g, accepted = perturbation._ray_crossing(
-            ev, lambda x: False, 0.0, -0.25, 0.0, 1.0, 0.75, None, 1e-6,
-            2.0 ** -60)
+            ev, lambda x: False, 0.0, -0.25, 0.0, 1.0, 0.75, 1e-6, 2.0 ** -60)
         assert not accepted
         assert x < 0.5 and g < -1e-6
 
-    def test_ray_end_reached_below_the_level(self):
-        # while g(hi) is unknown the search extrapolates, and returns hi
-        # itself where g is still below the window there
-        x, g, accepted = perturbation._ray_crossing(
-            lambda x: (x * x - 4.0, 2.0 * x), lambda x: True, 0.0, -4.0,
-            0.0, 1.5, None, 0.1, 1e-3, 2.0 ** -50)
-        assert x == 1.5 and g == 1.5 ** 2 - 4.0 and not accepted
-
 
 def _count_evaluations(monkeypatch):
-    """Per-crossing evaluation counts, split by delta and eta."""
+    """Per-crossing evaluation counts, split by delta and eta.  An eta
+    count includes the walk's evaluation at its bracket end, which
+    ``relaxed_minimize`` makes before it calls the crossing."""
     counts = {"delta": [], "eta": []}
     crossing = perturbation._ray_crossing
 
@@ -556,7 +561,7 @@ def _count_evaluations(monkeypatch):
 
         out = crossing(ev_counted, *args)
         kind = "delta" if args[-1] == perturbation._DELTA_REL else "eta"
-        counts[kind].append(n[0])
+        counts[kind].append(n[0] + (kind == "eta"))
         return out
 
     monkeypatch.setattr(perturbation, "_ray_crossing", counted)

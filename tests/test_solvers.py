@@ -358,6 +358,18 @@ class TestMinAlongRay:
             assert abs(min_along_ray(p, c * r0, c * v) - ref) <= 1e-14 * abs(ref)
         assert min_along_ray(p, r0, np.zeros(16)) == 0.0
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 8.0, 800.0])
+    def test_huge_ray_matches_scale_one(self, p):
+        # c v . v overflows at these scales, which warned before the
+        # rescaling could act; the minimiser does not depend on a common
+        # scale
+        rng = np.random.default_rng(4)
+        r0, v = rng.standard_normal(16), rng.standard_normal(16)
+        ref = min_along_ray(p, r0, v)
+        for e in (600, 900, 1000):
+            c = 2.0 ** e
+            assert abs(min_along_ray(p, c * r0, c * v) - ref) <= 5e-15 * abs(ref)
+
     @pytest.mark.parametrize("top", [0.05, 0.39, 3.0])
     def test_p_800_matches_dense_grid(self, top):
         # with max|r| = 0.39 every plain |r|^799 is below 1e-326 and psi

@@ -4,13 +4,16 @@
 installs its wrappers, and ``bench/run.py`` calls the package as ``lp``, a
 module it imports at run time.  Renaming or deleting one of these names,
 or a parameter a call passes by keyword, breaks the benchmark, not the
-library's own tests.
+library's own tests.  So does a change to the audit tolerances, which
+``bench/checks.py`` tables for itself, or to the record fields it and
+``bench/run.py`` read from a written report.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +21,25 @@ import pytest
 
 import lpgreedy
 import lpgreedy.harness  # noqa: F401  bench/run.py imports it too
-from lpgreedy import chebyshev_project, lp_space
+from lpgreedy import (ALGORITHM_IDS, AWBGA_IDS, SequenceSpec, TargetSpec,
+                      build_dictionary, chebyshev_project, diagnostics,
+                      lp_space, make_target, run_greedy)
+from lpgreedy.algorithms import run_id
+from lpgreedy.perturbation import ZERO_ERRORS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SPANS = BENCH / "spans.py"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name,
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _labels():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans")
     return list(spans.SPANNED) + list(spans.COUNTED)
 
 
@@ -86,3 +98,48 @@ def test_bench_run_name_resolves_on_lpgreedy(name, call):
         # the call's positional count and keyword names bind to the signature
         inspect.signature(obj).bind(*call.args, **{
             k.arg: k.value for k in call.keywords if k.arg is not None})
+
+
+def test_bench_audit_tolerances_are_the_audits_own():
+    # ``checks.check_audit`` reads AUDIT_TOLS[name] for every applicable
+    # check of a report; each name is held there to the tolerance
+    # ``audit_conditions`` holds it to
+    gs, er, bo = diagnostics.DEFAULT_COND_TOLS
+    own = {"greedy_selection": gs, "error_reduction": er,
+           "biorthogonality": bo, "monotone": er,
+           "neg_line": diagnostics._NEG_LINE_TOL, "bj": er}
+    tols = _bench_module("checks").AUDIT_TOLS
+    D = build_dictionary(lp_space(1.5, 8), "random_gauss", 16, seed=1)
+    t = make_target(D, TargetSpec(mode="a1_sparse", k=2, seed=2))
+    tau = SequenceSpec(kind="const", c=1.0)
+    for name in ALGORITHM_IDS + AWBGA_IDS:
+        algorithm, approximate = run_id(name)
+        rep = run_greedy(algorithm, t.f, D, tau, max_m=3, target=t,
+                         errors=ZERO_ERRORS if approximate else None)
+        assert rep.algorithm == name
+        for c in diagnostics.audit_conditions(rep).checks:
+            if c.applicable:
+                assert tols.get(c.name) == own[c.name], (name, c.name)
+
+
+def test_written_report_holds_the_record_fields_the_bench_reads(tmp_path):
+    # bench/run.py and bench/checks.py read these from the JSON reports a
+    # sweep writes
+    code = lpgreedy.harness.main([
+        "sweep", "--algos", "awcga,awgafr", "--seeds", "1",
+        "--space", "lp:p=1.5,n=8", "--dict", "random_gauss,N=16,seed=1",
+        "--target", "a1,k=2,seed=0",
+        "--errors", "err:delta=pow:0.1,1.1,eta=pow:0.1,1.1", "--iters", "3",
+        "--out-dir", str(tmp_path)])
+    assert code == 0
+    reports = sorted(tmp_path.glob("*.json"))
+    assert reports
+    fields = {"m", "wall_ns", "residual_norm", "t_m", "bo_abs", "eps_m",
+              "delta_m"}
+    for path in reports:
+        rep = json.loads(path.read_text())
+        assert isinstance(rep["algorithm"], str)
+        assert isinstance(rep["space_meta"]["p"], float)
+        assert isinstance(rep["records"], list) and rep["records"]
+        for rec in rep["records"]:
+            assert isinstance(rec, dict) and fields <= rec.keys()
