@@ -16,8 +16,7 @@ from .dictionary import (Dictionary, Target, TargetSpec, build_dictionary,
                          greedy_select, make_target)
 from .perturbation import (ErrorSchedule, SequenceSpec, derived_eps_bound,
                            perturbed_functional, relaxed_minimize, run_awbga)
-from .solvers import (ProjectionResult, bracket_minimum, chebyshev_project,
-                      line_search, minimize_2d)
+from .solvers import ProjectionResult, chebyshev_project
 from .space import (Element, LpSpace, dict_dual_norm, lp_space, norm,
                     norming_functional)
 
@@ -28,11 +27,9 @@ __all__ = [
     "Dictionary", "Element", "ErrorSchedule", "IterationRecord", "LpSpace",
     "ProjectionResult", "RunReport", "SequenceSpec", "Target",
     "TargetSpec", "WeaknessSchedule",
-    "audit_conditions", "bound_curve",
-    "bracket_minimum", "build_dictionary", "chebyshev_project",
-    "derived_eps_bound", "dict_dual_norm",
-    "error_reduction_margins", "greedy_select", "line_search", "lp_space",
-    "make_target", "minimize_2d", "norm", "norming_functional",
+    "audit_conditions", "bound_curve", "build_dictionary", "chebyshev_project",
+    "derived_eps_bound", "dict_dual_norm", "error_reduction_margins",
+    "greedy_select", "lp_space", "make_target", "norm", "norming_functional",
     "perturbed_functional", "rate_bound", "relaxed_minimize", "run_awbga",
     "run_greedy", "verify_rates",
 ]

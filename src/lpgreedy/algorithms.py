@@ -141,6 +141,18 @@ class IterationRecord:
     wall_ns: int = 0
 
 
+def _check_contiguous(records: list) -> None:
+    """Every audit reads the records as the steps m = 1..M."""
+    if any(r.m != i + 1 for i, r in enumerate(records)):
+        raise ValueError("incomplete report: records must be contiguous from m=1")
+
+
+def _check_certificate(target_meta: dict) -> None:
+    """The error-reduction certificate and the eps bounds need A(eps) >= eps."""
+    if target_meta["a_eps"] < target_meta["eps"]:
+        raise ValueError("certificate requires A(eps) >= eps")
+
+
 @dataclass
 class RunReport:
     """Ordered iteration records plus everything needed to audit them."""
@@ -199,6 +211,7 @@ class RunReport:
                    isinstance(sub.get(k), str if k == "kind" else (int, float))]
             if bad:
                 raise ValueError(f"report field {name!r} lacks {bad}")
+        _check_certificate(d["target_meta"])
         sm = d["space_meta"]
         space = lp_space(sm["p"], sm["n"])
         if sm != vars(space):
@@ -235,6 +248,7 @@ class RunReport:
             if odd:
                 raise ValueError(f"record field {f.name!r} is not a number "
                                  f"in every record")
+        _check_contiguous(records)
         return report
 
 

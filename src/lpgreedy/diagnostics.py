@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithms import RunReport, run_id
+from .algorithms import (RunReport, _check_certificate, _check_contiguous,
+                         run_id)
 
 BOUND_IDS = ("cor21", "thm52", "cor52", "thm72", "cor72", "prop72", "thm91")
 
@@ -106,8 +107,7 @@ def _worst_margin(margins: list) -> float:
 
 def audit_conditions(report: RunReport) -> AuditReport:
     """Per-iteration verification of the defining greedy-step properties."""
-    if any(r.m != i + 1 for i, r in enumerate(report.records)):
-        raise ValueError("incomplete report: records must be contiguous from m=1")
+    _check_contiguous(report.records)
     algorithm, approximate = run_id(report.algorithm)
     tol_gs, tol_er, tol_bo = DEFAULT_COND_TOLS
     applicable = APPLICABLE_CHECKS[algorithm]
@@ -177,9 +177,8 @@ def error_reduction_margins(report: RunReport) -> list:
     if not meta.get("certificate"):
         raise ValueError("missing certificate: error reduction check "
                          "needs the target's (eps, A(eps)) metadata")
+    _check_certificate(meta)
     a_eps, eps = meta["a_eps"], meta["eps"]
-    if a_eps < eps:
-        raise ValueError("certificate requires A(eps) >= eps")
     q = report.space_meta["q"]
     gamma = report.space_meta["gamma"]
     approx = report.errors is not None

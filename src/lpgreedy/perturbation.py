@@ -61,9 +61,9 @@ def _norm_slope(p: float, c: np.ndarray, u: np.ndarray) -> tuple:
     power of |c|; formed over max|c| where the plain power sum is not a
     normal float, as in ``pnorm``."""
     a = np.abs(c)
-    if p <= _PLAIN_P:
+    if p <= _PLAIN_P:  # vdot: no overflow warning from the sum at p = 2
         w = a ** (p - 1.0)
-        s = float(np.dot(w, a))
+        s = float(np.vdot(w, a))
     else:
         with np.errstate(over="ignore"):
             w = a ** (p - 1.0)

@@ -26,15 +26,11 @@ bracket is within its argument tolerance ``tol``.  It takes
 one interval or an array of them: a batch of line problems shares each
 pass, so the measurements of many greedy steps cost one call.
 
-Derivative-free golden section (``line_search``, ``bracket_minimum``,
-``minimize_2d``) serves no greedy step and no measurement.  It is kept
-because the benchmark's layer trace still names these three functions, and
-the tests use it as an independent oracle for the ray minimiser.
-
 Each setting lives where it is read: the projection's iteration cap is
 ``chebyshev_project``'s ``max_iters`` and the grid scans' argument tolerance
 is ``dense_line_min``'s ``tol``.  Their defaults and the other settings are
-the module constants below; a run report records the four as ``solver``.
+the module constants below; a run report records three of them, ``TOL``,
+``GRAD_TOL`` and ``MAX_ITERS``, as ``solver``.
 """
 
 from __future__ import annotations
@@ -47,8 +43,6 @@ import numpy as np
 
 from .space import _NORMAL_MIN, _PLAIN_P, LpSpace, functional_coords, pnorm
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_CAP = 1e12
 # Floor on the relative residual size |r_i| / max|r| in the projection's
 # weights |r|^(p-2) for p < 2, where a zero residual coordinate would give an
 # infinite weight.  At the optimum one coordinate can sit near 1e-9 max|r|
@@ -72,16 +66,13 @@ N_GRID = 33
 # values below this share of the largest, whose least-squares answers are
 # the minimum-norm ones of lstsq.
 _QR_RCOND = 1e-10
-# Default argument tolerance of dense_line_min's nested grids and of
-# line_search, relative to max(1, hi - lo); minimize_2d stops on a cycle
-# that lowers the value by less.
+# Default argument tolerance of dense_line_min's nested grids, relative to
+# max(1, hi - lo).
 TOL = 1e-8
-# Default iteration cap of chebyshev_project, and minimize_2d's cycle cap.
+# Default iteration cap of chebyshev_project.
 MAX_ITERS = 500
 # Stopping size max_k |F_r(phi_k)| of the projection's gradient.
 GRAD_TOL = 1e-10
-# Factor by which bracket_minimum grows its interval.
-BRACKET_GROWTH = 2.0
 
 
 @dataclass
@@ -92,114 +83,23 @@ class ProjectionResult:
     iterations: int
 
 
-class _BestTracker:
-    """Wraps an objective and remembers the best point ever evaluated."""
-
-    def __init__(self, fn: Callable[[float], float]):
-        self.fn = fn
-        self.best_x = None
-        self.best_v = np.inf
-
-    def __call__(self, x: float) -> float:
-        v = self.fn(x)
-        if v < self.best_v:
-            self.best_v, self.best_x = v, x
-        return v
-
-
-def line_search(objective: Callable[[float], float], lo: float, hi: float,
-                tol: float = TOL) -> tuple:
-    """Golden-section minimum of a convex objective on [lo, hi].
-
-    Returns the best point ever evaluated, so the value never exceeds the
-    endpoint values even for monotone objectives.
-    """
-    if lo > hi:
-        raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
-    f = _BestTracker(objective)
-    f(lo)
-    f(hi)
-    a, b = lo, hi
-    tol *= max(1.0, hi - lo)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    f(0.5 * (a + b))
-    return f.best_x, f.best_v
+# The names of the retired golden-section search.  The benchmark's layer
+# trace (``bench/spans.py``) still lists them and looks each up under
+# ``--trace 1``, though nothing calls them; they go when that list drops
+# them (ROADMAP item 1).  Each is its own function object, because the trace
+# rebinds every name bound to the object it looked up.
+def _retired(name: str) -> Callable:
+    def retired(*args, **kwargs):
+        raise NotImplementedError(
+            f"{name} is retired: use min_along_ray for a ray, "
+            "chebyshev_project for a span, dense_line_min for a grid scan")
+    retired.__name__ = retired.__qualname__ = name
+    return retired
 
 
-def bracket_minimum(objective: Callable[[float], float], start: float,
-                    two_sided: bool = False) -> tuple:
-    """Find [lo, hi] containing a minimizer of a convex objective.
-
-    One-sided mode expands to the right of ``start`` until the objective
-    fails to decrease twice in a row (ties count, so flat tails bracket).
-    Two-sided mode grows a symmetric interval around ``start`` until both
-    ends sit above the best interior value.
-    """
-    if two_sided:
-        interior_best = objective(start)
-        s = 1.0
-        while True:
-            lo, hi = start - s, start + s
-            vlo, vhi = objective(lo), objective(hi)
-            tie = 1e-15 * max(1.0, abs(interior_best))
-            if vlo >= interior_best - tie and vhi >= interior_best - tie:
-                return lo, hi
-            interior_best = min(interior_best, vlo, vhi)
-            s *= BRACKET_GROWTH
-            if s > _BRACKET_CAP:
-                raise RuntimeError("no bracket found")
-
-    v_prev = objective(start)
-    step = 1.0
-    rises = 0
-    while True:
-        x = start + step
-        v = objective(x)
-        tie = 1e-15 * max(1.0, abs(v_prev))
-        rises = rises + 1 if v >= v_prev - tie else 0
-        if rises >= 2:
-            return start, x
-        v_prev = v
-        step *= BRACKET_GROWTH
-        if step > _BRACKET_CAP:
-            raise RuntimeError("no bracket found")
-
-
-def minimize_2d(objective: Callable[[float, float], float]) -> tuple:
-    """Cyclic coordinate descent for min over (w in R, lam >= 0).
-
-    Each coordinate is solved by bracket + golden section; stops when a full
-    cycle improves the value by less than TOL.  The start (0, 0) is kept
-    as a feasible fallback, so the returned value never exceeds it.
-    """
-    w, lam = 0.0, 0.0
-    best_w, best_lam = w, lam
-    best_v = objective(w, lam)
-    v_prev = best_v
-    for _ in range(MAX_ITERS):
-        blo, bhi = bracket_minimum(lambda x: objective(x, lam), w, two_sided=True)
-        w, _ = line_search(lambda x: objective(x, lam), blo, bhi)
-
-        blo, bhi = bracket_minimum(lambda x: objective(w, x), lam, two_sided=True)
-        lam, v = line_search(lambda x: objective(w, x), max(0.0, blo), bhi)
-
-        if v < best_v:
-            best_v, best_w, best_lam = v, w, lam
-        if v_prev - v < TOL:
-            break
-        v_prev = v
-    return (best_w, best_lam), best_v
+line_search = _retired("line_search")
+bracket_minimum = _retired("bracket_minimum")
+minimize_2d = _retired("minimize_2d")
 
 
 def dense_line_min(objective_vec: Callable, lo, hi,

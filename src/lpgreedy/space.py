@@ -104,8 +104,8 @@ def pnorm(p: float, a: np.ndarray) -> float:
     the plain sum is used, so ordinary inputs keep their exact results."""
     # the ufunc reduction is called directly: it is what np.sum calls, and
     # the wrapper costs more than the sum on these small arrays
-    if p == 2.0:
-        s = float(np.dot(a, a))
+    if p == 2.0:  # vdot, unlike dot, does not warn where the sum overflows
+        s = float(np.vdot(a, a))
     elif p <= _PLAIN_P:
         s = float(_sum(np.abs(a) ** p))
     else:

@@ -326,6 +326,11 @@ class TestCli:
         (lambda b: b.update(errors=ZERO_ERRORS.as_dict()),
          "report of 'wcga' has errors"),
         (lambda b: b.update(algorithm="awcga"), "report of 'awcga' lacks errors"),
+        # every audit needs these; from_json checks them so that a batch
+        # stops before its first report is audited
+        (lambda b: b["records"].pop(1), "incomplete report"),
+        (lambda b: b["target_meta"].update(a_eps=0.5, eps=0.7),
+         "certificate requires A(eps) >= eps"),
     ])
     def test_audit_malformed_nested_field_is_usage_error(self, tmp_path, capsys,
                                                          edit, problem):
@@ -731,11 +736,17 @@ class TestAuditInputs:
 
     def test_bad_report_stops_before_the_first_audit(self, tmp_path, capsys,
                                                      report):
+        blob = json.loads(report.read_text())
+        gap = dict(blob, records=blob["records"][::2])  # m = 1, 3, ...
+        aeps = dict(blob, target_meta=dict(blob["target_meta"], a_eps=0.5,
+                                           eps=0.7))
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        assert main(["audit", str(report), str(bad)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "error:" in err
+        for text in ("{", json.dumps(gap), json.dumps(aeps)):
+            bad.write_text(text)
+            assert main(["audit", str(report), str(bad),
+                         "--bound", "cor52"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "error:" in err
         y = tmp_path / "y.json"
         assert main(["audit", str(report), "--out", str(y)]) == 0
         assert json.loads(y.read_text())["verdict"] == "PASS"

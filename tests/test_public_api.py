@@ -38,6 +38,17 @@ def test_removed_name_is_gone(name, module):
     assert not hasattr(importlib.import_module("lpgreedy." + module), name)
 
 
+def test_golden_section_is_retired():
+    # min_along_ray and chebyshev_project are the exact solves; the three
+    # names stay in lpgreedy.solvers only as stubs for the benchmark's trace
+    # labels, and raise when called
+    for name in ("line_search", "bracket_minimum", "minimize_2d"):
+        assert name not in lpgreedy.__all__
+        assert not hasattr(lpgreedy, name)
+        with pytest.raises(NotImplementedError, match="min_along_ray"):
+            getattr(lpgreedy.solvers, name)(lambda t: t, 0.0, 1.0)
+
+
 def test_solver_config_is_gone():
     # each solver setting is a keyword of the function that reads it or a
     # constant of lpgreedy.solvers
@@ -50,8 +61,7 @@ def test_solver_config_is_gone():
     ("algorithms.run_greedy", "cfg"), ("perturbation.run_awbga", "cfg"),
     ("diagnostics.verify_rates", "slack"), ("solvers.dense_line_min", "n_grid"),
     ("dictionary.TargetSpec", "a_eps"), ("solvers.chebyshev_project", "cfg"),
-    ("solvers.dense_line_min", "cfg"), ("solvers.line_search", "cfg"),
-    ("solvers.bracket_minimum", "cfg"), ("solvers.minimize_2d", "cfg"),
+    ("solvers.dense_line_min", "cfg"),
     ("diagnostics.audit_conditions", "tol_set"),
     ("diagnostics.error_reduction_margins", "a_eps"),
     ("diagnostics.error_reduction_margins", "eps"),

@@ -5,149 +5,12 @@ import numpy as np
 import pytest
 
 from lpgreedy import (Element, TargetSpec, WeaknessSchedule,
-                      audit_conditions, bracket_minimum, build_dictionary,
-                      chebyshev_project, line_search, lp_space, make_target,
-                      minimize_2d, norming_functional, run_greedy)
+                      audit_conditions, build_dictionary, chebyshev_project,
+                      lp_space, make_target, norming_functional, run_greedy)
 from lpgreedy import algorithms, solvers
 from lpgreedy.solvers import (_WEIGHT_FLOOR, _direction, _factor, _psi_scaled,
                               dense_line_min, min_along_ray)
 from lpgreedy.space import pnorm, pnorm_rows
-
-
-class TestLineSearch:
-    def test_quadratic_vertex(self):
-        arg, val = line_search(lambda t: (t - 1.0) ** 2 + 2.0, 0.0, 4.0)
-        assert arg == pytest.approx(1.0, abs=1e-6)
-        assert val == pytest.approx(2.0, abs=1e-10)
-
-    def test_hilbert_projection(self):
-        f = np.array([1.0, 1.0])
-        g = np.array([1.0, 0.0])
-        arg, val = line_search(lambda t: float(np.linalg.norm(f - t * g)), 0.0, 4.0)
-        assert arg == pytest.approx(1.0, abs=1e-6)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_monotone_returns_boundary(self):
-        arg, val = line_search(lambda t: t + 1.0, 0.0, 4.0)
-        assert arg == pytest.approx(0.0, abs=1e-6)
-        assert val <= 1.0 + 1e-12
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            line_search(lambda t: t, 1.0, 0.0)
-
-    def test_matches_dense_grid_on_residual_objectives(self):
-        # value within 1e-8 of a 1e6-point grid scan on random lp residuals
-        rng = np.random.default_rng(12)
-        lams = np.linspace(0.0, 4.0, 1_000_001)
-        for trial in range(100):
-            p = float(rng.choice([1.5, 2.0, 3.0]))
-            f = rng.standard_normal(4)
-            g = rng.standard_normal(4)
-            g /= pnorm(p, g)
-            vals = np.sum(np.abs(f[None, :] - lams[:, None] * g[None, :]) ** p,
-                          axis=1) ** (1.0 / p)
-            grid_min = float(np.min(vals))
-            _, val = line_search(lambda t: pnorm(p, f - t * g), 0.0, 4.0)
-            assert abs(val - grid_min) <= 1e-8
-
-
-class TestBracket:
-    def test_contains_quadratic_minimum(self):
-        lo, hi = bracket_minimum(lambda t: (t - 3.0) ** 2, 0.0)
-        assert lo <= 3.0 <= hi
-
-    def test_norm_objectives_bracket(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = float(rng.choice([1.5, 2.0, 4.0]))
-            f = rng.standard_normal(6) * rng.uniform(0.5, 10.0)
-            g = rng.standard_normal(6)
-            g /= pnorm(p, g)
-            lo, hi = bracket_minimum(lambda t: pnorm(p, f - t * g), 0.0)
-            best = min_along_ray(p, f, g, nonneg=True)
-            assert lo <= best <= hi
-
-    def test_flat_tail_still_brackets(self):
-        lo, hi = bracket_minimum(lambda t: max(1.0 - t, 0.0), 0.0)
-        assert hi >= 1.0
-
-    def test_two_sided_brackets_negative_minimizer(self):
-        lo, hi = bracket_minimum(lambda t: (t + 5.0) ** 2, 1.0, two_sided=True)
-        assert lo <= -5.0 <= hi
-
-    def test_unbounded_objective_fails(self):
-        with pytest.raises(RuntimeError, match="no bracket"):
-            bracket_minimum(lambda t: -t, 0.0)
-
-
-class TestMinimize2d:
-    def test_separable_quadratic(self):
-        (w, lam), val = minimize_2d(lambda a, b: (a - 2.0) ** 2 + (b - 1.0) ** 2)
-        assert w == pytest.approx(2.0, abs=1e-5)
-        assert lam == pytest.approx(1.0, abs=1e-5)
-        assert val == pytest.approx(0.0, abs=1e-8)
-
-    def test_reduces_to_line_search_when_one_direction_vanishes(self):
-        # free-relaxation objective with a zero previous approximant
-        p = 2.0
-        f = np.array([1.0, 2.0, 0.5])
-        phi = np.array([1.0, 0.0, 0.0])
-        G = np.zeros(3)
-
-        def obj(w, lam):
-            return pnorm(p, f - ((1.0 - w) * G + lam * phi))
-
-        (_, lam), val = minimize_2d(obj)
-        lo, hi = bracket_minimum(lambda t: pnorm(p, f - t * phi), 0.0)
-        lam_ref, val_ref = line_search(lambda t: pnorm(p, f - t * phi), lo, hi)
-        assert val == pytest.approx(val_ref, abs=1e-6)
-        assert lam == pytest.approx(lam_ref, abs=1e-5)
-
-    def test_matches_normal_equations(self):
-        rng = np.random.default_rng(8)
-        f = rng.standard_normal(6)
-        G = rng.standard_normal(6)
-        phi = rng.standard_normal(6)
-        phi /= np.linalg.norm(phi)
-
-        def obj(w, lam):
-            return float(np.linalg.norm(f - ((1.0 - w) * G + lam * phi)))
-
-        (w, lam), val = minimize_2d(obj)
-        A = np.column_stack([G, phi])
-        coef, *_ = np.linalg.lstsq(A, f, rcond=None)
-        ref = float(np.linalg.norm(f - A @ coef))
-        # lam may be clamped at 0; only compare when the constraint is slack
-        if coef[1] >= 0:
-            assert val == pytest.approx(ref, abs=1e-6)
-
-    def test_never_beats_value_at_origin(self):
-        (w, lam), val = minimize_2d(lambda a, b: 1.0 + abs(a) + abs(b))
-        assert val <= 1.0 + 1e-12
-
-    def test_lambda_constrained_nonnegative(self):
-        (_, lam), _ = minimize_2d(lambda a, b: (a - 1.0) ** 2 + (b + 2.0) ** 2)
-        assert lam >= 0.0
-
-    def test_beats_both_coordinate_restrictions(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            f = rng.standard_normal(5)
-            G = rng.standard_normal(5)
-            phi = rng.standard_normal(5)
-            phi /= np.linalg.norm(phi)
-
-            def obj(w, lam):
-                return float(np.linalg.norm(f - ((1.0 - w) * G + lam * phi)))
-
-            (w, lam), val = minimize_2d(obj)
-            blo, bhi = bracket_minimum(lambda x: obj(x, lam), w, two_sided=True)
-            _, vw = line_search(lambda x: obj(x, lam), blo, bhi)
-            blo, bhi = bracket_minimum(lambda x: obj(w, x), lam, two_sided=True)
-            _, vl = line_search(lambda x: obj(w, x), max(0.0, blo), bhi)
-            assert val <= vw + 1e-8
-            assert val <= vl + 1e-8
 
 
 class TestMinAlongRay:
@@ -159,7 +22,7 @@ class TestMinAlongRay:
         assert a == pytest.approx(float(np.dot(r, v) / np.dot(v, v)), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
-    def test_matches_golden_section(self, p):
+    def test_matches_dense_grid(self, p):
         # the oracle is dense_line_min's grid scan over |a| <= 2 ||r|| / ||v||,
         # a bound that does not depend on the answer under test
         rng = np.random.default_rng(2)
@@ -177,6 +40,28 @@ class TestMinAlongRay:
         r = np.array([1.0, 0.0])
         v = np.array([-1.0, 0.0])
         assert min_along_ray(2.0, r, v, nonneg=True) == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_matches_brute_force_grid_on_residual_objectives(self, p):
+        # the value is within 1e-8 of a 1e6-point scan of the a-priori
+        # bracket [0, 2 ||f|| / ||g||], and no grid point beats it
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            f = rng.standard_normal(4)
+            g = rng.standard_normal(4)
+            g /= pnorm(p, g)
+            lams = np.linspace(0.0, 2.0 * pnorm(p, f), 1_000_001)
+            grid_min = float(np.min(pnorm_rows(
+                p, f[None, :] - lams[:, None] * g[None, :])))
+            val = pnorm(p, f - min_along_ray(p, f, g, nonneg=True) * g)
+            assert grid_min - 1e-8 <= val <= grid_min * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+    def test_two_sided_finds_a_negative_minimiser(self, p):
+        # ||-5 v - a v|| = |a + 5| ||v||; the one-sided solve clamps it to 0
+        v = np.random.default_rng(3).standard_normal(6)
+        assert min_along_ray(p, -5.0 * v, v) == pytest.approx(-5.0, rel=1e-12)
+        assert min_along_ray(p, -5.0 * v, v, nonneg=True) == 0.0
 
     @staticmethod
     def _bisection_reference(p, r0, v):
@@ -544,6 +429,32 @@ class TestChebyshevProject:
         F = norming_functional(s, Element(coords=res.residual, space=s))
         assert float(np.max(np.abs(F @ A))) <= solvers.GRAD_TOL
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_two_atom_span_with_a_zero_atom_is_the_ray(self, p):
+        # the free-relaxation step from a zero approximant: its span is the
+        # new atom's ray, so its value is the ray solve's
+        f = np.array([1.0, 2.0, 0.5])
+        phi = np.array([1.0, 0.0, 0.0])
+        res = chebyshev_project(lp_space(p, 3), f, np.stack([np.zeros(3), phi]))
+        ray = pnorm(p, f - min_along_ray(p, f, phi) * phi)
+        assert pnorm(p, res.residual) == pytest.approx(ray, rel=1e-12)
+        assert res.converged
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_two_atom_span_beats_each_atom_ray(self, p):
+        # no ray from the projection along either atom lowers its residual
+        s = lp_space(p, 5)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            f = rng.standard_normal(5)
+            basis = rng.standard_normal((2, 5))
+            res = chebyshev_project(s, f, basis)
+            assert res.converged
+            val = pnorm(p, res.residual)
+            for atom in basis:
+                a = min_along_ray(p, res.residual, atom)
+                assert val <= pnorm(p, res.residual - a * atom) + 1e-12
+
     def test_wcga_run_below_two_never_caps(self):
         # at p = 1.5 some optimal residuals of this run have a coordinate
         # near 1e-9 max|r|; a weight floor of 1e-8 caps the m=51 projection
@@ -702,7 +613,7 @@ class TestProjectionLstsq:
 
 
 class TestDenseLineMin:
-    def test_agrees_with_line_search(self):
+    def test_agrees_with_ray_solve(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal(6)
         g = rng.standard_normal(6)
@@ -760,6 +671,22 @@ class TestDenseLineMin:
             lam, v = dense_line_min(self._ray(p, f, phi), 0.0, 2.0 * r)
             assert lam == 0.0
             assert v == pytest.approx(r, rel=1e-15)
+
+    def test_quadratic_vertex(self):
+        arg, val = dense_line_min(lambda ts: (ts - 1.0) ** 2 + 2.0, 0.0, 4.0)
+        assert arg == pytest.approx(1.0, abs=1e-6)
+        assert val == pytest.approx(2.0, abs=1e-10)
+
+    def test_hilbert_projection(self):
+        f = np.array([1.0, 1.0])
+        g = np.array([1.0, 0.0])
+        arg, val = dense_line_min(lambda ts: np.linalg.norm(
+            f[None, :] - ts[:, None] * g[None, :], axis=1), 0.0, 4.0)
+        assert arg == pytest.approx(1.0, abs=1e-6)
+        assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_increasing_objective_returns_left_end(self):
+        assert dense_line_min(lambda ts: ts + 1.0, 0.0, 4.0) == (0.0, 1.0)
 
     def test_constant_objective_returns_left_end(self):
         calls = []

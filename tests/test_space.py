@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from lpgreedy import (Element, LpSpace, dict_dual_norm, lp_space, norm,
                       norming_functional)
 from lpgreedy.dictionary import Dictionary, build_dictionary
+from lpgreedy.perturbation import relaxed_minimize
 from lpgreedy import space as space_module
 from lpgreedy.selftest import empirical_modulus
 from lpgreedy.space import dual_norm, in_dual_ball, pnorm, pnorm_rows
@@ -71,6 +72,18 @@ class TestNorm:
                                  ** (1.0 / p))
         with np.errstate(over="ignore"):
             assert pnorm(p, a) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e300])
+    def test_overflowing_euclidean_sum_does_not_warn(self, c):
+        # the p = 2 sums of pnorm and of the eta walk's slope overflow
+        # without a warning, so their scaled routes act under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pnorm(2.0, c * np.array([3.0, 4.0])) == pytest.approx(
+                5.0 * c, rel=1e-15)
+            _, v = relaxed_minimize(2.0, lambda x: c * np.array([x, 1.0]),
+                                    0.5, (0.0, c))
+        assert c <= v <= 1.25 * c
 
     def test_ordinary_inputs_take_the_plain_sum(self):
         # bitwise np.sum's result, at lengths on both sides of its pairwise
