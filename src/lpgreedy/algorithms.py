@@ -44,7 +44,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -141,9 +142,36 @@ class IterationRecord:
     wall_ns: int = 0
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_RECORD_DEFAULTS = {f.name: f.default for f in fields(IterationRecord)
+                    if f.default is not MISSING}
+_RECORD_KEYS = frozenset(_RECORD_FIELDS)
+_RECORD_REQUIRED = _RECORD_KEYS - _RECORD_DEFAULTS.keys()
+# The record fields a report must hold as integers.
+_INT_FIELDS = ("m", "selected_index", "wall_ns")
+
+
+def _read_records(rows: list) -> list:
+    """``IterationRecord`` objects from a report's record dicts.  A dict
+    whose keys are fields, the required ones among them, becomes the
+    record's attribute dict with the missing defaults filled in, without an
+    ``__init__`` call; any other row goes through ``__init__``, whose
+    ``TypeError`` names what is wrong with it."""
+    records = []
+    for r in rows:
+        if type(r) is dict and _RECORD_REQUIRED <= r.keys() <= _RECORD_KEYS:
+            rec = object.__new__(IterationRecord)
+            rec.__dict__ = (r if len(r) == len(_RECORD_KEYS)
+                            else {**_RECORD_DEFAULTS, **r})
+            records.append(rec)
+        else:
+            records.append(IterationRecord(**r))
+    return records
+
+
 def _check_contiguous(records: list) -> None:
     """Every audit reads the records as the steps m = 1..M."""
-    if any(r.m != i + 1 for i, r in enumerate(records)):
+    if [r.m for r in records] != list(range(1, len(records) + 1)):
         raise ValueError("incomplete report: records must be contiguous from m=1")
 
 
@@ -230,7 +258,7 @@ class RunReport:
             raise ValueError(f"report of {d['algorithm']!r} "
                              f"{'lacks' if approximate else 'has'} errors")
         try:
-            records = [IterationRecord(**r) for r in d.pop("records")]
+            records = _read_records(d.pop("records"))
             report = RunReport(records=records, **d)
         except TypeError as e:
             raise ValueError(f"malformed report: {e}") from e
@@ -238,16 +266,26 @@ class RunReport:
                and type(getattr(report, f.name)) not in (int, float)]
         if odd:
             raise ValueError(f"report field(s) {odd} are not numbers")
-        # one set of types per field over all records, which costs about
-        # half as much as checking value by value
-        columns = zip(*(vars(r).values() for r in records))
-        for f, column in zip(fields(IterationRecord), columns):
-            odd = set(map(type, column)) - {int, float}
-            if f.name in ("omega", "mu"):
+        # one set of types per field over all records; a non-number is
+        # named before a non-integer
+        columns = zip(*map(itemgetter(*_RECORD_FIELDS), map(vars, records)))
+        not_int = []
+        for name, column in zip(_RECORD_FIELDS, columns):
+            kinds = set(map(type, column))
+            odd = kinds - {int, float}
+            if name in ("omega", "mu"):
                 odd.discard(type(None))
             if odd:
-                raise ValueError(f"record field {f.name!r} is not a number "
+                raise ValueError(f"record field {name!r} is not a number "
                                  f"in every record")
+            if name in _INT_FIELDS and float in kinds:
+                not_int.append(name)
+        if not_int:
+            raise ValueError(f"record field {not_int[0]!r} is not an integer "
+                             f"in every record")
+        if report.schema != 1 or type(report.schema) is not int:
+            raise ValueError(f"unsupported report schema {report.schema!r}: "
+                             f"this version reads schema 1")
         _check_contiguous(records)
         return report
 

@@ -11,11 +11,14 @@ Bound ids accepted by ``rate_bound``: cor21, thm52, cor52, thm72, cor72,
 prop72, thm91.  All bound evaluations use the proven power-type modulus
 gamma * u^q, never the sampled estimate.  ``_bound_form`` tables each bound
 as coefficient * (shift + x)^(-1/p'), x being m or the t_k^p' partial sum,
-over a floor of 2 eps, 4 eps or none; ``bound_curve`` and ``verify_rates``
-apply it to a report's columns, each read once, with the constants evaluated
-once per report, and ``rate_bound`` is its one-point form.  Per-record
-powers stay Python-float ``**``: numpy's array power differs in the last
-bit on some inputs, and no margin, tightness or CSV bound may move.
+over a floor of 2 eps, 4 eps or none.  ``_curves`` evaluates each distinct
+power curve of a report once (five of the seven bounds share the shift-1
+curve over the partial sums), then scales and floors every bound in one 2-D
+array; ``verify_rates`` takes the margins, tightness, worst margins and
+largest tightness of all its bounds from that array, and ``bound_curve``
+and ``rate_bound`` are its one-row and one-point forms.  The powers stay
+Python-float ``**``: numpy's array power differs in the last bit on some
+inputs, and no margin, tightness or CSV bound may move.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,51 +119,60 @@ def audit_conditions(report: RunReport) -> AuditReport:
     recs = report.records
     checks = []
 
-    def add(name: str, margins: list, tol: float, skip: str = ""):
+    def add(name: str, margins: Callable, tol: float, skip: str = ""):
+        """One check; ``margins()`` lists its margins only if it applies."""
         if skip or name not in applicable:
             reason = skip or _SKIP_REASONS.get((algorithm, name),
                                                "not promised by this algorithm")
             checks.append(CheckResult(name=name, applicable=False, passed=True,
                                       worst_margin=float("nan"), reason=reason))
             return
+        margins = margins()
         worst = _worst_margin(margins)
         checks.append(CheckResult(name=name, applicable=True,
                                   passed=worst >= -tol,
                                   worst_margin=worst, margins=margins))
 
-    add("greedy_selection", [r.gs_lhs - r.gs_rhs for r in recs], tol_gs)
-    add("error_reduction",
-        [(1.0 + r.eta_m) * r.er_reference - r.residual_norm for r in recs],
+    add("greedy_selection", lambda: [r.gs_lhs - r.gs_rhs for r in recs],
+        tol_gs)
+    add("error_reduction", lambda: [
+        (1.0 + r.eta_m) * r.er_reference - r.residual_norm for r in recs],
         tol_er)
-    add("biorthogonality", [r.eps_m - r.bo_abs for r in recs], tol_bo)
+    add("biorthogonality", lambda: [r.eps_m - r.bo_abs for r in recs], tol_bo)
 
-    prev = [report.initial_residual] + [r.residual_norm for r in recs[:-1]]
     mono = "monotone" in applicable and (algorithm != "wrga"
                                          or report.target_meta.get("in_hull"))
-    add("monotone",
-        [(1.0 + r.eta_m) * pr - r.residual_norm for r, pr in zip(recs, prev)],
+    # zip stops at the last record, so the previous norms are r_0..r_(M-1)
+    add("monotone", lambda: [
+        (1.0 + r.eta_m) * pr - r.residual_norm for r, pr in
+        zip(recs, [report.initial_residual] + [r.residual_norm for r in recs])],
         tol_er, "" if mono else "monotonicity not promised for this run")
 
-    add("neg_line", [r.neg_line_margin for r in recs], _NEG_LINE_TOL)
-    add("bj", [r.bj_margin for r in recs], tol_er)
+    add("neg_line", lambda: [r.neg_line_margin for r in recs], _NEG_LINE_TOL)
+    add("bj", lambda: [r.bj_margin for r in recs], tol_er)
 
     verdict = "PASS" if all(c.passed for c in checks) else "FAIL"
     return AuditReport(algorithm=report.algorithm, checks=checks, verdict=verdict)
 
 
-def _reduction_rhs_factor(q: float, gamma: float, coef_a: float, c0: float,
-                          r_prev: float) -> float:
-    """inf over lam >= 0 of 1 + c0 - coef_a * lam + 2 gamma (lam / r_prev)^q.
+def _reduction_rhs(q: float, gamma: float) -> Callable:
+    """factor(coef_a, c0, r_prev): the inf over lam >= 0 of
+    1 + c0 - coef_a * lam + 2 gamma (lam / r_prev)^q, with the constants of
+    (q, gamma) evaluated once.
 
     The objective is convex in lam; for coef_a > 0 its stationary point
     lam* = (coef_a r_prev^q / (2 gamma q))^(1/(q-1)) satisfies
     2 gamma (lam*/r_prev)^q = coef_a lam* / q, so the infimum is
     1 + c0 - coef_a lam* (1 - 1/q).  ``selftest`` checks it against the
     nested grid scans of ``dense_line_min``."""
-    if coef_a <= 0.0:
-        return 1.0 + c0
-    lam_star = (coef_a * r_prev ** q / (2.0 * gamma * q)) ** (1.0 / (q - 1.0))
-    return 1.0 + c0 - coef_a * lam_star * (1.0 - 1.0 / q)
+    denom, power, share = 2.0 * gamma * q, 1.0 / (q - 1.0), 1.0 - 1.0 / q
+
+    def factor(coef_a: float, c0: float, r_prev: float) -> float:
+        if coef_a <= 0.0:
+            return 1.0 + c0
+        lam_star = (coef_a * r_prev ** q / denom) ** power
+        return 1.0 + c0 - coef_a * lam_star * share
+    return factor
 
 
 def error_reduction_margins(report: RunReport) -> list:
@@ -169,18 +181,19 @@ def error_reduction_margins(report: RunReport) -> list:
     Returns [rhs_m - ||f_m||] for every m; nonnegative margins (up to the
     optimizer tolerance) certify the inequality.  Reads the target's
     (eps, A(eps)) certificate from ``report.target_meta``; raises
-    ``ValueError`` when it is missing or A(eps) < eps.
+    ``ValueError`` when it is missing or A(eps) < eps, and when the records
+    are not the steps m = 1..M.
     Approximate runs are checked in the slack form with the achieved
     functional errors and measured biorthogonality defects.
     """
+    _check_contiguous(report.records)
     meta = report.target_meta
     if not meta.get("certificate"):
         raise ValueError("missing certificate: error reduction check "
                          "needs the target's (eps, A(eps)) metadata")
     _check_certificate(meta)
     a_eps, eps = meta["a_eps"], meta["eps"]
-    q = report.space_meta["q"]
-    gamma = report.space_meta["gamma"]
+    factor = _reduction_rhs(report.space_meta["q"], report.space_meta["gamma"])
     approx = report.errors is not None
     margins = []
     prev_r = report.initial_residual
@@ -199,8 +212,7 @@ def error_reduction_margins(report: RunReport) -> list:
             coef_a = (r.t_m / a_eps) * (1.0 - eps / prev_r)
             c0 = 0.0
             scale = 1.0
-        factor = _reduction_rhs_factor(q, gamma, coef_a, c0, prev_r)
-        rhs = prev_r * scale * factor
+        rhs = prev_r * scale * factor(coef_a, c0, prev_r)
         margins.append(rhs - r.residual_norm)
         prev_r = r.residual_norm
         prev_bo = r.bo_abs
@@ -254,18 +266,27 @@ def _bound_form(spec: BoundSpec) -> tuple:
     return c * (spec.a_eps + spec.eps), floor, 1.0, bid == "thm91"
 
 
-def _curve(spec: BoundSpec, ms: list, tsums: list) -> list:
-    """The bound at each (m, partial sum) pair of the two columns."""
+def _curves(specs: list, ms: list, tsums: list) -> np.ndarray:
+    """The bound of each spec (one row each) at each (m, partial sum) pair
+    of the two columns.  Each distinct (exponent, shift, column) power curve
+    is evaluated once, then every row is scaled and floored at once."""
     lo = min(ms, default=1)
     if lo < 0:
         raise ValueError("iteration index must be nonnegative")
-    if lo < 1 and spec.bound_id == "cor21":
+    if lo < 1 and any(s.bound_id == "cor21" for s in specs):
         raise ValueError("the constant-weakness bound applies from m = 1")
-    coef, floor, shift, by_m = _bound_form(spec)
-    e = -1.0 / spec.p_conj
-    vals = [coef * (shift + x) ** e for x in (ms if by_m else tsums)]
-    # max(floor, v) keeps floor unless v > floor: a NaN v gives floor too
-    return vals if floor is None else [v if v > floor else floor for v in vals]
+    curves, rows, coefs, floors = {}, [], [], []
+    for spec in specs:
+        coef, floor, shift, by_m = _bound_form(spec)
+        rows.append(curves.setdefault((-1.0 / spec.p_conj, shift, by_m),
+                                      len(curves)))
+        coefs.append(coef)
+        floors.append(math.nan if floor is None else floor)
+    powers = np.array([[(shift + x) ** e for x in (ms if by_m else tsums)]
+                       for e, shift, by_m in curves])
+    # fmax(v, floor) is floor where v is NaN, and v where there is no floor
+    return np.fmax(powers[rows] * np.array(coefs)[:, None],
+                   np.array(floors)[:, None])
 
 
 def rate_bound(spec: BoundSpec, m: int, tsum_p: float) -> float:
@@ -274,7 +295,7 @@ def rate_bound(spec: BoundSpec, m: int, tsum_p: float) -> float:
     ``tsum_p`` is the partial sum of t_k^p_conj up to m (ignored by the
     bounds that depend on m alone).
     """
-    return _curve(spec, [m], [tsum_p])[0]
+    return float(_curves([spec], [m], [tsum_p])[0, 0])
 
 
 @dataclass
@@ -290,8 +311,8 @@ class RateCheck:
 
 
 def bound_curve(spec: BoundSpec, report: RunReport) -> np.ndarray:
-    return np.array(_curve(spec, [r.m for r in report.records],
-                           report.partial_tp_sums().tolist()))
+    return _curves([spec], [r.m for r in report.records],
+                   report.partial_tp_sums().tolist())[0]
 
 
 def verify_rates(report: RunReport, bound_ids: list) -> list:
@@ -301,12 +322,10 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
     Bounds that need a hull certificate (cor21/cor52/cor72/prop72) or a
     constant weakness sequence (cor21) are skipped with a reason when the
     report does not qualify.  Tightness is residual/bound per iteration.
+    The bounds that apply are checked together, one row each.
     """
-    results = []
     meta = report.target_meta
-    ms = [r.m for r in report.records]
-    resid = report.residual_norms()
-    tsums = report.partial_tp_sums().tolist()
+    skips = []
     for bid in bound_ids:
         if bid in ("cor21", "cor52", "cor72", "prop72"):
             skip = "" if meta.get("in_hull") else "requires a hull certificate"
@@ -315,19 +334,29 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
                 "requires (eps, A(eps)) metadata"
         if not skip and bid == "cor21" and report.weakness["kind"] != "constant":
             skip = "requires a constant weakness sequence"
+        skips.append(skip)
+    specs = [BoundSpec.from_report(bid, report)
+             for bid, skip in zip(bound_ids, skips) if not skip]
+    if specs:
+        resid = report.residual_norms()
+        bounds = _curves(specs, [r.m for r in report.records],
+                         report.partial_tp_sums().tolist())
+        margins = bounds - resid
+        tight = resid / np.maximum(bounds, 1e-300)
+        # numpy's min and max, unlike Python's, are NaN wherever a NaN sits
+        worst, top = ((margins.min(axis=1).tolist(), tight.max(axis=1).tolist())
+                      if resid.size else ([0.0] * len(specs),) * 2)
+        rows = iter(zip(margins.tolist(), tight.tolist(), worst, top))
+    results = []
+    for bid, skip in zip(bound_ids, skips):
         if skip:
             results.append(RateCheck(bound_id=bid, applicable=False,
                                      passed=True, worst_margin=float("nan"),
                                      max_tightness=float("nan"), reason=skip))
             continue
-        bounds = np.array(_curve(BoundSpec.from_report(bid, report), ms, tsums))
-        margins = (bounds - resid).tolist()
-        tight = resid / np.maximum(bounds, 1e-300)
-        worst = _worst_margin(margins)
-        # numpy's max, unlike Python's, is NaN wherever a NaN sits
-        top = float(tight.max()) if tight.size else 0.0
+        margin, tightness, w, t = next(rows)
         results.append(RateCheck(bound_id=bid, applicable=True,
-                                 passed=worst >= -_RATE_SLACK,
-                                 worst_margin=worst, max_tightness=top,
-                                 margins=margins, tightness=tight.tolist()))
+                                 passed=w >= -_RATE_SLACK, worst_margin=w,
+                                 max_tightness=t, margins=margin,
+                                 tightness=tightness))
     return results

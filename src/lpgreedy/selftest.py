@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import WeaknessSchedule, _two_dir_solve, run_greedy
-from .diagnostics import BoundSpec, _reduction_rhs_factor, rate_bound
+from .diagnostics import BoundSpec, _reduction_rhs, rate_bound
 from .dictionary import TargetSpec, build_dictionary, greedy_select, make_target
 from .perturbation import (derived_eps_bound, perturbed_functional,
                            relaxed_minimize)
@@ -305,7 +305,7 @@ def run_all() -> list:
         spr = lp_space(float(rng.uniform(1.1, 6.0)), 4)
         a, c0 = rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.2)
         r = 10.0 ** rng.uniform(-3.0, 0.0)
-        got = _reduction_rhs_factor(spr.q, spr.gamma, a, c0, r)
+        got = _reduction_rhs(spr.q, spr.gamma)(a, c0, r)
         num = numeric_reduction_factor(spr.q, spr.gamma, a, c0, r)
         below = below and got <= num + 1e-15
         worst = max(worst, abs(got - num) / abs(num))

@@ -16,7 +16,7 @@ from lpgreedy.algorithms import (_RULES, _chunk_steps, _grid_margins, _measure,
                                  _xgreedy_scan, run_id)
 from lpgreedy.diagnostics import APPLICABLE_CHECKS
 from lpgreedy.selftest import matching_pursuit_residuals, omp_oracle_residuals
-from lpgreedy.solvers import min_along_ray
+from lpgreedy.solvers import N_GRID, min_along_ray
 from lpgreedy.space import pnorm, pnorm_rows
 
 T1 = WeaknessSchedule()  # constant t = 1
@@ -430,7 +430,7 @@ NEG_GRID = np.array([-2.0, -1.0, -0.5, -0.1, -0.01])
 BJ_GRID = np.array([-1.0, -0.5, 0.1, 0.5, 1.0])
 
 
-def line_min_per_step(objective, lo, hi, tol=1e-8, n_grid=33):
+def line_min_per_step(objective, lo, hi, tol=1e-8, n_grid=N_GRID):
     """The nested grid scans one problem at a time: np.linspace grids and
     the stop test of the scalar loop."""
     tol = tol * max(1.0, hi - lo)
@@ -471,8 +471,8 @@ class TestBatchedMeasure:
     CHUNK = _chunk_steps(N)
 
     def test_chunk_keeps_the_grid_scans_within_bound(self):
-        assert self.CHUNK * 33 * self.N <= algorithms._MEASURE_VALUES
-        assert (self.CHUNK + 1) * 33 * self.N > algorithms._MEASURE_VALUES
+        assert self.CHUNK * N_GRID * self.N <= algorithms._MEASURE_VALUES
+        assert (self.CHUNK + 1) * N_GRID * self.N > algorithms._MEASURE_VALUES
         assert _chunk_steps(10 ** 6) == 1
 
     @staticmethod

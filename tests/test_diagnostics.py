@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from lpgreedy import (BOUND_IDS, BoundSpec, Element, ErrorSchedule,
-                      SequenceSpec, TargetSpec, WeaknessSchedule,
-                      audit_conditions,
+                      IterationRecord, SequenceSpec, TargetSpec,
+                      WeaknessSchedule, audit_conditions,
                       bound_curve, build_dictionary, dict_dual_norm,
                       error_reduction_margins, lp_space, make_target,
                       norming_functional, rate_bound, run_greedy,
                       verify_rates)
+from lpgreedy.algorithms import RunReport
+from lpgreedy.diagnostics import RateCheck, _bound_form, _worst_margin
 
 T1 = WeaknessSchedule()
 
@@ -134,6 +136,13 @@ class TestErrorReductionInequality:
         rep = run_greedy("wcga", f, D, T1, max_m=3)
         with pytest.raises(ValueError, match="certificate"):
             error_reduction_margins(rep)
+
+    def test_gap_in_m_rejected(self, hull_run):
+        # an m = 3 record after m = 1 would be measured against f_1
+        bad = dataclasses.replace(hull_run)
+        bad.records = [hull_run.records[0]] + hull_run.records[2:]
+        with pytest.raises(ValueError, match="contiguous"):
+            error_reduction_margins(bad)
 
     def test_invalid_certificate_combination(self, hull_run):
         meta = dict(hull_run.target_meta, a_eps=0.01, eps=0.5)
@@ -391,3 +400,158 @@ class TestBoundIndexValidation:
             verify_rates(bad, [bid])
         with pytest.raises(ValueError, match=msg):
             bound_curve(BoundSpec.from_report(bid, bad), bad)
+
+
+def _curve_per_bound(spec, ms, tsums):
+    """One bound's curve with its own powers, value by value: the route
+    every bound took before the curves were shared."""
+    lo = min(ms, default=1)
+    if lo < 0:
+        raise ValueError("iteration index must be nonnegative")
+    if lo < 1 and spec.bound_id == "cor21":
+        raise ValueError("the constant-weakness bound applies from m = 1")
+    coef, floor, shift, by_m = _bound_form(spec)
+    e = -1.0 / spec.p_conj
+    vals = [coef * (shift + x) ** e for x in (ms if by_m else tsums)]
+    return vals if floor is None else [v if v > floor else floor for v in vals]
+
+
+def _verify_rates_per_bound(report, bound_ids):
+    """``verify_rates`` one bound at a time, each with its own curve."""
+    results = []
+    meta = report.target_meta
+    ms = [r.m for r in report.records]
+    resid = report.residual_norms()
+    tsums = report.partial_tp_sums().tolist()
+    for bid in bound_ids:
+        if bid in ("cor21", "cor52", "cor72", "prop72"):
+            skip = "" if meta.get("in_hull") else "requires a hull certificate"
+        else:
+            skip = "" if meta.get("certificate") else \
+                "requires (eps, A(eps)) metadata"
+        if not skip and bid == "cor21" and report.weakness["kind"] != "constant":
+            skip = "requires a constant weakness sequence"
+        if skip:
+            results.append(RateCheck(bound_id=bid, applicable=False,
+                                     passed=True, worst_margin=float("nan"),
+                                     max_tightness=float("nan"), reason=skip))
+            continue
+        bounds = np.array(_curve_per_bound(BoundSpec.from_report(bid, report),
+                                           ms, tsums))
+        margins = (bounds - resid).tolist()
+        tight = resid / np.maximum(bounds, 1e-300)
+        worst = _worst_margin(margins)
+        top = float(tight.max()) if tight.size else 0.0
+        results.append(RateCheck(bound_id=bid, applicable=True,
+                                 passed=worst >= -1e-6,
+                                 worst_margin=worst, max_tightness=top,
+                                 margins=margins, tightness=tight.tolist()))
+    return results
+
+
+def _same(a, b):
+    """Equal values, NaN equal to NaN, lists element by element; an int
+    and a float of the same value differ."""
+    if isinstance(a, list) or isinstance(b, list):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, float) and isinstance(b, float) and a != a:
+        return b != b
+    return type(a) is type(b) and a == b
+
+
+def _with_records(rep, edit):
+    bad = dataclasses.replace(rep)
+    bad.records = [dataclasses.replace(r) for r in rep.records]
+    edit(bad.records)
+    return bad
+
+
+def _list_weakness_run():
+    s = lp_space(3.0, 8)
+    D = build_dictionary(s, "random_gauss", 32, seed=6)
+    t = make_target(D, TargetSpec(mode="a1_sparse", k=4, seed=7))
+    tau = SequenceSpec(kind="list", values=(1.0, 0.8, 0.6, 0.9))
+    return run_greedy("rwrga", t.f, D, tau, max_m=12, target=t)
+
+
+@pytest.fixture(scope="module")
+def reference_cases(curve_runs, hull_run):
+    cases = dict(curve_runs)
+    cases["no_records"] = dataclasses.replace(hull_run, records=[])
+    cases["nan_residual"] = _with_records(
+        hull_run, lambda rs: setattr(rs[3], "residual_norm", float("nan")))
+    cases["nan_weakness"] = _with_records(
+        hull_run, lambda rs: setattr(rs[2], "t_m", float("nan")))
+    cases["list_weakness"] = _list_weakness_run()
+    return cases
+
+
+REFERENCE_CASES = ["constant", "power_decay", "late_floor", "approximate",
+                   "no_records", "nan_residual", "nan_weakness",
+                   "list_weakness"]
+
+
+class TestSharedCurvesMatchPerBound:
+    """The shared curves and the one 2-D pass must give every field of
+    every RateCheck that the per-bound route gives."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    @pytest.mark.parametrize("bound_ids", [
+        list(BOUND_IDS), ["cor52", "thm52", "cor52", "thm91", "thm52"]])
+    def test_every_field_matches(self, reference_cases, name, bound_ids):
+        rep = reference_cases[name]
+        got = verify_rates(rep, bound_ids)
+        want = _verify_rates_per_bound(rep, bound_ids)
+        assert [rc.bound_id for rc in got] == bound_ids
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(RateCheck):
+                assert _same(getattr(g, f.name), getattr(w, f.name)), \
+                    (name, g.bound_id, f.name)
+
+    def test_list_weakness_skips_cor21(self, reference_cases):
+        rc = verify_rates(reference_cases["list_weakness"], ["cor21"])[0]
+        assert not rc.applicable and "constant" in rc.reason
+
+    def test_binding_floor_is_compared_against(self, reference_cases):
+        rep = reference_cases["late_floor"]
+        rc, = verify_rates(rep, ["thm52"])
+        floor = 2.0 * rep.target_meta["eps"]
+        assert rc.margins[-1] == floor - rep.records[-1].residual_norm
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_bound_curve_and_rate_bound_match(self, reference_cases, name):
+        rep = reference_cases[name]
+        ms = [r.m for r in rep.records]
+        tsums = rep.partial_tp_sums().tolist()
+        for spec in _specs(rep):
+            want = _curve_per_bound(spec, ms, tsums)
+            assert _same(bound_curve(spec, rep).tolist(), want)
+            assert _same([rate_bound(spec, m, s) for m, s in zip(ms, tsums)],
+                         want)
+
+
+class TestRecordsFromJson:
+    """Records read from a report's dicts must equal those ``__init__``
+    builds from the same dicts, field for field."""
+
+    @staticmethod
+    def _compare(text):
+        got = RunReport.from_json(text).records
+        want = [IterationRecord(**r) for r in json.loads(text)["records"]]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(IterationRecord):
+                assert _same(getattr(g, f.name), getattr(w, f.name)), f.name
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_round_trip_matches_init(self, reference_cases, name):
+        self._compare(reference_cases[name].to_json())
+
+    def test_records_without_defaults_match_init(self, hull_run):
+        blob = json.loads(hull_run.to_json())
+        for r in blob["records"]:
+            del r["omega"], r["mu"], r["wall_ns"]
+        self._compare(json.dumps(blob))
+        rec = RunReport.from_json(json.dumps(blob)).records[0]
+        assert rec.omega is None and rec.mu is None and rec.wall_ns == 0

@@ -331,6 +331,30 @@ class TestCli:
         (lambda b: b["records"].pop(1), "incomplete report"),
         (lambda b: b["target_meta"].update(a_eps=0.5, eps=0.7),
          "certificate requires A(eps) >= eps"),
+        # this version reads schema 1 only
+        (lambda b: b.update(schema=2), "unsupported report schema 2"),
+        (lambda b: b.update(schema=99), "unsupported report schema 99"),
+        (lambda b: b.update(schema=-1), "unsupported report schema -1"),
+        (lambda b: b.update(schema=1.5), "unsupported report schema 1.5"),
+        (lambda b: b["records"][1].update(m=2.0),
+         "record field 'm' is not an integer"),
+        (lambda b: b["records"][0].update(selected_index=2.5),
+         "record field 'selected_index' is not an integer"),
+        (lambda b: b["records"][0].update(wall_ns=1.5),
+         "record field 'wall_ns' is not an integer"),
+        (lambda b: b["records"][0].update(m="1"),
+         "record field 'm' is not a number"),
+        (lambda b: b["records"][0].update(omega="x"),
+         "record field 'omega' is not a number"),
+        (lambda b: b["records"][0].update(lam=None),
+         "record field 'lam' is not a number"),
+        # a record dict __init__ would refuse keeps __init__'s message
+        (lambda b: b["records"][0].update(bogus=1),
+         "unexpected keyword argument 'bogus'"),
+        (lambda b: b["records"][0].pop("lam"),
+         "missing 1 required positional argument: 'lam'"),
+        (lambda b: b["records"].__setitem__(0, [1.0]),
+         "argument after ** must be a mapping, not list"),
     ])
     def test_audit_malformed_nested_field_is_usage_error(self, tmp_path, capsys,
                                                          edit, problem):

@@ -630,7 +630,7 @@ class TestDenseLineMin:
     @staticmethod
     def _ray(p, f, phi):
         def vec(ls):
-            assert ls.shape == (33,)  # whole grids only, never a scalar
+            assert ls.shape == (solvers.N_GRID,)  # whole grids only, never a scalar
             return np.sum(np.abs(f[None, :] - ls[:, None] * phi[None, :]) ** p,
                           axis=1) ** (1.0 / p)
         return vec
