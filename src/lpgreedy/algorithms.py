@@ -2,9 +2,9 @@
 
 One function, ``run_greedy``, runs every algorithm id.  Each iteration
 takes the norming functional of the residual f_{m-1} (perturbed by delta
-for a run with errors), selects an atom by the weak greedy rule (or by
-the norm scan, for rrxga) and applies the id's update rule from
-``_RULES``.  A rule hands its exact solve to
+for a run with errors), selects an atom by the weak greedy rule (rrxga: by
+a norm scan that stops once its winner is certified) and applies the id's
+update rule from ``_RULES``.  A rule hands its exact solve to
 ``relaxed_minimize``, which with eta = 0 returns that solve unchanged, so
 an exact run is the zero-error case of the approximate one.  The
 functional of the new residual is computed once per step: it measures the
@@ -56,7 +56,7 @@ from .perturbation import (ZERO_ERRORS, ErrorSchedule, SequenceSpec,
 from .solvers import (_QR_RCOND, _TINY, GRAD_TOL, MAX_ITERS, N_GRID, TOL,
                       _psi_scaled, chebyshev_project, dense_line_min,
                       min_along_ray)
-from .space import (_NORMAL_MIN, Element, LpSpace, _max, _min, dict_dual_norm,
+from .space import (_NORMAL_MIN, Element, LpSpace, _min, dict_dual_norm,
                     lp_space, pnorm, pnorm_rows)
 
 ALGORITHM_IDS = ("wcga", "wgafr", "rwrga", "rrxga", "wrga", "wdga", "gg")
@@ -71,6 +71,7 @@ _ZERO_RESIDUAL = 1e-12
 # Largest temporary of the measurement pass, in float64 values (128 KB):
 # it measures as many steps at once as keep their grid scans within it.
 _MEASURE_VALUES = 16384
+_SCAN_MARGIN = 1e-9  # relative; the norm scan's pruning, far above rounding
 
 
 # Each SequenceSpec kind a weakness may take, named as a schema-1 report's
@@ -266,6 +267,9 @@ class RunReport:
                and type(getattr(report, f.name)) not in (int, float)]
         if odd:
             raise ValueError(f"report field(s) {odd} are not numbers")
+        if type(report.max_m) is not int or report.max_m < max(1, len(records)):
+            raise ValueError(f"report field 'max_m' must be an integer >= 1 and "
+                             f">= its {len(records)} records, not {report.max_m!r}")
         # one set of types per field over all records; a non-number is
         # named before a non-integer
         columns = zip(*map(itemgetter(*_RECORD_FIELDS), map(vars, records)))
@@ -381,48 +385,59 @@ def _xgreedy_scan(space: LpSpace, f_prev: np.ndarray, D: Dictionary,
     its bracket is below 1e-10 r; without the freeze, bisection would move
     converged atoms away from their root.  The scan only ranks the atoms,
     so it shares with ``min_along_ray`` no more than that triangle
-    inequality bound: it does not flip to one side, push short steps or
-    stop on psi rounding noise.  Rows whose plain psi' is not a normal
-    float take psi and psi' from ``_psi_scaled``.  The smallest value picks
-    the atom, and an exact ray solve refines its step.
+    inequality bound.  As N(x) = ||f_prev - x g||^p is convex with slope
+    p psi(x), N(x) - p |psi(x)| (hi - lo) bounds N on the new bracket: an
+    atom whose bound exceeds (1 + _SCAN_MARGIN) times the least N met is
+    dropped, and the scan stops once one atom, its certified winner, is left
+    (else the least norm at the final points picks).  Rows whose plain psi'
+    (then from ``_psi_scaled``) or N is not a normal float set and meet no
+    bound.  Iteration 0 is matrix-vector products: every residual is f_prev.
+    An exact ray solve refines the winner's step.
     """
     p = space.p
-    M = D.matrix
+    M = Ma = D.matrix  # Ma, xa, lo, hi, last: the rows still iterated
     N = M.shape[0]
-    x = np.zeros(N)
-    lo = np.full(N, -2.0 * r_prev)
-    hi = np.full(N, 2.0 * r_prev)
-    last = hi - lo
+    x = xa = np.zeros(N)
+    bound, best = np.full(N, -math.inf), math.inf
+    lo, hi, last = -2.0 * r_prev, 2.0 * r_prev, 4.0 * r_prev
     tol = 1e-10 * r_prev
-    active = np.arange(N)
-    for _ in range(60):
-        Ma, xa = M[active], x[active]
-        R = f_prev[None, :] - xa[:, None] * Ma
-        W = np.abs(R)
-        if p < 2.0:
-            np.maximum(W, _TINY, out=W)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    alive = active = np.arange(N)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for it in range(60):
+            R = f_prev - xa[:, None] * Ma if it else f_prev[None, :]
+            W = np.abs(R)
+            if p < 2.0:
+                np.maximum(W, _TINY, out=W)
             W **= p - 2.0
-            psi = -np.einsum("ij,ij->i", R * W, Ma)
+            RW = R * W
+            nrm = np.einsum("ij,ij->i", RW, R)
+            psi = -np.einsum("ij,ij->i", RW, Ma)
             dpsi = (p - 1.0) * np.einsum("ij,ij->i", W, Ma * Ma)
-            if not (_NORMAL_MIN <= _min(dpsi) and _max(dpsi) < math.inf):
-                bad = ~((dpsi >= _NORMAL_MIN) & (dpsi < math.inf))
-                psi[bad], dpsi[bad] = _psi_scaled(p, R[bad], Ma[bad])
+            ok = (dpsi >= _NORMAL_MIN) & (dpsi < math.inf)
+            if not ok.all():  # rare: rebuild those residuals
+                psi[~ok], dpsi[~ok] = _psi_scaled(
+                    p, f_prev - xa[~ok, None] * Ma[~ok], Ma[~ok])
+            ok &= (nrm >= _NORMAL_MIN) & (nrm < math.inf)
             newton_step = psi / dpsi
-        neg = psi < 0.0
-        la = np.where(neg, xa, lo[active])
-        ha = np.where(neg, hi[active], xa)
-        xn = xa - newton_step
-        step = np.abs(newton_step)
-        newton = (la <= xn) & (xn <= ha) & (step <= 0.5 * last[active])
-        step = np.where(newton, step, 0.5 * (ha - la))
-        x[active] = np.where(newton, xn, 0.5 * (la + ha))
-        lo[active], hi[active], last[active] = la, ha, step
-        active = active[(step > tol) & (ha - la > tol)]
-        if active.size == 0:
-            break
-    vals = pnorm_rows(p, f_prev[None, :] - x[:, None] * M)
-    i = int(np.argmin(vals))
+            neg = psi < 0.0
+            lo, hi = np.where(neg, xa, lo), np.where(neg, hi, xa)
+            width = hi - lo
+            bound[active] = np.where(ok, nrm - p * np.abs(psi) * width, -math.inf)
+            xn = xa - newton_step
+            step = np.abs(newton_step)
+            newton = (lo <= xn) & (xn <= hi) & (step <= 0.5 * last)
+            last = np.where(newton, step, 0.5 * width)
+            x[active] = xa = np.where(newton, xn, 0.5 * (lo + hi))
+            best = min(best, float(_min(np.where(ok, nrm, math.inf))))
+            keep = ~(bound > best * (1.0 + _SCAN_MARGIN))
+            alive = alive[keep[alive]]
+            go = (last > tol) & (width > tol) & keep[active]
+            active = active[go]
+            if active.size == 0 or alive.size == 1:
+                break
+            Ma, xa, lo, hi, last = Ma[go], xa[go], lo[go], hi[go], last[go]
+    i = int(alive[np.argmin(pnorm_rows(p, f_prev - x[alive, None] * M[alive]))]
+            if alive.size > 1 else alive[0])
     lam = min_along_ray(p, f_prev, M[i])
     sidx = (i + 1) if lam >= 0 else -(i + 1)
     return sidx, abs(lam)

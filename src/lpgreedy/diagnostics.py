@@ -319,14 +319,16 @@ def verify_rates(report: RunReport, bound_ids: list) -> list:
     """Check residual_norm(m) <= bound(m) for each requested estimate, up
     to ``_RATE_SLACK``.
 
-    Bounds that need a hull certificate (cor21/cor52/cor72/prop72) or a
-    constant weakness sequence (cor21) are skipped with a reason when the
-    report does not qualify.  Tightness is residual/bound per iteration.
-    The bounds that apply are checked together, one row each.
+    An id outside ``BOUND_IDS`` raises ``ValueError``; a bound that needs a
+    hull certificate (cor21/cor52/cor72/prop72) or a constant weakness
+    sequence (cor21) is skipped with a reason when the report does not
+    qualify.  Tightness is residual/bound per iteration, one row per bound.
     """
     meta = report.target_meta
     skips = []
     for bid in bound_ids:
+        if bid not in BOUND_IDS:  # before the certificate can skip it
+            raise ValueError(f"unknown bound id {bid!r}")
         if bid in ("cor21", "cor52", "cor72", "prop72"):
             skip = "" if meta.get("in_hull") else "requires a hull certificate"
         else:

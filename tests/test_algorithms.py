@@ -310,10 +310,11 @@ class TestStepProperties:
             assert (rep_x.records[0].residual_norm
                     <= rep_d.records[0].residual_norm + 1e-9)
 
-    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 32.0, 800.0])
     def test_norm_scan_matches_exhaustive_ray_solves(self, p):
         # the vectorised Newton scan picks the atom whose exact ray minimum
-        # is smallest, and returns that atom's exact step
+        # is smallest, and returns that atom's exact step; at p = 800 most
+        # rows' psi' is not a normal float, and those rows prune nothing
         s = lp_space(p, 32)
         D = build_dictionary(s, "random_gauss", 128, seed=5)
         rng = np.random.default_rng(3)
@@ -325,6 +326,40 @@ class TestStepProperties:
             sidx, lam = _xgreedy_scan(s, f, D, pnorm(p, f))
             assert abs(sidx) == i + 1
             assert np.sign(sidx) * lam == lams[i]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_norm_scan_repeated_atoms_take_the_lower_index(self, p):
+        # each atom twice, some negated: the pruning never separates equal
+        # rows, and the lower index wins, as np.argmin's first minimum did
+        s = lp_space(p, 16)
+        B = build_dictionary(s, "random_gauss", 24, seed=9).matrix
+        rows = np.vstack([B[12:], B, -B[:12]])
+        D = Dictionary(space=s, matrix=rows, kind_tag="repeated", seed=0)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f = rng.standard_normal(16)
+            lams = [min_along_ray(p, f, g) for g in rows]
+            vals = [pnorm(p, f - lam * g) for lam, g in zip(lams, rows)]
+            i = int(np.argmin(vals))
+            sidx, lam = _xgreedy_scan(s, f, D, pnorm(p, f))
+            assert abs(sidx) == i + 1
+            assert np.sign(sidx) * lam == lams[i]
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_norm_scan_selection_is_scale_free(self, p):
+        # the pruning margin is relative, and rows whose N = ||r||^p is not
+        # a normal float (p = 4 at 2^-300) prune nothing.  Only the atom is
+        # compared: the refined step's width stop, 1e-15 max(1, hi), is
+        # absolute (ROADMAP item 7)
+        s = lp_space(p, 32)
+        D = build_dictionary(s, "random_gauss", 128, seed=5)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            f = rng.standard_normal(32)
+            sidx = _xgreedy_scan(s, f, D, pnorm(p, f))[0]
+            for k in (-300, -40, 40):
+                c = 2.0 ** k
+                assert _xgreedy_scan(s, c * f, D, pnorm(p, c * f))[0] == sidx
 
     def test_wrga_convex_clamp(self):
         # a target far outside the hull forces the convex weight to its cap

@@ -251,6 +251,23 @@ class TestVerifyRates:
         assert not results[0].applicable
         assert "constant" in results[0].reason
 
+    @pytest.mark.parametrize("certified", [True, False])
+    @pytest.mark.parametrize("bid", ["bogus", "COR52", ""])
+    def test_unknown_bound_id_raises_with_or_without_certificate(
+            self, hull_run, certified, bid):
+        # without a certificate the id was once skipped as "requires (eps,
+        # A(eps)) metadata"; it is checked before the certificate is read
+        if certified:
+            rep = hull_run
+        else:  # a plain run: no target, so no certificate
+            s = lp_space(2.0, 12)
+            D = build_dictionary(s, "random_gauss", 48, seed=3)
+            f = Element(coords=np.linspace(-1.0, 1.0, 12), space=s)
+            rep = run_greedy("wcga", f, D, T1, max_m=3)
+        assert bool(rep.target_meta.get("certificate")) == certified
+        with pytest.raises(ValueError, match=f"unknown bound id {bid!r}"):
+            verify_rates(rep, ["cor52", bid])
+
     def test_bound_curve_monotone_decreasing(self, hull_run):
         spec = BoundSpec.from_report("cor52", hull_run)
         curve = bound_curve(spec, hull_run)

@@ -319,6 +319,14 @@ class TestCli:
         (lambda b: b.update(initial_residual="x"),
          "['initial_residual'] are not numbers"),
         (lambda b: b.update(max_m=None), "['max_m'] are not numbers"),
+        # max_m is an int >= 1 and bounds the record count (8 here)
+        (lambda b: b.update(max_m=2.5), "report field 'max_m' must be an "
+         "integer >= 1 and >= its 8 records, not 2.5"),
+        (lambda b: b.update(max_m=10.0), "not 10.0"),
+        (lambda b: b.update(max_m=0), "and >= its 8 records, not 0"),
+        (lambda b: b.update(max_m=-3), "and >= its 8 records, not -3"),
+        (lambda b: b.update(max_m=7), "and >= its 8 records, not 7"),
+        (lambda b: b.update(max_m=True), "['max_m'] are not numbers"),
         (lambda b: b.update(errors="x"), "malformed error schedule"),
         (lambda b: b.update(errors={"delta": {"kind": "const"}}),
          "malformed error schedule"),
@@ -371,6 +379,16 @@ class TestCli:
         rc = main(["audit", str(bad)])
         assert rc == 2
         assert problem in capsys.readouterr().err
+
+    def test_report_number_fields_read_back(self, tmp_path):
+        # a float field takes an int too, and max_m may equal the record count
+        out = tmp_path / "r.csv"
+        main(RUN_ARGS + ["--out", str(out)])
+        blob = json.loads(out.with_suffix(".json").read_text())
+        blob.update(stop_tol=0, initial_residual=1, max_m=len(blob["records"]))
+        rep = RunReport.from_json(json.dumps(blob))
+        assert (rep.stop_tol, rep.initial_residual) == (0, 1)
+        assert rep.max_m == len(rep.records)
 
     def test_audit_directory_is_usage_error(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path)]) == 2
